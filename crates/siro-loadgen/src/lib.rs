@@ -434,10 +434,11 @@ pub fn sweep(config: &LoadgenConfig) -> Result<LoadReport, String> {
     })
 }
 
-/// One engine's sweep, labelled for the old-vs-new comparison JSON.
+/// One labelled sweep, as recorded in the loadtest JSON.
 #[derive(Debug, Clone)]
 pub struct EngineRun {
-    /// Engine label (`"event"` / `"threaded"`).
+    /// Which server was swept: `"event"` for an in-process daemon,
+    /// `"remote"` for a running one.
     pub engine: String,
     /// Worker threads the server ran with.
     pub workers: usize,
@@ -448,32 +449,13 @@ pub struct EngineRun {
 }
 
 /// Renders the `siro-bench/loadtest-v1` JSON document for a set of
-/// engine sweeps (hand-rolled like the rest of `siro-bench`: flat,
-/// stable key order, no JSON dependency).
+/// sweeps (hand-rolled like the rest of `siro-bench`: flat, stable key
+/// order, no JSON dependency).
 pub fn render_loadtest_json(runs: &[EngineRun]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"siro-bench/loadtest-v1\",");
-    let ratio = {
-        let max_of = |name: &str| {
-            runs.iter()
-                .find(|r| r.engine == name)
-                .map(|r| r.report.max_sustained_rps)
-        };
-        match (max_of("event"), max_of("threaded")) {
-            (Some(e), Some(t)) if t > 0.0 => Some(e / t),
-            _ => None,
-        }
-    };
-    match ratio {
-        Some(r) => {
-            let _ = writeln!(out, "  \"ratio_event_over_threaded\": {r:.3},");
-        }
-        None => {
-            let _ = writeln!(out, "  \"ratio_event_over_threaded\": null,");
-        }
-    }
     out.push_str("  \"engines\": [\n");
     for (i, run) in runs.iter().enumerate() {
         out.push_str("    {\n");
@@ -607,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn loadtest_json_names_both_engines_and_the_ratio() {
+    fn loadtest_json_names_the_engine_and_its_sweep() {
         let report = LoadReport {
             slo_p99_ms: 50.0,
             rates: vec![RateReport {
@@ -625,28 +607,16 @@ mod tests {
             }],
             max_sustained_rps: 100.0,
         };
-        let runs = [
-            EngineRun {
-                engine: "event".into(),
-                workers: 4,
-                connections: 8,
-                report: report.clone(),
-            },
-            EngineRun {
-                engine: "threaded".into(),
-                workers: 4,
-                connections: 8,
-                report: LoadReport {
-                    max_sustained_rps: 50.0,
-                    ..report
-                },
-            },
-        ];
-        let json = render_loadtest_json(&runs);
+        let run = EngineRun {
+            engine: "event".into(),
+            workers: 4,
+            connections: 8,
+            report,
+        };
+        let json = render_loadtest_json(&[run]);
         assert!(json.contains("\"schema\": \"siro-bench/loadtest-v1\""));
         assert!(json.contains("\"engine\": \"event\""));
-        assert!(json.contains("\"engine\": \"threaded\""));
-        assert!(json.contains("\"ratio_event_over_threaded\": 2.000"));
+        assert!(json.contains("\"max_sustained_rps\": 100.000"));
         assert!(json.contains("\"slo_met\": true"));
     }
 }

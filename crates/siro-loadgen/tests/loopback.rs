@@ -13,7 +13,6 @@ fn short_open_loop_step_completes_cleanly() {
         addr: "127.0.0.1:0".into(),
         threads: Some(2),
         queue_capacity: 64,
-        read_timeout: Duration::from_millis(100),
         ..ServeConfig::default()
     })
     .expect("bind loopback server");

@@ -25,7 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use siro_ir::IrVersion;
-use siro_synth::{OracleTest, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
+use siro_synth::{
+    oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache,
+};
 
 /// Observable per-pair counters.
 #[derive(Debug, Default)]
@@ -124,18 +126,9 @@ impl PairCoalescer {
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
         let state = self.state((source, target));
-        let corpus = state.corpus.get_or_init(|| {
-            Arc::new(
-                siro_testcases::corpus_for_pair(source, target)
-                    .into_iter()
-                    .map(|c| OracleTest {
-                        name: c.name.to_string(),
-                        module: c.build(source),
-                        oracle: c.oracle,
-                    })
-                    .collect(),
-            )
-        });
+        let corpus = state
+            .corpus
+            .get_or_init(|| Arc::new(oracle_corpus(source, target)));
         let lookup =
             TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(source, target), corpus)?;
         if lookup.fresh {

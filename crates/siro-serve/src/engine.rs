@@ -2,16 +2,17 @@
 //!
 //! The engine is deliberately free of any socket or queue knowledge so it
 //! can be exercised directly by unit tests and reused by the in-process
-//! `STATS` path. All IR work — parse, verify, translate, verify again,
-//! print — happens here, and every failure maps to a structured
-//! [`ErrorCode`] instead of a panic: a malformed served module must never
-//! take down a worker.
+//! `STATS` path. All IR work — parse, verify, acquire, translate, verify
+//! again, print — happens here, on one path for both dialects, and every
+//! failure maps to a structured [`ErrorCode`] instead of a panic: a
+//! malformed served module must never take down a worker.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use siro_core::{ReferenceTranslator, Skeleton};
-use siro_ir::{parse, verify, write, DialectVersion};
+use siro_ir::DialectVersion;
 use siro_synth::{RouteOutcome, Router};
 use siro_wir::AnyModule;
 
@@ -87,6 +88,13 @@ impl Engine {
         }
     }
 
+    /// The one request path, for every pair of either dialect: parse →
+    /// verify → acquire → translate → verify → print over [`AnyModule`].
+    /// The dialects decide three things: which router plans the route,
+    /// whether reference mode serves (Siro pairs only), and the error code
+    /// of a failed acquire. Unbridgeable pairs answer `Unsupported` — the
+    /// dialect router reports them unreachable rather than planning a
+    /// bogus chain.
     fn translate(
         &self,
         source: DialectVersion,
@@ -94,39 +102,26 @@ impl Engine {
         mode: TranslateMode,
         text: &str,
     ) -> Response {
-        match (source.as_siro(), target.as_siro()) {
-            (Some(s), Some(t)) => self.translate_siro(s, t, mode, text),
-            _ => self.translate_cross(source, target, mode, text),
-        }
-    }
-
-    /// Any request with a WIR endpoint: WIR→WIR pairs and SIRO↔WIR
-    /// cross-dialect pairs, all served as composed chains over the
-    /// dual-catalog router (WIR translator hops, bridge hops at the
-    /// anchors). Unbridgeable pairs answer `Unsupported` — the router
-    /// reports them unreachable rather than planning a bogus chain.
-    fn translate_cross(
-        &self,
-        source: DialectVersion,
-        target: DialectVersion,
-        mode: TranslateMode,
-        text: &str,
-    ) -> Response {
         let t_start = Instant::now();
-        self.metrics
-            .translations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.metrics
-            .cross_dialect
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        siro_trace::counter("serve.cross_dialect", 1);
-        if mode == TranslateMode::Reference {
-            return err(
-                ErrorCode::Unsupported,
-                "the reference translator only serves Siro-to-Siro pairs",
-            );
-        }
+        self.metrics.translations.fetch_add(1, Ordering::Relaxed);
+        // `Some(target)` exactly when both endpoints are Siro versions.
+        let siro_target = source.as_siro().and(target.as_siro());
+        let (router, acquire_code, acquiring) = if siro_target.is_some() {
+            (&self.router, ErrorCode::Synthesis, "synthesizing")
+        } else {
+            self.metrics.cross_dialect.fetch_add(1, Ordering::Relaxed);
+            siro_trace::counter("serve.cross_dialect", 1);
+            if mode == TranslateMode::Reference {
+                return err(
+                    ErrorCode::Unsupported,
+                    "the reference translator only serves Siro-to-Siro pairs",
+                );
+            }
+            (&self.dialect_router, ErrorCode::Unsupported, "acquiring")
+        };
 
+        // Parse + verify the incoming module; its version header selects
+        // the dialect and must agree with the request's source.
         let sp = siro_trace::span!("serve.parse");
         let module = match AnyModule::parse(text) {
             Ok(m) => m,
@@ -147,32 +142,58 @@ impl Engine {
         drop(sp);
         let parse_nanos = t_start.elapsed().as_nanos() as u64;
 
+        // Obtain a translator (possibly synthesizing, coalesced per pair):
+        // the router picks the cheapest route, direct or composed, and
+        // every Siro hop acquisition goes through the coalescer so
+        // per-pair serving counters keep working.
         let t_synth = Instant::now();
-        let sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-        let acquired = match self
-            .dialect_router
-            .acquire_with(source, target, &|s, t, _tests| {
-                self.coalescer
-                    .translator_for(s, t)
-                    .map(|l| (l.outcome, l.fresh))
-            }) {
-            Ok(a) => a,
-            Err(e) => {
-                return err(
-                    ErrorCode::Unsupported,
-                    format!("acquiring {source} -> {target}: {e}"),
-                )
+        let acquired = match mode {
+            TranslateMode::Reference => None,
+            TranslateMode::Synthesized => {
+                let _sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
+                match router.acquire_with(source, target, &|s, t, _tests| {
+                    self.coalescer
+                        .translator_for(s, t)
+                        .map(|l| (l.outcome, l.fresh))
+                }) {
+                    Ok(a) => Some(a),
+                    Err(e) => {
+                        return err(
+                            acquire_code,
+                            format!("{acquiring} {source} -> {target}: {e}"),
+                        )
+                    }
+                }
             }
         };
-        drop(sp);
-        let synth_nanos = t_synth.elapsed().as_nanos() as u64;
+        let synth_nanos = match acquired {
+            Some(_) => t_synth.elapsed().as_nanos() as u64,
+            None => 0,
+        };
 
-        let sp = siro_trace::span!("serve.translate", "{source}->{target} synthesized");
-        let translated = match &acquired.outcome {
-            RouteOutcome::Composed(chain) => chain.translate_any_owned(module),
-            // A WIR-endpoint request can never resolve direct (direct
-            // routes are Siro pairwise translators).
-            RouteOutcome::Direct(_) => {
+        // The request module is owned by this handler and not needed
+        // afterwards: hand it to the owned paths, so a compiled translator
+        // rewrites it in place (mirror driver) instead of rebuilding it —
+        // with transparent fallback to the compiled push driver and then
+        // the interpreter.
+        let t_translate = Instant::now();
+        let label = match mode {
+            TranslateMode::Reference => "reference",
+            TranslateMode::Synthesized => "synthesized",
+        };
+        let sp = siro_trace::span!("serve.translate", "{source}->{target} {label}");
+        let outcome = acquired.as_ref().map(|a| &a.outcome);
+        let translated = match (outcome, module, siro_target) {
+            (None, AnyModule::Siro(m), Some(to)) => Skeleton::new(to)
+                .translate_module(&m, &ReferenceTranslator)
+                .map(AnyModule::Siro),
+            (Some(RouteOutcome::Direct(outcome)), AnyModule::Siro(m), Some(to)) => {
+                siro_synth::translate_module_owned_tiered(outcome, to, m).map(AnyModule::Siro)
+            }
+            (Some(RouteOutcome::Composed(chain)), m, _) => chain.translate_any_owned(m),
+            // Direct routes are Siro pairwise translators, and reference
+            // mode was refused above for any other pair.
+            _ => {
                 return err(
                     ErrorCode::Internal,
                     "cross-dialect request resolved to a direct Siro translator",
@@ -180,6 +201,7 @@ impl Engine {
             }
         };
         drop(sp);
+        let translate_nanos = t_translate.elapsed().as_nanos() as u64;
         let translated = match translated {
             Ok(m) => m,
             Err(e) => {
@@ -189,7 +211,6 @@ impl Engine {
                 )
             }
         };
-        let translate_nanos = (t_synth.elapsed().as_nanos() as u64).saturating_sub(synth_nanos);
         if translated.dialect_version() != target {
             return err(
                 ErrorCode::Internal,
@@ -207,118 +228,7 @@ impl Engine {
         let text = translated.print();
         drop(sp);
         Response::TranslateOk {
-            cache_hit: !acquired.fresh,
-            timings: StageNanos {
-                parse: parse_nanos,
-                synth: synth_nanos,
-                translate: translate_nanos,
-                total: t_start.elapsed().as_nanos() as u64,
-            },
-            text,
-        }
-    }
-
-    fn translate_siro(
-        &self,
-        source: siro_ir::IrVersion,
-        target: siro_ir::IrVersion,
-        mode: TranslateMode,
-        text: &str,
-    ) -> Response {
-        let t_start = Instant::now();
-        self.metrics
-            .translations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-
-        // Parse + verify the incoming module; its `; IR version` header
-        // selects the dialect and must agree with the request's source.
-        let sp = siro_trace::span!("serve.parse");
-        let module = match parse::parse_module(text) {
-            Ok(m) => m,
-            Err(e) => return err(ErrorCode::Parse, format!("parsing request module: {e}")),
-        };
-        if module.version != source {
-            return err(
-                ErrorCode::Parse,
-                format!(
-                    "module text declares version {} but the request says {}",
-                    module.version, source
-                ),
-            );
-        }
-        if let Err(e) = verify::verify_module(&module) {
-            return err(ErrorCode::Verify, format!("request module: {e}"));
-        }
-        drop(sp);
-        let parse_nanos = t_start.elapsed().as_nanos() as u64;
-
-        // Obtain a translator (possibly synthesizing, coalesced per pair).
-        let t_synth = Instant::now();
-        let skeleton = Skeleton::new(target);
-        let (translated, cache_hit, synth_nanos) = match mode {
-            TranslateMode::Reference => {
-                let sp = siro_trace::span!("serve.translate", "{source}->{target} reference");
-                let r = skeleton.translate_module(&module, &ReferenceTranslator);
-                drop(sp);
-                (r, false, 0)
-            }
-            TranslateMode::Synthesized => {
-                // Any-pair serving: the router picks the cheapest route
-                // (direct or composed); every hop acquisition goes through
-                // the coalescer so per-pair serving counters keep working.
-                let sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-                let acquired = match self.router.acquire_with(source, target, &|s, t, _tests| {
-                    self.coalescer
-                        .translator_for(s, t)
-                        .map(|l| (l.outcome, l.fresh))
-                }) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        return err(
-                            ErrorCode::Synthesis,
-                            format!("synthesizing {source} -> {target}: {e}"),
-                        )
-                    }
-                };
-                drop(sp);
-                let synth_nanos = t_synth.elapsed().as_nanos() as u64;
-                let sp = siro_trace::span!("serve.translate", "{source}->{target} synthesized");
-                // The request module is owned by this handler and not
-                // needed afterwards: hand it to the tiered owned path, so
-                // a compiled translator rewrites it in place (mirror
-                // driver) instead of rebuilding it — with transparent
-                // fallback to the compiled push driver and then the
-                // interpreter.
-                let r = match &acquired.outcome {
-                    RouteOutcome::Direct(outcome) => {
-                        siro_synth::translate_module_owned_tiered(outcome, target, module)
-                    }
-                    RouteOutcome::Composed(chain) => chain.translate_module_owned(module),
-                };
-                drop(sp);
-                (r, !acquired.fresh, synth_nanos)
-            }
-        };
-        let t_translate = Instant::now();
-        let translated = match translated {
-            Ok(m) => m,
-            Err(e) => {
-                return err(
-                    ErrorCode::Translate,
-                    format!("translating {source} -> {target}: {e}"),
-                )
-            }
-        };
-        if let Err(e) = verify::verify_module(&translated) {
-            return err(ErrorCode::Verify, format!("translated module: {e}"));
-        }
-        let translate_nanos = t_translate.duration_since(t_synth).as_nanos() as u64;
-
-        let sp = siro_trace::span!("serve.serialize");
-        let text = write::write_module(&translated);
-        drop(sp);
-        Response::TranslateOk {
-            cache_hit,
+            cache_hit: acquired.is_some_and(|a| !a.fresh),
             timings: StageNanos {
                 parse: parse_nanos,
                 synth: synth_nanos,
@@ -333,7 +243,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siro_ir::IrVersion;
+    use siro_ir::{parse, write, IrVersion};
 
     fn engine() -> Engine {
         Engine::new(Arc::new(Metrics::default()))
@@ -521,6 +431,40 @@ mod tests {
                 message,
             } => assert!(message.contains("no route"), "{message}"),
             other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stage_timings_are_disjoint_slices_of_the_total() {
+        // parse, synth (acquire) and translate must not overlap, so they
+        // add up to no more than total. A path that counts the acquire
+        // inside translate as well breaks this whenever the acquire costs
+        // more than output verify plus print — always on a cold pair. The
+        // Siro pair is unique to this test, so it is cold here.
+        let e = engine();
+        let wir = siro_wir::generate_straightline(5, siro_wir::WirVersion::W1_0);
+        let requests = [
+            Request::Translate {
+                source: IrVersion::V13_0.into(),
+                target: IrVersion::V12_0.into(),
+                mode: TranslateMode::Synthesized,
+                text: sample_module(IrVersion::V13_0),
+            },
+            Request::Translate {
+                source: DialectVersion::wir(1, 0),
+                target: DialectVersion::wir(2, 0),
+                mode: TranslateMode::Synthesized,
+                text: siro_wir::write::write_module(&wir),
+            },
+        ];
+        for request in &requests {
+            let Response::TranslateOk { timings, .. } = e.execute(request) else {
+                panic!("expected TranslateOk for {request:?}");
+            };
+            assert!(
+                timings.parse + timings.synth + timings.translate <= timings.total,
+                "stages overlap: {timings:?}"
+            );
         }
     }
 

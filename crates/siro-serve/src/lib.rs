@@ -11,8 +11,9 @@
 //!   (`Busy`) instead of queuing unboundedly — backpressure by
 //!   construction;
 //! * [`pool`] — the fixed worker pool, sized by `SIRO_THREADS`;
-//! * [`engine`] — per-request execution (parse → verify → translate →
-//!   verify → print), panic-isolated per request;
+//! * [`engine`] — per-request execution (parse → verify → acquire →
+//!   translate → verify → print, one path for both dialects),
+//!   panic-isolated per request;
 //! * [`coalesce`] — per-version-pair request coalescing: N concurrent
 //!   requests for the same cold pair run exactly one synthesis;
 //! * [`poller`] — std-only level-triggered readiness (epoll on Linux via
@@ -24,8 +25,7 @@
 //!   requests get a structured `Throttled` with retry-after;
 //! * [`stats`] — lock-free metrics, the plaintext `STATS` page, and the
 //!   Prometheus-style `METRICS` page (see `docs/OBSERVABILITY.md`);
-//! * [`server`] — engine dispatch ([`EngineMode`]), the accept paths
-//!   with failure backoff, graceful drain-on-shutdown, and warm start
+//! * [`server`] — startup, graceful drain-on-shutdown, and warm start
 //!   from the persistent translator store (`docs/PERSISTENCE.md`);
 //! * [`client`] — a blocking client (used by `siro translate --remote`,
 //!   `siro loadgen`, the loopback bench, and CI).
@@ -72,6 +72,6 @@ pub use engine::Engine;
 pub use protocol::{ErrorCode, Request, Response, StageNanos, TranslateMode};
 pub use queue::{BoundedQueue, PushError};
 pub use reactor::ReactorStats;
-pub use server::{start, EngineMode, ServeConfig, ServerHandle};
+pub use server::{start, ServeConfig, ServerHandle};
 pub use siro_synth::ValidationMode;
 pub use stats::{metrics_value, stats_value, Metrics, MetricsSnapshot, ServeGauges};

@@ -9,7 +9,7 @@
 //! whole pool) down.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -19,42 +19,25 @@ use crate::queue::BoundedQueue;
 use crate::reactor::Completions;
 use crate::stats::Metrics;
 
-/// Where a finished job's response goes. The threaded engine routes
-/// through the connection writer's channel; the event engine pushes onto
-/// the reactor's completion queue (which wakes the reactor so it can
+/// Where a finished job's response goes: the reactor's completion queue,
+/// tagged with the owning connection (pushing wakes the reactor so it can
 /// write the frame from the event loop).
-pub struct Reply(ReplyKind);
-
-enum ReplyKind {
-    Channel(mpsc::Sender<(u64, Response)>),
-    Reactor {
-        completions: std::sync::Arc<Completions>,
-        conn: u64,
-    },
+pub struct Reply {
+    completions: Arc<Completions>,
+    conn: u64,
 }
 
 impl Reply {
-    /// A reply routed to a per-connection writer thread.
-    pub fn channel(tx: mpsc::Sender<(u64, Response)>) -> Reply {
-        Reply(ReplyKind::Channel(tx))
-    }
-
     /// A reply routed back to the reactor for connection `conn`.
-    pub(crate) fn reactor(completions: std::sync::Arc<Completions>, conn: u64) -> Reply {
-        Reply(ReplyKind::Reactor { completions, conn })
+    pub(crate) fn new(completions: Arc<Completions>, conn: u64) -> Reply {
+        Reply { completions, conn }
     }
 
     /// Delivers the response. The connection may already be gone (client
-    /// hung up mid-flight); delivery to a dead endpoint is a no-op.
+    /// hung up mid-flight); the reactor drops responses for dead
+    /// connections.
     pub fn send(&self, id: u64, response: Response) {
-        match &self.0 {
-            ReplyKind::Channel(tx) => {
-                let _ = tx.send((id, response));
-            }
-            ReplyKind::Reactor { completions, conn } => {
-                completions.push(*conn, id, response);
-            }
-        }
+        self.completions.push(self.conn, id, response);
     }
 }
 
@@ -141,33 +124,37 @@ mod tests {
     use crate::protocol::TranslateMode;
     use siro_ir::IrVersion;
 
-    fn pool_fixture(workers: usize, cap: usize) -> (Arc<BoundedQueue<Job>>, WorkerPool) {
+    /// Runs `requests` (ids 0, 1, …) through a `workers`-thread pool,
+    /// closes the queue, and returns every response in completion order.
+    fn run_pool(workers: usize, requests: Vec<Request>) -> Vec<(u64, Response)> {
         let metrics = Arc::new(Metrics::default());
         let engine = Arc::new(Engine::new(Arc::clone(&metrics)));
-        let queue = Arc::new(BoundedQueue::new(cap));
+        let queue = Arc::new(BoundedQueue::new(requests.len()));
         let pool = WorkerPool::spawn(workers, Arc::clone(&queue), engine, metrics);
-        (queue, pool)
+        let (completions, _wake_rx) = Completions::new().expect("completion queue");
+        for (id, request) in (0u64..).zip(requests) {
+            let job = Job {
+                id,
+                request,
+                reply: Reply::new(Arc::clone(&completions), 0),
+                enqueued: Instant::now(),
+            };
+            queue.try_push(job).unwrap_or_else(|_| panic!("queue full"));
+        }
+        queue.close();
+        pool.join();
+        completions
+            .drain()
+            .into_iter()
+            .map(|c| (c.id, c.response))
+            .collect()
     }
 
     #[test]
     fn pool_executes_jobs_and_drains_on_close() {
-        let (queue, pool) = pool_fixture(2, 8);
-        let (tx, rx) = mpsc::channel();
-        for id in 0..5u64 {
-            queue
-                .try_push(Job {
-                    id,
-                    request: Request::Ping { delay_ms: 0 },
-                    reply: Reply::channel(tx.clone()),
-                    enqueued: Instant::now(),
-                })
-                .unwrap_or_else(|_| panic!("queue full"));
-        }
-        drop(tx);
-        queue.close();
-        pool.join();
-        let mut ids: Vec<u64> = rx
-            .iter()
+        let responses = run_pool(2, vec![Request::Ping { delay_ms: 0 }; 5]);
+        let mut ids: Vec<u64> = responses
+            .into_iter()
             .map(|(id, r)| {
                 assert_eq!(r, Response::Pong);
                 id
@@ -179,31 +166,13 @@ mod tests {
 
     #[test]
     fn bad_module_yields_error_response_and_pool_survives() {
-        let (queue, pool) = pool_fixture(1, 4);
-        let (tx, rx) = mpsc::channel();
-        let bad = Job {
-            id: 1,
-            request: Request::Translate {
-                source: IrVersion::V13_0.into(),
-                target: IrVersion::V3_6.into(),
-                mode: TranslateMode::Reference,
-                text: "garbage".into(),
-            },
-            reply: Reply::channel(tx.clone()),
-            enqueued: Instant::now(),
+        let bad = Request::Translate {
+            source: IrVersion::V13_0.into(),
+            target: IrVersion::V3_6.into(),
+            mode: TranslateMode::Reference,
+            text: "garbage".into(),
         };
-        let good = Job {
-            id: 2,
-            request: Request::Ping { delay_ms: 0 },
-            reply: Reply::channel(tx.clone()),
-            enqueued: Instant::now(),
-        };
-        queue.try_push(bad).unwrap_or_else(|_| panic!("push"));
-        queue.try_push(good).unwrap_or_else(|_| panic!("push"));
-        drop(tx);
-        queue.close();
-        pool.join();
-        let responses: Vec<(u64, Response)> = rx.iter().collect();
+        let responses = run_pool(1, vec![bad, Request::Ping { delay_ms: 0 }]);
         assert_eq!(responses.len(), 2);
         assert!(matches!(
             responses[0].1,

@@ -1,18 +1,19 @@
-//! The nonblocking event-loop engine (the `event` serving mode).
+//! The nonblocking event-loop serving engine.
 //!
 //! One **reactor** thread owns every socket — the listener and all
 //! connections — registered with a level-triggered [`Poller`]. It does
 //! all the I/O: nonblocking accepts, framed reads, framed writes with
 //! per-connection write queues. CPU-bound work (translate / synthesize)
 //! never runs on the reactor: decoded data-plane requests go through the
-//! same bounded queue and worker pool as the threaded engine, and
-//! finished responses come back over the [`Completions`] queue, which
-//! wakes the reactor via a self-pipe.
+//! bounded queue to the worker pool, and finished responses come back
+//! over the [`Completions`] queue, which wakes the reactor via a
+//! self-pipe.
 //!
-//! Compared to thread-per-connection this decouples *open connections*
-//! from *threads*: ten thousand idle connections cost ten thousand fds,
-//! not ten thousand stacks, and a stalled peer holds only its own write
-//! queue, never a thread.
+//! This decouples *open connections* from *threads*: ten thousand idle
+//! connections cost ten thousand fds, not ten thousand stacks, and a
+//! stalled peer holds only its own write queue, never a thread. There is
+//! no per-connection stall or write timeout: a peer that stops mid-frame
+//! keeps its fd and partial read buffer until it closes.
 //!
 //! Flow control, in order of application to an incoming frame:
 //!
@@ -22,8 +23,7 @@
 //! 2. **admission control** — when enabled, the per-peer token bucket
 //!    rejects over-budget requests with a structured `Throttled`
 //!    carrying retry-after (one greedy client cannot starve the rest);
-//! 3. **bounded queue** — `Busy` when the global queue is full, exactly
-//!    as in the threaded engine.
+//! 3. **bounded queue** — `Busy` when the global queue is full.
 //!
 //! The accept loop backs off on failure (EMFILE/ENFILE and other
 //! transient errors): the listener is *deregistered* for an exponentially
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use crate::admission::Admission;
 use crate::poller::{Interest, PollEvent, Poller};
 use crate::pool::{Job, Reply};
-use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME};
+use crate::protocol::{ErrorCode, ProtocolError, Request, Response, MAX_FRAME};
 use crate::queue::PushError;
 use crate::server::Shared;
 
@@ -67,10 +67,10 @@ const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// One finished job on its way back from a worker to the reactor.
-struct Completion {
+pub(crate) struct Completion {
     conn: u64,
-    id: u64,
-    response: Response,
+    pub(crate) id: u64,
+    pub(crate) response: Response,
 }
 
 /// The worker → reactor return path: a queue of finished responses plus
@@ -110,7 +110,7 @@ impl Completions {
         let _ = (&self.wake_tx).write(&[1]);
     }
 
-    fn drain(&self) -> Vec<Completion> {
+    pub(crate) fn drain(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.queue.lock().expect("completion queue poisoned"))
     }
 
@@ -406,7 +406,7 @@ impl Reactor {
     }
 
     fn read_conn(&mut self, token: u64) {
-        let payloads = {
+        let (payloads, oversized) = {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
@@ -445,15 +445,28 @@ impl Reactor {
         for payload in payloads {
             self.handle_payload(token, &payload);
         }
+        if let Some(len) = oversized {
+            // Tell the peer what went wrong; the connection closes once
+            // the answer is written.
+            self.respond(
+                token,
+                0,
+                Response::Error {
+                    code: ErrorCode::Malformed,
+                    message: ProtocolError::FrameTooLarge(len).to_string(),
+                },
+            );
+        }
         self.flush_conn(token);
     }
 
     /// Splits complete `u32 length + payload` frames off the front of the
     /// connection's read buffer. An oversized length prefix kills the
-    /// connection (mirroring the threaded engine, where the stream can no
-    /// longer be trusted to be in sync).
-    fn extract_frames(conn: &mut Conn) -> Vec<Vec<u8>> {
+    /// connection — the stream can no longer be trusted to be in sync —
+    /// and is returned so the caller can answer `Malformed` first.
+    fn extract_frames(conn: &mut Conn) -> (Vec<Vec<u8>>, Option<usize>) {
         let mut out = Vec::new();
+        let mut oversized = None;
         let mut off = 0usize;
         while conn.read_buf.len() - off >= 4 {
             let len = u32::from_be_bytes(
@@ -463,6 +476,7 @@ impl Reactor {
             ) as usize;
             if len > MAX_FRAME {
                 conn.kill = true;
+                oversized = Some(len);
                 break;
             }
             if conn.read_buf.len() - off - 4 < len {
@@ -472,7 +486,7 @@ impl Reactor {
             off += 4 + len;
         }
         conn.read_buf.drain(..off);
-        out
+        (out, oversized)
     }
 
     fn handle_payload(&mut self, token: u64, payload: &[u8]) {
@@ -556,7 +570,7 @@ impl Reactor {
                 let job = Job {
                     id,
                     request,
-                    reply: Reply::reactor(Arc::clone(&self.completions), token),
+                    reply: Reply::new(Arc::clone(&self.completions), token),
                     enqueued: Instant::now(),
                 };
                 match self.shared.queue().try_push(job) {
@@ -610,8 +624,8 @@ impl Reactor {
     fn enqueue_response(stats: &ReactorStats, conn: &mut Conn, id: u64, response: &Response) {
         let payload = response.encode(id);
         if payload.len() > MAX_FRAME {
-            // Mirrors the threaded engine: an unencodable response ends
-            // the connection rather than desyncing the stream.
+            // An unencodable response ends the connection rather than
+            // desyncing the stream.
             conn.kill = true;
             return;
         }

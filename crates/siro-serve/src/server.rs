@@ -1,19 +1,11 @@
-//! The TCP server: engine dispatch, accept paths, graceful shutdown.
+//! The TCP server: startup, warm start, graceful shutdown.
 //!
-//! Two serving engines share one protocol, worker pool, queue, and
-//! metrics surface — [`ServeConfig::engine`] picks at startup:
-//!
-//! * [`EngineMode::Event`] (default) — the nonblocking reactor
-//!   ([`crate::reactor`]): one thread owns every socket via a
-//!   level-triggered poller, CPU-bound work runs on the worker pool, and
-//!   open connections are decoupled from thread count.
-//! * [`EngineMode::Threaded`] — the original thread-per-connection
-//!   model: one **acceptor** thread, one **reader** + one **writer**
-//!   thread per connection, the same fixed worker pool. Kept as the
-//!   baseline the loadtest bench compares against.
-//!
-//! Both accept loops *back off* on failure (EMFILE/ENFILE and other
-//! transient errors) instead of hot-spinning, counting each failure in
+//! [`start`] binds the listener and runs the nonblocking reactor
+//! ([`crate::reactor`]): one thread owns every socket via a
+//! level-triggered poller, CPU-bound work runs on the worker pool, and
+//! open connections are decoupled from thread count. The reactor's
+//! accept loop *backs off* on failure (EMFILE/ENFILE and other transient
+//! errors) instead of hot-spinning, counting each failure in
 //! `accept_errors` / the `serve.accept_errors` trace counter.
 //!
 //! Shutdown (via [`ServerHandle::request_shutdown`] or a wire `Shutdown`
@@ -22,51 +14,23 @@
 //! every thread before [`ServerHandle::wait`] returns — in-flight
 //! requests are answered, new ones get `ShuttingDown`.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use siro_synth::{
     corpus_fingerprint, oracle_corpus, set_active_store, StoreConfig, StoreKey, SynthesisConfig,
     TranslatorCache, TranslatorStore, ValidationMode,
 };
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
+use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::engine::Engine;
-use crate::pool::{Job, Reply, WorkerPool};
-use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FrameRead, ProtocolError, Request, Response,
-};
-use crate::queue::{BoundedQueue, PushError};
+use crate::pool::{Job, WorkerPool};
+use crate::queue::BoundedQueue;
 use crate::reactor::{Completions, Reactor, ReactorStats};
 use crate::stats::{render_metrics, render_stats, Metrics, ServeGauges};
-
-/// Which serving engine runs the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineMode {
-    /// Nonblocking event loop (reactor + worker pool) — the default.
-    #[default]
-    Event,
-    /// Thread-per-connection (reader/writer threads + worker pool) — the
-    /// pre-reactor baseline, kept for comparison benches.
-    Threaded,
-}
-
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event" => Ok(EngineMode::Event),
-            "threaded" => Ok(EngineMode::Threaded),
-            other => Err(format!("unknown engine `{other}` (event|threaded)")),
-        }
-    }
-}
 
 /// Server configuration. `Default` is suitable for tests and local use.
 #[derive(Debug, Clone)]
@@ -78,13 +42,6 @@ pub struct ServeConfig {
     pub threads: Option<usize>,
     /// Bounded queue capacity; pushes beyond it answer `Busy`.
     pub queue_capacity: usize,
-    /// Per-connection socket read timeout (threaded engine). Readers wake
-    /// at this cadence to notice shutdown, and a peer stalling *mid-frame*
-    /// longer than this is disconnected.
-    pub read_timeout: Duration,
-    /// Per-connection socket write timeout (threaded engine); a peer not
-    /// draining its responses for longer than this is disconnected.
-    pub write_timeout: Duration,
     /// Persistent translator store directory. When set, the store is
     /// attached process-wide, every entry is prefetched into the
     /// [`TranslatorCache`] before the listener accepts traffic
@@ -95,8 +52,6 @@ pub struct ServeConfig {
     /// Size cap for the store; write-backs GC least-recently-used entries
     /// down to it. `None` leaves the store unbounded.
     pub store_max_bytes: Option<u64>,
-    /// Which serving engine to run.
-    pub engine: EngineMode,
     /// Per-peer admission control; disabled by default.
     pub admission: AdmissionConfig,
 }
@@ -107,19 +62,15 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             threads: None,
             queue_capacity: 64,
-            read_timeout: Duration::from_millis(500),
-            write_timeout: Duration::from_secs(10),
             store_dir: None,
             store_validation: ValidationMode::default(),
             store_max_bytes: None,
-            engine: EngineMode::default(),
             admission: AdmissionConfig::default(),
         }
     }
 }
 
 pub(crate) struct Shared {
-    config: ServeConfig,
     addr: SocketAddr,
     queue: Arc<BoundedQueue<Job>>,
     engine: Arc<Engine>,
@@ -127,8 +78,8 @@ pub(crate) struct Shared {
     workers: usize,
     admission: Option<AdmissionControl>,
     reactor_stats: Arc<ReactorStats>,
-    /// Present under the event engine: wakes the reactor on shutdown.
-    completions: Option<Arc<Completions>>,
+    /// Wakes the reactor on shutdown.
+    completions: Arc<Completions>,
     shutting_down: AtomicBool,
     shutdown_cv: (Mutex<bool>, Condvar),
 }
@@ -138,18 +89,7 @@ impl Shared {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        match self.config.engine {
-            EngineMode::Event => {
-                if let Some(completions) = &self.completions {
-                    completions.wake();
-                }
-            }
-            EngineMode::Threaded => {
-                // Unblock the acceptor with a throwaway connection; it
-                // re-checks the flag after every accept.
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-            }
-        }
+        self.completions.wake();
         let (lock, cv) = &self.shutdown_cv;
         *lock.lock().expect("shutdown cv poisoned") = true;
         cv.notify_all();
@@ -205,10 +145,8 @@ impl Shared {
 /// [`ServerHandle::wait`]).
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    reactor: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-    connections: Option<Arc<Mutex<Vec<JoinHandle<()>>>>>,
+    reactor: JoinHandle<()>,
+    pool: WorkerPool,
 }
 
 impl ServerHandle {
@@ -227,11 +165,6 @@ impl ServerHandle {
         self.shared.queue.capacity()
     }
 
-    /// Which engine this server runs.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.shared.config.engine
-    }
-
     /// The live metrics (shared with the workers).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.shared.metrics
@@ -242,7 +175,7 @@ impl ServerHandle {
         &self.shared.engine
     }
 
-    /// Reactor-side counters (all zero under the threaded engine).
+    /// Reactor-side counters.
     pub fn reactor_stats(&self) -> &Arc<ReactorStats> {
         &self.shared.reactor_stats
     }
@@ -267,7 +200,7 @@ impl ServerHandle {
     /// Blocks until shutdown is signalled — by [`Self::request_shutdown`]
     /// or a wire `Shutdown` frame — then drains in-flight work and joins
     /// every thread.
-    pub fn wait(mut self) {
+    pub fn wait(self) {
         {
             let (lock, cv) = &self.shared.shutdown_cv;
             let mut signalled = lock.lock().expect("shutdown cv poisoned");
@@ -275,28 +208,13 @@ impl ServerHandle {
                 signalled = cv.wait(signalled).expect("shutdown cv poisoned");
             }
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Event engine: the reactor closes the queue itself, waits for
-        // in-flight work, writes every pending response, then exits.
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        // Threaded engine (and belt-and-braces for event): no new
-        // connections now; close the queue so workers exit once the
+        // The reactor closes the queue itself, waits for in-flight work,
+        // writes every pending response, then exits.
+        let _ = self.reactor.join();
+        // Belt and braces: close the queue so workers exit once the
         // backlog is drained (close still drains queued jobs).
         self.shared.queue.close();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-        if let Some(connections) = self.connections.take() {
-            let handles: Vec<JoinHandle<()>> =
-                std::mem::take(&mut *connections.lock().expect("connection list poisoned"));
-            for h in handles {
-                let _ = h.join();
-            }
-        }
+        self.pool.join();
     }
 
     /// [`Self::request_shutdown`] + [`Self::wait`].
@@ -306,10 +224,10 @@ impl ServerHandle {
     }
 }
 
-/// Binds the listener, spawns the configured engine, and returns.
-/// When [`ServeConfig::store_dir`] is set, the persistent store is
-/// attached and warm-started *before* traffic is accepted, so the first
-/// request already finds every stored pair in the cache.
+/// Binds the listener, spawns the reactor and the worker pool, and
+/// returns. When [`ServeConfig::store_dir`] is set, the persistent store
+/// is attached and warm-started *before* traffic is accepted, so the
+/// first request already finds every stored pair in the cache.
 ///
 /// # Errors
 ///
@@ -333,62 +251,30 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         warm_start(&engine);
     }
     let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-    let admission = AdmissionControl::from_config(config.admission);
-    let mode = config.engine;
-    let completions = match mode {
-        EngineMode::Event => Some(Completions::new()?),
-        EngineMode::Threaded => None,
-    };
+    let (completions, wake_rx) = Completions::new()?;
     let shared = Arc::new(Shared {
-        config,
         addr,
         queue: Arc::clone(&queue),
         engine: Arc::clone(&engine),
         metrics: Arc::clone(&metrics),
         workers,
-        admission,
+        admission: AdmissionControl::from_config(config.admission),
         reactor_stats: Arc::new(ReactorStats::default()),
-        completions: completions.as_ref().map(|(c, _)| Arc::clone(c)),
+        completions: Arc::clone(&completions),
         shutting_down: AtomicBool::new(false),
         shutdown_cv: (Mutex::new(false), Condvar::new()),
     });
+    let reactor = Reactor::new(listener, Arc::clone(&shared), completions, wake_rx)?;
     let pool = WorkerPool::spawn(workers, queue, engine, metrics);
-
-    match mode {
-        EngineMode::Event => {
-            let (completions, wake_rx) = completions.expect("completions built for event mode");
-            let reactor = Reactor::new(listener, Arc::clone(&shared), completions, wake_rx)?;
-            let reactor = std::thread::Builder::new()
-                .name("siro-serve-reactor".into())
-                .spawn(move || reactor.run())
-                .expect("spawning reactor thread");
-            Ok(ServerHandle {
-                shared,
-                acceptor: None,
-                reactor: Some(reactor),
-                pool: Some(pool),
-                connections: None,
-            })
-        }
-        EngineMode::Threaded => {
-            let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-            let acceptor = {
-                let shared = Arc::clone(&shared);
-                let connections = Arc::clone(&connections);
-                std::thread::Builder::new()
-                    .name("siro-serve-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &shared, &connections))
-                    .expect("spawning acceptor thread")
-            };
-            Ok(ServerHandle {
-                shared,
-                acceptor: Some(acceptor),
-                reactor: None,
-                pool: Some(pool),
-                connections: Some(connections),
-            })
-        }
-    }
+    let reactor = std::thread::Builder::new()
+        .name("siro-serve-reactor".into())
+        .spawn(move || reactor.run())
+        .expect("spawning reactor thread");
+    Ok(ServerHandle {
+        shared,
+        reactor,
+        pool,
+    })
 }
 
 /// Warm-starts the translator cache from the active persistent store.
@@ -428,228 +314,4 @@ fn warm_start(engine: &Arc<Engine>) -> u64 {
     }
     siro_trace::counter("serve.warm_loaded", loaded);
     loaded
-}
-
-/// First backoff after an accept failure; doubles per consecutive
-/// failure up to [`ACCEPT_BACKOFF_MAX`].
-const ACCEPT_BACKOFF_INITIAL: Duration = Duration::from_millis(10);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut backoff = ACCEPT_BACKOFF_INITIAL;
-    loop {
-        let stream = listener.accept();
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let stream = match stream {
-            Ok((stream, _peer)) => {
-                backoff = ACCEPT_BACKOFF_INITIAL;
-                stream
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_e) => {
-                // EMFILE/ENFILE (the process is out of fds) or another
-                // transient failure: sleep instead of hot-spinning —
-                // retrying instantly cannot succeed and starves the
-                // threads that could release descriptors.
-                shared.metrics.on_accept_error();
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                continue;
-            }
-        };
-        shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name("siro-serve-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(stream, &shared);
-            })
-            .expect("spawning connection thread");
-        connections
-            .lock()
-            .expect("connection list poisoned")
-            .push(handle);
-    }
-}
-
-/// Reader half of one connection. Spawns the writer, decodes frames,
-/// enqueues work, answers control requests inline.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> Result<(), ProtocolError> {
-    stream.set_read_timeout(Some(shared.config.read_timeout))?;
-    stream.set_write_timeout(Some(shared.config.write_timeout))?;
-    stream.set_nodelay(true)?;
-    let peer = stream.peer_addr()?.ip();
-    let mut reader = stream.try_clone()?;
-
-    // All responses — worker results and inline control answers — funnel
-    // through one channel into the writer thread, which owns the write
-    // half. The writer exits when every sender (reader + queued jobs) is
-    // gone.
-    let (tx, rx) = mpsc::channel::<(u64, Response)>();
-    let writer = std::thread::Builder::new()
-        .name("siro-serve-conn-writer".into())
-        .spawn(move || {
-            let mut stream = stream;
-            for (id, response) in rx {
-                if write_frame(&mut stream, &response.encode(id)).is_err() {
-                    // Peer gone or write timeout: stop writing; remaining
-                    // responses drain into the disconnected channel.
-                    break;
-                }
-            }
-            let _ = stream.flush();
-        })
-        .expect("spawning connection writer");
-
-    let result = reader_loop(&mut reader, peer, shared, &tx);
-    drop(tx);
-    let _ = writer.join();
-    result
-}
-
-fn reader_loop(
-    reader: &mut TcpStream,
-    peer: std::net::IpAddr,
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<(u64, Response)>,
-) -> Result<(), ProtocolError> {
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let payload = match read_frame(reader) {
-            Ok(FrameRead::Payload(p)) => p,
-            Ok(FrameRead::Eof) => return Ok(()),
-            Ok(FrameRead::Idle) => continue, // timeout between frames: poll shutdown
-            Err(e) => {
-                // Tell the peer what went wrong if the socket still works,
-                // then drop the connection: after a framing error the
-                // stream can no longer be trusted to be in sync.
-                let msg = e.to_string();
-                let _ = tx.send((
-                    0,
-                    Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: msg,
-                    },
-                ));
-                return Err(e);
-            }
-        };
-        shared.metrics.on_request();
-        let (id, request) = match Request::decode(&payload) {
-            Ok(ok) => ok,
-            Err(e) => {
-                shared.metrics.on_error();
-                let _ = tx.send((
-                    0,
-                    Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: e.to_string(),
-                    },
-                ));
-                // Decoding failed on a *complete* frame — framing is still
-                // intact, so keep the connection.
-                continue;
-            }
-        };
-        match request {
-            // Control plane: answered inline so they work (and stay fast)
-            // even when every worker is busy or the queue is full.
-            Request::Stats => {
-                shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    id,
-                    Response::StatsOk {
-                        text: shared.stats_page(),
-                    },
-                ));
-            }
-            Request::Metrics => {
-                shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    id,
-                    Response::MetricsOk {
-                        text: shared.metrics_page(),
-                    },
-                ));
-            }
-            Request::Shutdown => {
-                shared.metrics.requests_ok.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((id, Response::ShutdownOk));
-                shared.signal_shutdown();
-                return Ok(());
-            }
-            // Data plane: admission control, then the bounded queue.
-            request @ (Request::Translate { .. } | Request::Ping { .. }) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    shared.metrics.on_error();
-                    let _ = tx.send((
-                        id,
-                        Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is draining".into(),
-                        },
-                    ));
-                    return Ok(());
-                }
-                if let Some(admission) = shared.admission() {
-                    if let Admission::Throttle { retry_after_ms } =
-                        admission.admit(peer, Instant::now())
-                    {
-                        shared.metrics.on_throttled();
-                        let _ = tx.send((
-                            id,
-                            Response::Throttled {
-                                retry_after_ms,
-                                message: format!(
-                                    "per-client budget of {} req/s exceeded",
-                                    admission.rate_per_sec()
-                                ),
-                            },
-                        ));
-                        continue;
-                    }
-                }
-                let job = Job {
-                    id,
-                    request,
-                    reply: Reply::channel(tx.clone()),
-                    enqueued: Instant::now(),
-                };
-                match shared.queue.try_push(job) {
-                    Ok(()) => {}
-                    Err(PushError::Full(job)) => {
-                        shared.metrics.on_busy();
-                        let _ = tx.send((
-                            job.id,
-                            Response::Error {
-                                code: ErrorCode::Busy,
-                                message: format!(
-                                    "queue full ({} pending)",
-                                    shared.queue.capacity()
-                                ),
-                            },
-                        ));
-                    }
-                    Err(PushError::Closed(job)) => {
-                        shared.metrics.on_error();
-                        let _ = tx.send((
-                            job.id,
-                            Response::Error {
-                                code: ErrorCode::ShuttingDown,
-                                message: "server is draining".into(),
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }

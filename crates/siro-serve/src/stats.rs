@@ -184,9 +184,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Point-in-time server gauges that accompany [`Metrics`] on the stats
-/// pages: queue and pool shape, coalescer totals, and — under the event
-/// engine — the reactor funnel. The threaded engine leaves the reactor
-/// gauges at zero.
+/// pages: queue and pool shape, coalescer totals, and the reactor funnel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeGauges {
     /// Requests currently queued.
@@ -205,7 +203,7 @@ pub struct ServeGauges {
     pub registered_fds: u64,
     /// Largest per-connection write queue seen, in bytes.
     pub write_queue_hwm_bytes: u64,
-    /// Connections currently open (event engine).
+    /// Connections currently open.
     pub open_connections: u64,
 }
 
@@ -513,8 +511,7 @@ mod tests {
         assert_eq!(stats_value(&page, "pairs_synthesized"), Some(2));
         assert_eq!(stats_value(&page, "coalesced_waiters"), Some(5));
         assert_eq!(stats_value(&page, "no_such_key"), None);
-        // The reactor funnel is always present (zero under the threaded
-        // engine).
+        // The reactor funnel is always present.
         assert_eq!(stats_value(&page, "reactor_loops"), Some(11));
         assert_eq!(stats_value(&page, "reactor_registered_fds"), Some(4));
         assert_eq!(

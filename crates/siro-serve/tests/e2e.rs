@@ -1,20 +1,23 @@
 //! End-to-end tests over a real loopback socket: byte-identical
 //! translation, request coalescing, backpressure, pipelining, error
-//! mapping, and graceful shutdown.
+//! mapping, framing errors, and graceful shutdown.
 //!
 //! Each test starts its own server on an ephemeral port, so the tests are
 //! independent and can run concurrently. The `TranslatorCache` is
 //! process-global, so tests that assert cold-pair behaviour each reserve
 //! a version pair no other test in this binary touches.
 
+use std::io::Write as _;
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use siro_core::{ReferenceTranslator, Skeleton};
 use siro_ir::{parse, write, IrVersion};
+use siro_serve::protocol::{read_frame, FrameRead, MAX_FRAME};
 use siro_serve::{
-    metrics_value, stats_value, AdmissionConfig, Client, ClientError, EngineMode, ErrorCode,
-    Response, ServeConfig, TranslateMode,
+    metrics_value, stats_value, AdmissionConfig, Client, ClientError, ErrorCode, Response,
+    ServeConfig, TranslateMode,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -33,8 +36,6 @@ fn start_server(threads: usize, queue: usize) -> siro_serve::ServerHandle {
         addr: "127.0.0.1:0".into(),
         threads: Some(threads),
         queue_capacity: queue,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
         ..ServeConfig::default()
     })
     .expect("server must bind an ephemeral port")
@@ -100,17 +101,9 @@ fn served_translation_is_byte_identical_to_in_process() {
 /// The same corpus + config the server uses, so the cache key matches and
 /// the in-process comparison exercises the *same* translator.
 fn siro_bench_corpus_outcome(src: IrVersion, tgt: IrVersion) -> Arc<siro_synth::SynthesisOutcome> {
-    let tests: Vec<siro_synth::OracleTest> = siro_testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| siro_synth::OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect();
     siro_synth::TranslatorCache::get_or_synthesize(
         siro_synth::SynthesisConfig::new(src, tgt),
-        &tests,
+        &siro_synth::oracle_corpus(src, tgt),
     )
     .expect("synthesis")
 }
@@ -302,68 +295,47 @@ fn wire_shutdown_drains_in_flight_requests() {
     );
 }
 
-fn start_engine(engine: EngineMode, threads: usize, queue: usize) -> siro_serve::ServerHandle {
-    siro_serve::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        threads: Some(threads),
-        queue_capacity: queue,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
-        engine,
-        ..ServeConfig::default()
-    })
-    .expect("server must bind an ephemeral port")
-}
-
-/// Acceptance: the event-loop engine and the legacy threaded engine
-/// answer TRANSLATE byte-identically — same pair, same module, both
-/// translator modes, compared response-for-response.
+/// A length prefix over `MAX_FRAME` is answered with `Malformed` (id 0)
+/// before the server closes the connection: after a framing error the
+/// stream can no longer be trusted to be in sync.
 #[test]
-fn event_and_threaded_engines_answer_byte_identically() {
+fn oversized_length_prefix_answers_malformed_then_closes() {
     let _serial = serial();
-    let event = start_engine(EngineMode::Event, 2, 32);
-    let threaded = start_engine(EngineMode::Threaded, 2, 32);
-    assert_eq!(event.engine_mode(), EngineMode::Event);
-    assert_eq!(threaded.engine_mode(), EngineMode::Threaded);
-
-    let mut on_event = Client::connect(event.addr(), TIMEOUT).expect("connect event");
-    let mut on_threaded = Client::connect(threaded.addr(), TIMEOUT).expect("connect threaded");
-    // Reserved pairs: no other test in this binary synthesizes
-    // 11.0 -> 3.0 or 9.0 -> 3.6.
-    let pairs = [
-        (IrVersion::V11_0, IrVersion::V3_0),
-        (IrVersion::V9_0, IrVersion::V3_6),
-    ];
-    for (src, tgt) in pairs {
-        for mode in [TranslateMode::Reference, TranslateMode::Synthesized] {
-            for index in 0..3 {
-                let text = corpus_module_text(src, tgt, index);
-                let a = on_event
-                    .translate(src, tgt, mode, text.clone())
-                    .expect("event engine translation");
-                let b = on_threaded
-                    .translate(src, tgt, mode, text)
-                    .expect("threaded engine translation");
-                assert_eq!(
-                    a.text, b.text,
-                    "{mode:?} {src} -> {tgt} case {index}: engines must agree byte-for-byte"
-                );
-            }
-        }
+    let handle = start_server(1, 4);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream
+        .write_all(&(MAX_FRAME as u32 + 1).to_be_bytes())
+        .expect("write the length prefix");
+    let Ok(FrameRead::Payload(payload)) = read_frame(&mut stream) else {
+        panic!("the server must answer before it closes");
+    };
+    match Response::decode(&payload).expect("decode the answer") {
+        (
+            0,
+            Response::Error {
+                code: ErrorCode::Malformed,
+                message,
+            },
+        ) => assert!(message.contains("exceeds"), "{message}"),
+        other => panic!("expected Malformed with id 0, got {other:?}"),
     }
-    event.shutdown();
-    threaded.shutdown();
+    assert!(
+        matches!(read_frame(&mut stream), Ok(FrameRead::Eof)),
+        "the server closes the connection after answering"
+    );
+    handle.shutdown();
 }
 
 /// Acceptance: the event engine holds more concurrent open connections
-/// than it has worker threads — impossible under the old
-/// two-threads-per-connection model without spawning, here served by one
-/// reactor thread.
+/// than it has worker threads, all served by one reactor thread.
 #[test]
 fn event_engine_holds_more_connections_than_workers() {
     let _serial = serial();
     let workers = 2;
-    let handle = start_engine(EngineMode::Event, workers, 64);
+    let handle = start_server(workers, 64);
     let addr = handle.addr();
     let total = workers * 8 + 4;
 
@@ -404,8 +376,6 @@ fn over_budget_peer_is_throttled_with_retry_after() {
         addr: "127.0.0.1:0".into(),
         threads: Some(2),
         queue_capacity: 16,
-        read_timeout: Duration::from_millis(100),
-        write_timeout: Duration::from_secs(10),
         admission: AdmissionConfig {
             rate_per_sec: Some(1.0),
             burst: Some(1.0),

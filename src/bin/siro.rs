@@ -12,7 +12,7 @@
 //! siro difftest --pairs 13.0:3.6,17.0:12.0 --budget 60
 //! siro opt program.sir [-o out.sir]
 //! siro serve [--addr 127.0.0.1:4799] [--threads N] [--queue N] [--store DIR]
-//!           [--engine event|threaded] [--admission-rps N] [--admission-burst N]
+//!           [--admission-rps N] [--admission-burst N]
 //! siro loadgen [--remote 127.0.0.1:4799] [--rates 1000,2000] [--connections N]
 //! siro route plan --from 13.0 --to 3.6 [--store DIR] [--dialects]
 //! siro route matrix [--store DIR] [--dialects]
@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use siro::core::{ReferenceTranslator, Skeleton};
 use siro::ir::{interp::Machine, parse, verify, write, IrVersion, Module};
-use siro::serve::{Client, EngineMode, ServeConfig, TranslateMode};
+use siro::serve::{Client, ServeConfig, TranslateMode};
 use siro::synth::{OracleTest, Synthesizer};
 
 /// Default I/O timeout for the remote-client commands. Generous because a
@@ -135,7 +135,6 @@ USAGE:
     siro opt <file> [-o <out>]                       run the optimizer pipeline
     siro serve [--addr <host:port>]                  run the translation daemon
                [--threads <n>] [--queue <n>]         (defaults: SIRO_THREADS, 64)
-               [--engine event|threaded]             serving engine (default event)
                [--admission-rps <n>]                 per-peer admission budget (default off)
                [--admission-burst <n>]               token-bucket burst (default 1s of budget)
                [--store <dir>]                       persist translators; warm-start at boot
@@ -144,7 +143,7 @@ USAGE:
                [--no-compile]                        serve on the interpreter only (skip the
                                                      compiled tier; see docs/COMPILED.md)
     siro loadgen [--remote <addr>]                   open-loop rate sweep (docs/SERVING.md);
-               [--engine event|threaded]             boots an in-process daemon unless --remote
+               [--threads <n>]                       boots an in-process daemon unless --remote
                [--rates <r1,r2,...>] [--slo-ms <n>]  (defaults: 500,1000,2000,4000; 25 ms)
                [--connections <n>] [--duration-ms <n>] (defaults: 64, 1000)
                [--pairs <a:b,...>] [--synthesized]   version-pair mix (default 13.0:3.6)
@@ -192,21 +191,6 @@ fn parse_version(s: &str) -> Result<IrVersion, String> {
 fn parse_dialect_version(s: &str) -> Result<siro::ir::DialectVersion, String> {
     s.parse()
         .map_err(|_| format!("version `{s}` must look like `13.0` or `wir2.0`"))
-}
-
-fn parse_engine(s: &str) -> Result<EngineMode, String> {
-    match s {
-        "event" => Ok(EngineMode::Event),
-        "threaded" => Ok(EngineMode::Threaded),
-        other => Err(format!("bad --engine `{other}` (event|threaded)")),
-    }
-}
-
-fn engine_label(engine: EngineMode) -> &'static str {
-    match engine {
-        EngineMode::Event => "event",
-        EngineMode::Threaded => "threaded",
-    }
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -331,12 +315,12 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
     // A WIR endpoint (either side) goes through the dual-catalog router;
     // the classic Siro→Siro paths below are untouched.
     let Some(to) = to_any.as_siro() else {
-        return cmd_translate_cross(args, to_any, path);
+        return cmd_translate_any(args, to_any, path);
     };
     {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         if siro::wir::parse::looks_like_wir(&text) {
-            return cmd_translate_cross(args, to_any, path);
+            return cmd_translate_any(args, to_any, path);
         }
     }
     let m = load_module(path)?;
@@ -363,7 +347,7 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
 /// (WIR translator hops, anchor bridges), and emit the result in the
 /// target dialect. `--synthesized` is implied — there is no reference
 /// translator across dialects.
-fn cmd_translate_cross(
+fn cmd_translate_any(
     args: &[String],
     to: siro::ir::DialectVersion,
     path: &str,
@@ -469,9 +453,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .map_err(|_| format!("bad --store-max-bytes `{n}`"))?,
         );
     }
-    if let Some(engine) = flag_value(args, "--engine") {
-        config.engine = parse_engine(engine)?;
-    }
     if let Some(r) = flag_value(args, "--admission-rps") {
         config.admission.rate_per_sec = Some(
             r.parse()
@@ -487,7 +468,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--no-compile") {
         siro::synth::set_compile_enabled(false);
     }
-    let engine_label = engine_label(config.engine);
     let admission = config.admission.rate_per_sec;
     let handle = siro::serve::start(config).map_err(|e| format!("starting server: {e}"))?;
     // Parsed by scripts (and the CI smoke test) to discover the port.
@@ -502,7 +482,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "engine {engine_label} | workers {} | queue capacity {}{} | \
+        "workers {} | queue capacity {}{} | \
          shut down with `siro shutdown --remote {}`",
         handle.workers(),
         handle.queue_capacity(),
@@ -518,9 +498,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// `siro loadgen`: open-loop rate sweep against a daemon. By default it
-/// boots an in-process server (pick the engine with `--engine`) so one
-/// command answers "what does this box sustain"; `--remote` points the
-/// sweep at an already-running daemon instead.
+/// boots an in-process server so one command answers "what does this box
+/// sustain"; `--remote` points the sweep at an already-running daemon
+/// instead.
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use siro::loadgen::{corpus_payloads, sweep, EngineRun, LoadgenConfig};
     use std::net::ToSocketAddrs;
@@ -572,12 +552,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
             let mut config = ServeConfig {
                 addr: "127.0.0.1:0".into(),
                 queue_capacity: 512,
-                read_timeout: Duration::from_millis(100),
                 ..ServeConfig::default()
             };
-            if let Some(engine) = flag_value(args, "--engine") {
-                config.engine = parse_engine(engine)?;
-            }
             if let Some(n) = flag_value(args, "--threads") {
                 config.threads = Some(n.parse().map_err(|_| format!("bad --threads `{n}`"))?);
             }
@@ -585,7 +561,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         }
     };
     let (addr, engine) = match (&handle, flag_value(args, "--remote")) {
-        (Some(h), _) => (h.addr(), engine_label(h.engine_mode()).to_string()),
+        (Some(h), _) => (h.addr(), "event".to_string()),
         (None, Some(remote)) => (
             remote
                 .to_socket_addrs()

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use siro::difftest::run_all_anchors;
 use siro::ir::IrVersion;
-use siro::serve::{Client, EngineMode, ServeConfig, TranslateMode};
+use siro::serve::{Client, ServeConfig, TranslateMode};
 use siro::synth::{raise_module, siro_behaviour, wir_behaviour};
 use siro::wir::{generate_straightline, parse_module, write_module, WirVersion};
 
@@ -34,7 +34,6 @@ fn cross_dialect_pairs_serve_store_warm_through_the_event_engine() {
     let _ = std::fs::remove_dir_all(&store);
     let config = ServeConfig {
         threads: Some(2),
-        engine: EngineMode::Event,
         store_dir: Some(store.clone()),
         ..ServeConfig::default()
     };
