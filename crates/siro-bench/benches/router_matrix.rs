@@ -235,14 +235,8 @@ fn main() {
 
     let stats = siro_synth::router_stats();
     println!(
-        "router counters: {} plans, {} direct, {} composed ({} cached), \
-         {} fallbacks, {} chains persisted",
-        stats.plans,
-        stats.direct,
-        stats.composed,
-        stats.composed_cached,
-        stats.fallbacks,
-        stats.chains_persisted
+        "router counters: {} plans, {} direct, {} composed ({} cached), {} fallbacks",
+        stats.plans, stats.direct, stats.composed, stats.composed_cached, stats.fallbacks
     );
 
     let pass = unreachable == 0 && byte_mismatches == 0;

@@ -442,8 +442,8 @@ fn translate_leg(
     }
 }
 
-/// Runs the same leg through the compiled tier (when enabled and the
-/// translator lowers) and demands it agrees with the interpreter: the
+/// Runs the same leg through the compiled tier (when the translator
+/// lowers) and demands it agrees with the interpreter: the
 /// same ok/skip/fail verdict, and byte-identical output text on success.
 /// Every fuzzed mutant therefore exercises *both* execution tiers — the
 /// difftest doubles as the compile backend's equivalence oracle.
@@ -454,9 +454,6 @@ fn check_tiers(
     oracle: &'static str,
     interpreted: &Result<Module, TranslateError>,
 ) -> Option<Failure> {
-    if !siro_synth::compile_enabled() {
-        return None;
-    }
     let compiled = outcome.compiled()?;
     let divergence = |detail: String| {
         Some(Failure {

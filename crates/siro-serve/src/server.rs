@@ -286,7 +286,9 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// coalescer so the pair's serving corpus is built up front; that call is
 /// a guaranteed cache hit, so warm start never synthesizes. Unreadable or
 /// corrupt entries are skipped (counted by the store as corrupt) and the
-/// pair falls back to cold synthesis on first request.
+/// pair falls back to cold synthesis on first request. Last, the Siro
+/// router builds its graph (every pair's corpus and fingerprint), so the
+/// first request plans at hot speed instead of paying that build.
 ///
 /// Returns the number of entries successfully seeded.
 fn warm_start(engine: &Arc<Engine>) -> u64 {
@@ -312,6 +314,7 @@ fn warm_start(engine: &Arc<Engine>) -> u64 {
             let _ = engine.coalescer().translator_for(key.source, key.target);
         }
     }
+    engine.router().graph();
     siro_trace::counter("serve.warm_loaded", loaded);
     loaded
 }

@@ -255,7 +255,6 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
     line("store_corrupt", store.corrupt);
     line("store_writes", store.writes);
     let compile = siro_synth::compile_stats();
-    line("compile_enabled", u64::from(siro_synth::compile_enabled()));
     line("compile_lowered", compile.lowered);
     line("compile_lower_failures", compile.lower_failures);
     line(
@@ -267,16 +266,12 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
         compile.translations_interpreted,
     );
     line("compile_runtime_fallbacks", compile.runtime_fallbacks);
-    line("compile_sirx_loaded", compile.sirx_loaded);
-    line("compile_sirx_corrupt", compile.sirx_corrupt);
-    line("compile_sirx_writes", compile.sirx_writes);
     let router = siro_synth::router_stats();
     line("router_plans", router.plans);
     line("router_direct", router.direct);
     line("router_composed", router.composed);
     line("router_composed_cached", router.composed_cached);
     line("router_fallbacks", router.fallbacks);
-    line("router_chains_persisted", router.chains_persisted);
     line("router_max_hops", router.max_hops);
     line("trace_enabled", u64::from(siro_trace::enabled()));
     out
@@ -368,11 +363,6 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
     sample("siro_store_corrupt_total", "counter", store.corrupt);
     sample("siro_store_writes_total", "counter", store.writes);
     let compile = siro_synth::compile_stats();
-    sample(
-        "siro_compile_enabled",
-        "gauge",
-        u64::from(siro_synth::compile_enabled()),
-    );
     sample("siro_compile_lowered_total", "counter", compile.lowered);
     sample(
         "siro_compile_lower_failures_total",
@@ -394,21 +384,6 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
         "counter",
         compile.runtime_fallbacks,
     );
-    sample(
-        "siro_compile_sirx_loaded_total",
-        "counter",
-        compile.sirx_loaded,
-    );
-    sample(
-        "siro_compile_sirx_corrupt_total",
-        "counter",
-        compile.sirx_corrupt,
-    );
-    sample(
-        "siro_compile_sirx_writes_total",
-        "counter",
-        compile.sirx_writes,
-    );
     let router = siro_synth::router_stats();
     sample("siro_router_plans_total", "counter", router.plans);
     sample("siro_router_direct_total", "counter", router.direct);
@@ -419,11 +394,6 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
         router.composed_cached,
     );
     sample("siro_router_fallbacks_total", "counter", router.fallbacks);
-    sample(
-        "siro_router_chains_persisted_total",
-        "counter",
-        router.chains_persisted,
-    );
     sample("siro_router_max_hops", "gauge", router.max_hops);
     out.push_str(&siro_trace::export::render_prometheus_counters(
         &siro_trace::snapshot(),
@@ -542,13 +512,12 @@ mod tests {
         assert!(stats_value(&page, "router_plans").is_some());
         assert!(stats_value(&page, "router_composed").is_some());
         assert!(stats_value(&page, "router_fallbacks").is_some());
-        // The compiled-tier funnel: which tier served, and the `.sirx`
-        // persistence outcomes, are always observable.
-        assert!(stats_value(&page, "compile_enabled").is_some());
+        // The compiled-tier funnel: which tier served is always
+        // observable.
+        assert!(stats_value(&page, "compile_lowered").is_some());
         assert!(stats_value(&page, "compile_translations_compiled").is_some());
         assert!(stats_value(&page, "compile_translations_interpreted").is_some());
         assert!(stats_value(&page, "compile_runtime_fallbacks").is_some());
-        assert!(stats_value(&page, "compile_sirx_corrupt").is_some());
     }
 
     #[test]
@@ -564,9 +533,8 @@ mod tests {
         assert!(metrics_value(&page, "siro_accept_errors_total").is_some());
         assert!(metrics_value(&page, "siro_cache_shard0_hits_total").is_some());
         assert!(metrics_value(&page, "siro_trace_enabled").is_some());
-        assert!(metrics_value(&page, "siro_compile_enabled").is_some());
+        assert!(metrics_value(&page, "siro_compile_lowered_total").is_some());
         assert!(metrics_value(&page, "siro_compile_translations_compiled_total").is_some());
-        assert!(metrics_value(&page, "siro_compile_sirx_corrupt_total").is_some());
         // Every sample line is preceded by a `# TYPE` declaration. Parse
         // fallibly so a format tweak names the offending line instead of
         // panicking inside the iterator chain.

@@ -271,14 +271,13 @@ impl TranslatorCache {
         });
         let fresh = ran.get();
         let from_store = loaded.get();
-        // First population in this process (cold synthesis or store
-        // adoption): attach the compiled tier — load the `.sirx` sibling,
-        // or lower eagerly and write it back. Memory hits skip this; their
-        // outcome already carries its compiled slot.
-        if fresh || from_store {
-            if let (Some(store), Ok(outcome)) = (&store, result) {
-                let skey = crate::store::StoreKey::new(&config, fingerprint);
-                attach_compiled(store, &skey, outcome);
+        // With a store attached, a translator entering the cache (cold
+        // synthesis or store adoption) is lowered now, so the first request
+        // it answers already runs on the compiled tier. Memory hits skip
+        // this; their outcome already carries its compiled slot.
+        if store.is_some() && (fresh || from_store) {
+            if let Ok(outcome) = result {
+                outcome.compiled();
             }
         }
         if fresh {
@@ -324,7 +323,7 @@ impl TranslatorCache {
         let Some(outcome) = outcome else {
             return false;
         };
-        attach_compiled(&store, &skey, &outcome);
+        outcome.compiled();
         let slot = {
             let mut map = shard.map.lock().expect("translator cache poisoned");
             Arc::clone(map.entry(key).or_default())
@@ -438,32 +437,6 @@ impl TranslatorCache {
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-/// Attaches the compiled tier of a just-populated outcome: adopt the
-/// validated `.sirx` sibling when one exists, otherwise lower eagerly and
-/// write it back so the *next* process warms straight to the compiled
-/// tier. Every failure mode degrades (fresh lowering, or the interpreter)
-/// — never errors out of the lookup.
-fn attach_compiled(
-    store: &crate::store::TranslatorStore,
-    skey: &crate::store::StoreKey,
-    outcome: &SynthesisOutcome,
-) {
-    if !crate::compile::compile_enabled() {
-        return;
-    }
-    if let Some(compiled) = store.load_compiled(skey) {
-        outcome.seed_compiled(compiled);
-        return;
-    }
-    if let Some(compiled) = outcome.compiled() {
-        let sp = siro_trace::span!("store.save_compiled", "{}->{}", skey.source, skey.target);
-        if store.save_compiled(skey, &compiled).is_err() {
-            siro_trace::counter("store.save_errors", 1);
-        }
-        drop(sp);
     }
 }
 

@@ -38,16 +38,15 @@
 //! may specialize.
 //!
 //! **Fallback contract:** compilation is an optimization, never a
-//! requirement. Any lowering failure ([`CompileError`]), any `.sirx`
-//! load/validation failure, and any runtime error of the compiled tier
-//! falls back to the interpreter — observable through
-//! [`compile_stats`] and the `translate.compiled` /
+//! requirement. Any lowering failure ([`CompileError`]) and any runtime
+//! error of the compiled tier fall back to the interpreter — observable
+//! through [`compile_stats`] and the `translate.compiled` /
 //! `translate.interpreted` / `translate.compiled_fallback` trace counters,
 //! never through a changed result. See `docs/COMPILED.md`.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use siro_api::{
     ApiCall, ApiError, ApiFn, ApiKind, ApiRegistry, ApiResult, ApiValue, PredConj, PredValue, Reg,
@@ -62,38 +61,6 @@ use siro_ir::{
 
 use crate::driver::SynthesisOutcome;
 
-// ---- Enable gate -----------------------------------------------------------
-
-/// 0 = follow `SIRO_COMPILE`, 1 = forced on, 2 = forced off.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
-
-/// Whether the compiled tier is enabled for this process.
-///
-/// On by default; `SIRO_COMPILE=0` (or `off`/`false`) disables it, and
-/// [`set_compile_enabled`] overrides the environment either way.
-pub fn compile_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => *ENV_DEFAULT.get_or_init(|| {
-            !matches!(
-                std::env::var("SIRO_COMPILE").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            )
-        }),
-    }
-}
-
-/// Forces the compiled tier on or off, overriding `SIRO_COMPILE`. Returns
-/// the previous effective setting. Used by the serve CLI (`--no-compile`),
-/// benches, and tests.
-pub fn set_compile_enabled(on: bool) -> bool {
-    let before = compile_enabled();
-    OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    before
-}
-
 // ---- Process-wide counters -------------------------------------------------
 
 static LOWERED: AtomicU64 = AtomicU64::new(0);
@@ -101,9 +68,6 @@ static LOWER_FAILURES: AtomicU64 = AtomicU64::new(0);
 static TRANSLATE_COMPILED: AtomicU64 = AtomicU64::new(0);
 static TRANSLATE_INTERPRETED: AtomicU64 = AtomicU64::new(0);
 static RUNTIME_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static SIRX_LOADED: AtomicU64 = AtomicU64::new(0);
-static SIRX_CORRUPT: AtomicU64 = AtomicU64::new(0);
-static SIRX_WRITES: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time compiled-tier counters, exported on the serve daemon's
 /// `STATS`/`METRICS` pages next to the cache and store funnels.
@@ -119,13 +83,6 @@ pub struct CompileStats {
     pub translations_interpreted: u64,
     /// Compiled-tier runtime errors that re-ran on the interpreter.
     pub runtime_fallbacks: u64,
-    /// Compiled entries (`.sirx`) adopted from the persistent store.
-    pub sirx_loaded: u64,
-    /// Compiled entries rejected as damaged/stale (load degraded to a
-    /// fresh lowering, or to the interpreter if that also failed).
-    pub sirx_corrupt: u64,
-    /// Compiled entries written back to the persistent store.
-    pub sirx_writes: u64,
 }
 
 /// Current compiled-tier counters.
@@ -136,9 +93,6 @@ pub fn compile_stats() -> CompileStats {
         translations_compiled: TRANSLATE_COMPILED.load(Ordering::Relaxed),
         translations_interpreted: TRANSLATE_INTERPRETED.load(Ordering::Relaxed),
         runtime_fallbacks: RUNTIME_FALLBACKS.load(Ordering::Relaxed),
-        sirx_loaded: SIRX_LOADED.load(Ordering::Relaxed),
-        sirx_corrupt: SIRX_CORRUPT.load(Ordering::Relaxed),
-        sirx_writes: SIRX_WRITES.load(Ordering::Relaxed),
     }
 }
 
@@ -150,27 +104,9 @@ pub fn reset_compile_stats() {
         &TRANSLATE_COMPILED,
         &TRANSLATE_INTERPRETED,
         &RUNTIME_FALLBACKS,
-        &SIRX_LOADED,
-        &SIRX_CORRUPT,
-        &SIRX_WRITES,
     ] {
         c.store(0, Ordering::Relaxed);
     }
-}
-
-pub(crate) fn note_sirx_loaded() {
-    SIRX_LOADED.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("compile.sirx_loaded", 1);
-}
-
-pub(crate) fn note_sirx_corrupt() {
-    SIRX_CORRUPT.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("compile.sirx_corrupt", 1);
-}
-
-pub(crate) fn note_sirx_write() {
-    SIRX_WRITES.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("compile.sirx_writes", 1);
 }
 
 // ---- Compile errors --------------------------------------------------------
@@ -232,11 +168,11 @@ pub(crate) enum PredOp {
     Slow(ApiFn),
 }
 
-/// A pre-resolved predicate getter: interned name (error paths,
-/// guard-row alignment, and `.sirx` serialization), micro-op.
+/// A pre-resolved predicate getter: interned name (error paths and
+/// guard-row alignment), micro-op.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledPred {
-    pub(crate) name: Arc<str>,
+    name: Arc<str>,
     op: PredOp,
 }
 
@@ -452,17 +388,13 @@ pub(crate) enum FusedList {
     GepIndices,
 }
 
-/// One lowered arm: flattened guard rows plus the pre-bound program (and
-/// its symbolic form, kept for `.sirx` serialization).
+/// One lowered arm: flattened guard rows plus the pre-bound program.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledArm {
     /// Guard rows, one [`PredValue`] per predicate in the kind's predicate
     /// order. Empty = the `true` guard (always matches).
     pub(crate) covers: Box<[Box<[PredValue]>]>,
     pub(crate) steps: Box<[StepOp]>,
-    /// The symbolic `(api, args)` steps the micro-ops were bound from —
-    /// what `.sirx` persists (micro-ops are a process-local encoding).
-    pub(crate) calls: Box<[ApiCall]>,
     /// The arm's mirror-mode rewrite template, when the bound steps fall
     /// inside the derivable fragment (see [`derive_tmpl`]); arms without
     /// one run the step stream through [`MirrorEnv`] instead.
@@ -480,8 +412,8 @@ impl CompiledArm {
 pub struct CompiledKind {
     /// The kind's predicate getters, pre-resolved, in registry order (the
     /// same order the interpreter evaluates them in).
-    pub(crate) preds: Box<[CompiledPred]>,
-    pub(crate) arms: Box<[CompiledArm]>,
+    preds: Box<[CompiledPred]>,
+    arms: Box<[CompiledArm]>,
     /// When the first arm carries the `true` guard it wins regardless of
     /// the conjunction, so predicate evaluation is elided entirely
     /// (predicate getters are pure source-side reads — skipping them
@@ -2460,7 +2392,6 @@ impl CompiledKind {
             arms.push(CompiledArm {
                 covers: covers.into_boxed_slice(),
                 steps: steps.into_boxed_slice(),
-                calls: arm.program.steps.clone().into_boxed_slice(),
                 tmpl,
             });
         }
@@ -2609,7 +2540,7 @@ impl CompiledTranslator {
             .collect()
     }
 
-    pub(crate) fn from_parts(
+    fn from_parts(
         registry: Arc<ApiRegistry>,
         kinds: impl IntoIterator<Item = (Opcode, CompiledKind)>,
     ) -> Self {
@@ -2632,15 +2563,6 @@ impl CompiledTranslator {
             registry,
             table: table.into_boxed_slice(),
         }
-    }
-
-    pub(crate) fn kind_entries(&self) -> impl Iterator<Item = (Opcode, &CompiledKind)> {
-        Opcode::ALL
-            .iter()
-            .filter_map(move |&op| match &self.table[op as usize] {
-                SlotAction::Kind(k) => Some((op, k)),
-                _ => None,
-            })
     }
 
     #[inline]
@@ -3221,13 +3143,9 @@ impl SynthesisOutcome {
     /// The compiled tier of this outcome, lowering it on first use (under
     /// a `compile.lower` span) and memoizing the result — including a
     /// failed lowering, so a broken translator does not re-attempt per
-    /// request. Returns `None` when the tier is disabled
-    /// ([`compile_enabled`]) or the lowering failed: callers fall back to
-    /// the interpreted translator.
+    /// request. Returns `None` when the lowering failed: callers fall back
+    /// to the interpreted translator.
     pub fn compiled(&self) -> Option<Arc<CompiledTranslator>> {
-        if !compile_enabled() {
-            return None;
-        }
         self.compiled_slot
             .get_or_init(|| {
                 let reg = &self.translator.registry;
@@ -3249,12 +3167,6 @@ impl SynthesisOutcome {
                 }
             })
             .clone()
-    }
-
-    /// Seeds the compiled slot from a store-loaded `.sirx` entry. A racing
-    /// lazy lowering may already hold the slot; either value is correct.
-    pub(crate) fn seed_compiled(&self, compiled: Arc<CompiledTranslator>) {
-        let _ = self.compiled_slot.set(Some(compiled));
     }
 }
 
@@ -3469,27 +3381,22 @@ mod tests {
     }
 
     #[test]
-    fn tiered_translate_uses_compiled_and_falls_back_when_disabled() {
+    fn tiered_translate_serves_the_interpreters_bytes_from_the_compiled_tier() {
         let (src, tgt) = (IrVersion::V12_0, IrVersion::V3_6);
         let outcome = outcome_for(src, tgt);
         let tests = oracle_corpus(src, tgt);
-        let was = set_compile_enabled(true);
         let before = compile_stats();
-        let a = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
-        let mid = compile_stats();
-        assert_eq!(mid.translations_compiled, before.translations_compiled + 1);
-        set_compile_enabled(false);
-        assert!(outcome.compiled().is_none(), "disabled tier must hide");
-        let b = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
-        let after = compile_stats();
-        assert_eq!(
-            after.translations_interpreted,
-            mid.translations_interpreted + 1
+        let tiered = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
+        assert!(
+            compile_stats().translations_compiled > before.translations_compiled,
+            "the compiled tier must serve a translator that lowers"
         );
+        let interpreted = Skeleton::new(tgt)
+            .translate_module(&tests[0].module, &outcome.translator)
+            .unwrap();
         assert_eq!(
-            siro_ir::write::write_module(&a),
-            siro_ir::write::write_module(&b)
+            siro_ir::write::write_module(&tiered),
+            siro_ir::write::write_module(&interpreted)
         );
-        set_compile_enabled(was);
     }
 }

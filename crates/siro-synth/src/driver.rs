@@ -202,9 +202,8 @@ pub struct SynthesisOutcome {
     /// The final translator rendered as source code (Fig. 4 style).
     pub rendered: String,
     /// The lazily lowered compiled tier: unset until the first
-    /// [`SynthesisOutcome::compiled`] call (or a `.sirx` store load seeds
-    /// it), then memoized — `None` records a failed lowering so it is not
-    /// re-attempted per request.
+    /// [`SynthesisOutcome::compiled`] call, then memoized — `None` records
+    /// a failed lowering so it is not re-attempted per request.
     pub(crate) compiled_slot: OnceLock<Option<Arc<crate::compile::CompiledTranslator>>>,
 }
 

@@ -24,13 +24,12 @@
 //!   LRU-ish garbage collection;
 //! * [`router`] — the version-graph router: any `(from, to)` request over
 //!   the full catalog answered by cheapest-path composition of pairwise
-//!   translators, with composed chains memoized and persisted under their
-//!   own keys;
+//!   translators, with composed chains memoized in memory;
 //! * [`compile`] — the AOT execution tier: validated translators lowered
 //!   through a [`TranslatorBackend`] into flat, pre-resolved instruction
 //!   streams (dense opcode dispatch, direct function indices, pre-bound
-//!   operand slots), persisted as `.sirx` siblings of the store's `.sirt`
-//!   entries, with transparent interpreter fallback.
+//!   operand slots), lowered in memory on first use, with transparent
+//!   interpreter fallback.
 //!
 //! ## Example
 //!
@@ -80,9 +79,8 @@ pub use cache::{
 };
 pub use candgen::{generate_all, generate_for_kind, GenLimits};
 pub use compile::{
-    compile_enabled, compile_stats, reset_compile_stats, set_compile_enabled,
-    translate_module_owned_tiered, translate_module_tiered, CompileError, CompileStats,
-    CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
+    compile_stats, reset_compile_stats, translate_module_owned_tiered, translate_module_tiered,
+    CompileError, CompileStats, CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
 };
 pub use driver::{
     resolve_threads, threads_from_override, StageTimings, SynthError, SynthesisConfig,
@@ -92,9 +90,9 @@ pub use pertest::{OracleTest, PerTestTranslator};
 pub use profile::{profile_module, ProfileTable, ProfiledInst};
 pub use refine::{CandIdx, MStar, SynthFault};
 pub use router::{
-    chain_hops_if_whole, chain_persist_key, reset_router_stats, router_stats, Acquired,
-    ComposedHop, ComposedTranslator, EdgeClass, EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router,
-    RouterStats, VersionGraph, COST_COLD_US, COST_HOT_US, COST_WARM_US, OBSERVED_CAP_US,
+    chain_persist_key, reset_router_stats, router_stats, Acquired, ComposedHop, ComposedTranslator,
+    EdgeClass, EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router, RouterStats, VersionGraph,
+    COST_COLD_US, COST_HOT_US, COST_WARM_US, OBSERVED_CAP_US,
 };
 pub use store::{
     active_store, oracle_corpus, reset_store_stats, set_active_store, store_stats, GcReport,

@@ -56,9 +56,8 @@
 //!    where no direct synthesis exists — the error propagates.
 //!
 //! Composed chains are memoized per process (the router's composed cache)
-//! and persisted as first-class store entries: a [`ComposedTranslator`]
-//! has its own persist key and a plaintext `.sirc` manifest naming each
-//! hop's store entry (see [`TranslatorStore::save_chain`]).
+//! and never persisted: a new process recomposes a chain from its hops,
+//! whose translators persist in their own store entries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -439,7 +438,9 @@ impl ComposedTranslator {
         )
     }
 
-    /// The plaintext manifest persisted as the chain's `.sirc` entry.
+    /// A plaintext manifest of the chain: endpoints, plan cost, and one
+    /// `hop` line per leg naming the hop's store entry (see
+    /// [`TranslatorStore::save_chain`]).
     pub fn manifest(&self) -> String {
         let mut out = format!(
             "SIRC 1\nfrom {}\nto {}\ncost {}\n",
@@ -494,7 +495,6 @@ static DIRECT: AtomicU64 = AtomicU64::new(0);
 static COMPOSED: AtomicU64 = AtomicU64::new(0);
 static COMPOSED_CACHED: AtomicU64 = AtomicU64::new(0);
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static CHAINS_PERSISTED: AtomicU64 = AtomicU64::new(0);
 static MAX_HOPS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-lifetime router counters.
@@ -511,8 +511,6 @@ pub struct RouterStats {
     pub composed_cached: u64,
     /// Composed plans demoted to direct synthesis by a failing hop.
     pub fallbacks: u64,
-    /// Chain manifests persisted to the store.
-    pub chains_persisted: u64,
     /// Longest hop count acquired so far.
     pub max_hops: u64,
 }
@@ -525,7 +523,6 @@ pub fn router_stats() -> RouterStats {
         composed: COMPOSED.load(Ordering::Relaxed),
         composed_cached: COMPOSED_CACHED.load(Ordering::Relaxed),
         fallbacks: FALLBACKS.load(Ordering::Relaxed),
-        chains_persisted: CHAINS_PERSISTED.load(Ordering::Relaxed),
         max_hops: MAX_HOPS.load(Ordering::Relaxed),
     }
 }
@@ -538,7 +535,6 @@ pub fn reset_router_stats() {
         &COMPOSED,
         &COMPOSED_CACHED,
         &FALLBACKS,
-        &CHAINS_PERSISTED,
         &MAX_HOPS,
     ] {
         c.store(0, Ordering::Relaxed);
@@ -827,7 +823,9 @@ impl Router {
             });
         }
 
-        // Composed route: serve from the composed cache when possible.
+        // Composed route: serve from the composed cache when possible, and
+        // report the plan the cached chain was built from — the route that
+        // actually serves, even if the cheapest route has since changed.
         if let Some(chain) = self
             .composed
             .lock()
@@ -839,7 +837,7 @@ impl Router {
             siro_trace::counter("route.composed_cached", 1);
             return Ok(Acquired {
                 outcome: RouteOutcome::Composed(Arc::clone(chain)),
-                plan,
+                plan: chain.plan.clone(),
                 fresh: false,
                 fell_back: false,
             });
@@ -961,7 +959,7 @@ impl Router {
         Ok(hop)
     }
 
-    /// Builds (and memoizes + persists) the composed chain for a plan.
+    /// Builds (and memoizes) the composed chain for a plan.
     fn compose(
         &self,
         plan: &RoutePlan,
@@ -984,15 +982,6 @@ impl Router {
             .lock()
             .expect("router composed cache poisoned")
             .insert((plan.from, plan.to), Arc::clone(&chain));
-        if let Some(store) = active_store() {
-            if store
-                .save_chain(&chain.persist_key(), &chain.manifest())
-                .is_ok()
-            {
-                CHAINS_PERSISTED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("route.chains_persisted", 1);
-            }
-        }
         Ok((chain, fresh))
     }
 
@@ -1094,29 +1083,6 @@ pub fn chain_persist_key<'a>(
         bytes.push(0);
     }
     format!("c{from}-t{to}-{:016x}", fnv1a64(&bytes))
-}
-
-/// Validates a persisted chain manifest against a store: every named hop
-/// entry must still exist. Returns the hop pairs when the chain is whole.
-pub fn chain_hops_if_whole(
-    store: &TranslatorStore,
-    manifest: &str,
-) -> Option<Vec<(DialectVersion, DialectVersion)>> {
-    let mut hops = Vec::new();
-    for line in manifest.lines() {
-        let Some(rest) = line.strip_prefix("hop ") else {
-            continue;
-        };
-        let mut parts = rest.split(' ');
-        let from: DialectVersion = parts.next()?.parse().ok()?;
-        let to: DialectVersion = parts.next()?.parse().ok()?;
-        let entry_file = parts.next()?;
-        if !store.dir().join(entry_file).exists() {
-            return None;
-        }
-        hops.push((from, to));
-    }
-    (!hops.is_empty()).then_some(hops)
 }
 
 #[cfg(test)]

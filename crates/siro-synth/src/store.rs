@@ -7,6 +7,16 @@
 //! (one file per cache key) so a `siro-serve` restart can warm-start
 //! instead of paying full cold synthesis for every version pair.
 //!
+//! A store directory holds one binary format and two named text kinds:
+//!
+//! * `*.sirt` — one entry per Siro translator (format below);
+//! * `*.sirw` / `*.sirb` — WIR translators and bridge certificates, as
+//!   checksummed plaintext ([`TranslatorStore::save_named`]).
+//!
+//! The compiled tier is never persisted: adopting a `.sirt` entry lowers
+//! it in memory ([`SynthesisOutcome::compiled`]). Any other file in the
+//! directory is ignored.
+//!
 //! # Entry format (`*.sirt`, format 1)
 //!
 //! ```text
@@ -55,8 +65,6 @@ use siro_ir::interp::Machine;
 use siro_ir::{IrVersion, Opcode};
 
 use crate::candgen::GenLimits;
-use crate::compile::{note_sirx_corrupt, note_sirx_loaded, note_sirx_write};
-use crate::compile::{CompiledKind, CompiledTranslator};
 use crate::driver::{StageTimings, SynthesisConfig, SynthesisOutcome, SynthesisReport, TestStats};
 use crate::persist::{fnv1a64, ByteReader, ByteWriter, DecodeError};
 use crate::pertest::OracleTest;
@@ -68,18 +76,6 @@ pub const STORE_FORMAT: u16 = 1;
 /// File extension of store entries.
 pub const ENTRY_EXT: &str = "sirt";
 
-/// Magic bytes opening every compiled entry (see
-/// [`TranslatorStore::save_compiled`]).
-pub const COMPILED_MAGIC: [u8; 4] = *b"SIRX";
-/// Current compiled-entry format version.
-pub const COMPILED_FORMAT: u16 = 1;
-/// File extension of compiled entries — each lives as a sibling of its
-/// `.sirt` entry (same stem, different extension).
-pub const COMPILED_EXT: &str = "sirx";
-
-/// File extension of composed-chain manifests (see
-/// [`TranslatorStore::save_chain`]).
-pub const CHAIN_EXT: &str = "sirc";
 /// Orphaned temp files older than this are swept by [`TranslatorStore::gc`]
 /// (a crashed writer leaves them behind; a live writer renames within
 /// milliseconds).
@@ -623,138 +619,6 @@ pub fn decode_entry(
     })
 }
 
-// ---- Compiled (`.sirx`) entries --------------------------------------------
-//
-// A compiled entry persists the *symbolic* form of a lowered
-// [`CompiledTranslator`]: per kind, the arm guards as predicate
-// conjunctions and the arm programs as `(api, args)` call lists — exactly
-// the data the stream backend lowers from. Micro-ops, fused lists, and
-// mirror templates are a process-local encoding and are never persisted;
-// a load re-binds them by running the same lowering
-// ([`CompiledKind::lower`]), which re-validates well-typedness and guard
-// alignment on top of the checksum / key / registry-fingerprint checks.
-// Any failure degrades to a fresh lowering (or the interpreter): a `.sirx`
-// can make serving faster to warm, never wrong.
-
-/// Serializes one compiled translator into `.sirx` bytes (including the
-/// trailing checksum).
-pub fn encode_compiled(key: &StoreKey, compiled: &CompiledTranslator) -> Vec<u8> {
-    let reg = compiled.registry();
-    let mut w = ByteWriter::new();
-    w.put_bytes(&COMPILED_MAGIC);
-    w.put_u16(COMPILED_FORMAT);
-    key.encode(&mut w);
-    w.put_u64(registry_fingerprint(reg));
-    let kinds: Vec<_> = compiled.kind_entries().collect();
-    w.put_u32(kinds.len() as u32);
-    for (kind, ck) in kinds {
-        w.put_str(kind.name());
-        w.put_u32(ck.arms.len() as u32);
-        for arm in ck.arms.iter() {
-            w.put_u32(arm.covers.len() as u32);
-            for row in arm.covers.iter() {
-                // Rows are flattened against the kind's predicate order;
-                // persist them as named conjunctions so a load aligns them
-                // against the *current* registry, whatever its order.
-                let mut conj = PredConj::new();
-                for (pred, value) in ck.preds.iter().zip(row.iter()) {
-                    conj.insert(pred.name.to_string(), *value);
-                }
-                encode_conj(&mut w, &conj);
-            }
-            let program = ApiProgram {
-                kind,
-                steps: arm.calls.to_vec(),
-            };
-            encode_program(&mut w, reg, &program);
-        }
-    }
-    let checksum = fnv1a64(w.bytes());
-    w.put_u64(checksum);
-    w.into_bytes()
-}
-
-/// Decodes and validates `.sirx` bytes against the expected key,
-/// re-binding every kind through the stream lowering.
-///
-/// # Errors
-///
-/// [`EntryError::Corrupt`] describing the first validation failure.
-pub fn decode_compiled(
-    bytes: &[u8],
-    expected: &StoreKey,
-) -> Result<CompiledTranslator, EntryError> {
-    if bytes.len() < 8 {
-        return Err(corrupt(format!("only {} bytes", bytes.len())));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_be_bytes(tail.try_into().expect("8-byte tail"));
-    let actual = fnv1a64(body);
-    if stored != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
-    let mut r = ByteReader::new(body);
-    let map_decode = |e: DecodeError| corrupt(e.0);
-    let magic = r.take(4).map_err(map_decode)?;
-    if magic != COMPILED_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let format = r.u16().map_err(map_decode)?;
-    if format != COMPILED_FORMAT {
-        return Err(corrupt(format!(
-            "format version {format} (this build reads {COMPILED_FORMAT})"
-        )));
-    }
-    let key = StoreKey::decode(&mut r).map_err(map_decode)?;
-    if key != *expected {
-        return Err(corrupt(
-            "compiled entry key does not match the requested key",
-        ));
-    }
-    let registry = Arc::new(ApiRegistry::for_pair(key.source, key.target));
-    let stored_reg_fp = r.u64().map_err(map_decode)?;
-    let actual_reg_fp = registry_fingerprint(&registry);
-    if stored_reg_fp != actual_reg_fp {
-        return Err(corrupt(format!(
-            "API registry drifted since the compiled entry was written \
-             (stored {stored_reg_fp:#018x}, current {actual_reg_fp:#018x})"
-        )));
-    }
-    let kind_count = r.u32().map_err(map_decode)? as usize;
-    let mut kinds = Vec::with_capacity(kind_count.min(1024));
-    for _ in 0..kind_count {
-        let kind = decode_opcode(&mut r).map_err(map_decode)?;
-        let arm_count = r.u32().map_err(map_decode)? as usize;
-        let mut arms = Vec::with_capacity(arm_count.min(1024));
-        for _ in 0..arm_count {
-            let cover_count = r.u32().map_err(map_decode)? as usize;
-            let mut covers = Vec::with_capacity(cover_count.min(1024));
-            for _ in 0..cover_count {
-                covers.push(decode_conj(&mut r).map_err(map_decode)?);
-            }
-            let program = decode_program(&mut r, &registry).map_err(map_decode)?;
-            if program.kind != kind {
-                return Err(corrupt(format!(
-                    "arm program for `{}` is tagged `{}`",
-                    kind.name(),
-                    program.kind.name()
-                )));
-            }
-            arms.push(TranslatorArm { covers, program });
-        }
-        // Re-bind through the canonical lowering: re-validates
-        // well-typedness and guard alignment, and recomputes every
-        // process-local encoding (micro-ops, fused lists, templates).
-        let compiled_kind = CompiledKind::lower(&registry, kind, &KindTranslator { arms })
-            .map_err(|e| corrupt(format!("re-lowering `{}`: {e}", kind.name())))?;
-        kinds.push((kind, compiled_kind));
-    }
-    r.finish().map_err(map_decode)?;
-    Ok(CompiledTranslator::from_parts(registry, kinds))
-}
-
 /// Builds the full oracle corpus for a pair, in the shape synthesis (and
 /// hence store keys) consume. Shared by warm-start, `siro store`, and the
 /// tests so everyone fingerprints the same corpus.
@@ -913,24 +777,7 @@ impl TranslatorStore {
     ///
     /// Propagates I/O failures (the temp file is cleaned up).
     pub fn save(&self, key: &StoreKey, outcome: &SynthesisOutcome) -> io::Result<()> {
-        let bytes = encode_entry(key, outcome);
-        let final_path = self.entry_path(key);
-        let tmp_path = self.config.dir.join(format!(
-            ".{}.{}.{}.tmp",
-            key.file_name(),
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
+        self.write_atomic(&key.file_name(), &encode_entry(key, outcome))?;
         WRITES.fetch_add(1, Ordering::Relaxed);
         siro_trace::counter("store.writes", 1);
         if let Some(cap) = self.config.max_bytes {
@@ -1008,119 +855,21 @@ impl TranslatorStore {
                 report.removed += 1;
                 report.bytes_after -= entry.bytes;
                 siro_trace::counter("store.gc_removed", 1);
-                // A compiled sibling without its entry is an orphan; sweep
-                // it with the entry (best-effort).
-                let _ = fs::remove_file(entry.path.with_extension(COMPILED_EXT));
             }
         }
         Ok(report)
     }
 
-    /// The on-disk path of the compiled (`.sirx`) sibling of `key`'s
-    /// entry: same stem as [`TranslatorStore::entry_path`], compiled
-    /// extension.
-    pub fn compiled_path(&self, key: &StoreKey) -> PathBuf {
-        self.entry_path(key).with_extension(COMPILED_EXT)
-    }
-
-    /// Atomically persists the compiled form of an outcome next to its
-    /// `.sirt` entry (unique temp file + `rename`, like
-    /// [`TranslatorStore::save`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (the temp file is cleaned up).
-    pub fn save_compiled(&self, key: &StoreKey, compiled: &CompiledTranslator) -> io::Result<()> {
-        let bytes = encode_compiled(key, compiled);
-        let final_path = self.compiled_path(key);
-        let tmp_path = self.config.dir.join(format!(
-            ".{}.{}.{}.tmp",
-            key.file_name(),
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
-        note_sirx_write();
-        Ok(())
-    }
-
-    /// Loads and validates the compiled entry for `key`. A missing file is
-    /// silent (compiled entries are an optional acceleration); a damaged,
-    /// stale, or otherwise invalid one counts `compile.sirx_corrupt` and
-    /// returns `None` — the caller re-lowers from the outcome (or serves
-    /// interpreted), never trusts the file.
-    pub fn load_compiled(&self, key: &StoreKey) -> Option<Arc<CompiledTranslator>> {
-        let bytes = fs::read(self.compiled_path(key)).ok()?;
-        match decode_compiled(&bytes, key) {
-            Ok(compiled) => {
-                note_sirx_loaded();
-                Some(Arc::new(compiled))
-            }
-            Err(EntryError::Corrupt(_)) => {
-                note_sirx_corrupt();
-                None
-            }
-        }
-    }
-
-    /// The on-disk path of a composed-chain manifest, e.g.
-    /// `c13.0-t3.6-9e3779b97f4a7c15.sirc`.
-    pub fn chain_path(&self, persist_key: &str) -> PathBuf {
-        self.config.dir.join(format!("{persist_key}.{CHAIN_EXT}"))
-    }
-
-    /// Atomically persists a composed-chain manifest under its persist
-    /// key. Manifests are plaintext (`SIRC 1` header, one `hop` line per
-    /// leg) with a trailing FNV-1a checksum line; the hop translators
-    /// themselves live in their own `.sirt` entries.
+    /// Persists a composed-chain manifest as the named entry
+    /// `<persist_key>.sirc`. Nothing reads these back and the router
+    /// memoizes chains in memory only; `perfbench` times this write as a
+    /// `store.save_us` sample.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures (the temp file is cleaned up).
     pub fn save_chain(&self, persist_key: &str, manifest: &str) -> io::Result<()> {
-        let mut bytes = manifest.as_bytes().to_vec();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
-        let final_path = self.chain_path(persist_key);
-        let tmp_path = self.config.dir.join(format!(
-            ".{persist_key}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
-        siro_trace::counter("store.chain_writes", 1);
-        Ok(())
-    }
-
-    /// Loads a composed-chain manifest and validates its checksum line.
-    /// Returns the manifest body (checksum line stripped); a missing file
-    /// or checksum mismatch returns `None` — the caller simply re-composes.
-    pub fn load_chain(&self, persist_key: &str) -> Option<String> {
-        let text = fs::read_to_string(self.chain_path(persist_key)).ok()?;
-        let body = text.strip_suffix('\n').unwrap_or(&text);
-        let (body, checksum_line) = body.rsplit_once('\n')?;
-        let body = format!("{body}\n");
-        let expected = checksum_line.strip_prefix("checksum ")?;
-        let expected = u64::from_str_radix(expected.trim(), 16).ok()?;
-        (fnv1a64(body.as_bytes()) == expected).then_some(body)
+        self.save_named(&format!("{persist_key}.sirc"), manifest)
     }
 
     /// The path of a named plaintext entry (`name` carries its own
@@ -1132,8 +881,7 @@ impl TranslatorStore {
     /// Atomically persists a named plaintext entry with a trailing FNV-1a
     /// checksum line — the persistence channel for non-Siro translator
     /// payloads (`.sirw` WIR translators, `.sirb` bridge certificates)
-    /// that share the store directory with `.sirt`/`.sirx`/`.sirc`
-    /// entries.
+    /// that share the store directory with the `.sirt` entries.
     ///
     /// # Errors
     ///
@@ -1142,22 +890,7 @@ impl TranslatorStore {
         let mut bytes = text.as_bytes().to_vec();
         let checksum = fnv1a64(&bytes);
         bytes.extend_from_slice(format!("checksum {checksum:016x}\n").as_bytes());
-        let final_path = self.named_path(name);
-        let tmp_path = self.config.dir.join(format!(
-            ".{name}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let write = (|| -> io::Result<()> {
-            let mut f = fs::File::create(&tmp_path)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp_path, &final_path)
-        })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
-            return write;
-        }
+        self.write_atomic(name, &bytes)?;
         siro_trace::counter("store.named_writes", 1);
         Ok(())
     }
@@ -1175,21 +908,26 @@ impl TranslatorStore {
         (fnv1a64(body.as_bytes()) == expected).then_some(body)
     }
 
-    /// Lists every persisted `.sirc` chain manifest path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-read failures.
-    pub fn chains(&self) -> io::Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        for dirent in fs::read_dir(&self.config.dir)? {
-            let path = dirent?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(CHAIN_EXT) {
-                out.push(path);
-            }
+    /// The one writer behind every store file: write `bytes` to a unique
+    /// temp file in the store directory, fsync it, and rename it over
+    /// `name`, so a reader sees the old file or the new one, never a torn
+    /// hybrid.
+    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let tmp_path = self.config.dir.join(format!(
+            ".{name}.{}.{}.tmp",
+            std::process::id(),
+            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
+        ));
+        let write = (|| -> io::Result<()> {
+            let mut f = fs::File::create(&tmp_path)?;
+            io::Write::write_all(&mut f, bytes)?;
+            f.sync_all()?;
+            fs::rename(&tmp_path, self.config.dir.join(name))
+        })();
+        if write.is_err() {
+            let _ = fs::remove_file(&tmp_path);
         }
-        out.sort();
-        Ok(out)
+        write
     }
 
     /// Fully re-validates every entry against the *current* oracle corpus

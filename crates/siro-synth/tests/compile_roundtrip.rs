@@ -1,249 +1,127 @@
-//! The compiled tier's persistence and equivalence contract:
+//! The compiled tier's adoption and equivalence contract:
 //!
-//! * compile → `encode_compiled` → `decode_compiled` → translate is
-//!   byte-identical to the in-process compiled translator AND to the
-//!   interpreter, across the whole oracle corpus (the property the
-//!   `.sirx` format must never lose);
-//! * a store-attached lookup eagerly writes the `.sirx` sibling, and a
-//!   later process adopts it (`sirx_loaded`) instead of re-lowering;
-//! * every way a `.sirx` can be damaged — truncation, bit flips, magic /
-//!   format skew, garbage — degrades to a fresh lowering (counted as
-//!   `sirx_corrupt`, repaired by write-back), never panics, and never
-//!   changes a served byte.
+//! * a store-attached cold synthesis persists the `.sirt` entry and
+//!   nothing else — the compiled tier is never written to disk;
+//! * adopting that entry in a fresh process lowers the translator exactly
+//!   once, during the lookup (and during a warm-boot pre-load), never on
+//!   the first translate;
+//! * the adopted translator's compiled tier — push driver and tiered
+//!   owned path — is byte-identical to the interpreter across the whole
+//!   oracle corpus, and the tiered path never falls back.
 //!
-//! Compile counters and the store attachment are process-global, so the
-//! whole matrix runs inside ONE `#[test]` with scenario labels in every
-//! assertion message (same layout as `store_corruption.rs`).
+//! Damaged `.sirt` entries are covered by `store_corruption.rs`. Compile
+//! counters and the store attachment are process-global, so every phase
+//! runs inside ONE `#[test]`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use siro_core::Skeleton;
 use siro_ir::{write, IrVersion};
-use siro_synth::persist::fnv1a64;
-use siro_synth::store::{decode_compiled, encode_compiled};
 use siro_synth::{
     compile_stats, corpus_fingerprint, oracle_corpus, reset_compile_stats, set_active_store,
-    set_compile_enabled, translate_module_owned_tiered, OracleTest, StoreConfig, StoreKey,
-    SynthesisConfig, SynthesisOutcome, TranslatorCache, TranslatorStore,
+    translate_module_owned_tiered, OracleTest, StoreConfig, StoreKey, SynthesisConfig,
+    SynthesisOutcome, TranslatorCache, TranslatorStore,
 };
 
-/// Rewrites the trailing FNV-1a checksum so a deliberately *semantic*
-/// corruption (magic/format skew) reaches the deeper validation layer
-/// instead of being masked by the checksum check.
-fn fix_checksum(bytes: &mut [u8]) {
-    let body_len = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body_len]);
-    bytes[body_len..].copy_from_slice(&sum.to_be_bytes());
-}
-
-struct Scenario {
-    label: &'static str,
-    damage: fn(&[u8]) -> Vec<u8>,
-}
-
-const SCENARIOS: &[Scenario] = &[
-    Scenario {
-        label: "truncate-half",
-        damage: |b| b[..b.len() / 2].to_vec(),
-    },
-    Scenario {
-        label: "truncate-to-empty",
-        damage: |_| Vec::new(),
-    },
-    Scenario {
-        label: "bit-flip-mid-body",
-        damage: |b| {
-            let mut v = b.to_vec();
-            let mid = v.len() / 2;
-            v[mid] ^= 0x40;
-            v
-        },
-    },
-    Scenario {
-        label: "bad-magic",
-        damage: |b| {
-            let mut v = b.to_vec();
-            v[0] ^= 0xff;
-            fix_checksum(&mut v);
-            v
-        },
-    },
-    Scenario {
-        // A future build wrote this entry: format version at [4..6].
-        label: "format-version-bump",
-        damage: |b| {
-            let mut v = b.to_vec();
-            v[4..6].copy_from_slice(&2u16.to_be_bytes());
-            fix_checksum(&mut v);
-            v
-        },
-    },
-    Scenario {
-        // Valid checksum over a scrambled body: the symbolic decode (or
-        // the re-lowering it feeds) must reject it.
-        label: "scramble-body-fixed-checksum",
-        damage: |b| {
-            let mut v = b.to_vec();
-            let start = v.len() / 3;
-            let end = v.len() - 8;
-            for x in &mut v[start..end] {
-                *x ^= 0x5a;
-            }
-            fix_checksum(&mut v);
-            v
-        },
-    },
-    Scenario {
-        label: "garbage-with-right-length",
-        damage: |b| vec![0xa5; b.len()],
-    },
-];
-
-/// Asserts the compiled tier (push driver, the decoded copy, and the
-/// in-place tiered path) serves every corpus module byte-identically to
-/// the interpreter.
-fn assert_tiers_agree(
-    label: &str,
-    outcome: &SynthesisOutcome,
-    decoded: Option<&siro_synth::CompiledTranslator>,
-    tgt: IrVersion,
-    tests: &[OracleTest],
-) {
+/// Asserts the compiled tier (push driver and the in-place tiered path)
+/// serves every corpus module byte-identically to the interpreter.
+fn assert_tiers_agree(outcome: &SynthesisOutcome, tgt: IrVersion, tests: &[OracleTest]) {
     let compiled = outcome.compiled().expect("translator must lower");
     let skeleton = Skeleton::new(tgt);
     for test in tests {
         let name = &test.name;
         let slow = skeleton
             .translate_module(&test.module, &outcome.translator)
-            .unwrap_or_else(|e| panic!("{label}/{name}: interpreter: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: interpreter: {e}"));
         let slow = write::write_module(&slow);
         let fast = compiled
             .translate_module(&test.module)
-            .unwrap_or_else(|e| panic!("{label}/{name}: compiled: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: compiled: {e}"));
         assert_eq!(
             write::write_module(&fast),
             slow,
-            "{label}/{name}: compiled output differs from the interpreter"
+            "{name}: compiled output differs from the interpreter"
         );
         let tiered = translate_module_owned_tiered(outcome, tgt, test.module.clone())
-            .unwrap_or_else(|e| panic!("{label}/{name}: tiered: {e}"));
+            .unwrap_or_else(|e| panic!("{name}: tiered: {e}"));
         assert_eq!(
             write::write_module(&tiered),
             slow,
-            "{label}/{name}: tiered owned path differs from the interpreter"
+            "{name}: tiered owned path differs from the interpreter"
         );
-        if let Some(d) = decoded {
-            let loaded = d
-                .translate_module(&test.module)
-                .unwrap_or_else(|e| panic!("{label}/{name}: decoded compiled: {e}"));
-            assert_eq!(
-                write::write_module(&loaded),
-                slow,
-                "{label}/{name}: persisted+reloaded compiled output differs"
-            );
-        }
     }
 }
 
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|e| {
+            e.expect("dirent")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn sirx_roundtrip_and_corruption_matrix() {
+fn store_adoption_lowers_once_and_tiers_agree_over_the_corpus() {
     let dir: PathBuf =
-        std::env::temp_dir().join(format!("siro-sirx-matrix-{}", std::process::id()));
+        std::env::temp_dir().join(format!("siro-compile-adopt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(TranslatorStore::open(StoreConfig::at(&dir)).expect("open store"));
     set_active_store(Some(Arc::clone(&store)));
-    set_compile_enabled(true);
-    reset_compile_stats();
 
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
     let tests = oracle_corpus(src, tgt);
     let config = SynthesisConfig::new(src, tgt);
     let key = StoreKey::new(&config, corpus_fingerprint(&tests));
-    let sirx_path = store.compiled_path(&key);
 
-    // Populate: a store-attached cold synthesis lowers eagerly and writes
-    // the `.sirx` sibling next to the `.sirt` entry.
+    // Populate: a store-attached cold synthesis writes the `.sirt` entry
+    // and no other file.
     TranslatorCache::reset();
     let first = TranslatorCache::lookup_or_synthesize(config.clone(), &tests).expect("synthesis");
     assert!(first.fresh && !first.from_store);
-    assert!(
-        sirx_path.exists(),
-        "cold synthesis must write the compiled sibling"
-    );
-    assert_eq!(compile_stats().sirx_writes, 1);
-    let compiled = first.outcome.compiled().expect("lowering succeeds");
-
-    // Property: compile → persist (in memory) → load → translate is
-    // byte-identical, across the corpus, against both the live compiled
-    // translator and the interpreter.
-    let bytes = encode_compiled(&key, &compiled);
-    let pristine = std::fs::read(&sirx_path).expect("sirx bytes");
-    assert_eq!(bytes, pristine, "save_compiled must write encode_compiled");
-    let decoded = decode_compiled(&bytes, &key).expect("decode pristine");
-    assert_tiers_agree("roundtrip", &first.outcome, Some(&decoded), tgt, &tests);
+    assert_eq!(file_names(&dir), vec![key.file_name()]);
     drop(first);
 
-    // A fresh process (cache reset) adopts the persisted `.sirx` instead
-    // of re-lowering, and serves identical bytes.
+    // Adopt in a fresh process state: the lookup lowers, once.
     TranslatorCache::reset();
     reset_compile_stats();
     let warm = TranslatorCache::lookup_or_synthesize(config.clone(), &tests).expect("reload");
-    assert!(warm.from_store, "pristine entry must warm from the store");
+    assert!(warm.from_store, "the entry must warm from the store");
     assert_eq!(
-        compile_stats().sirx_loaded,
+        compile_stats().lowered,
         1,
-        "the compiled sibling must be adopted, not re-lowered"
+        "adoption must lower the translator"
     );
-    assert_eq!(compile_stats().lowered, 0, "adoption skips the lowering");
-    assert_tiers_agree("warm-adopt", &warm.outcome, None, tgt, &tests);
+
+    // Translating the whole corpus lowers nothing more, and the tiered
+    // path serves every module from the compiled tier.
+    assert_tiers_agree(&warm.outcome, tgt, &tests);
+    let stats = compile_stats();
+    assert_eq!(stats.lowered, 1, "translating must not lower again");
+    assert_eq!(stats.lower_failures, 0);
+    assert_eq!(stats.translations_compiled, tests.len() as u64);
+    assert_eq!(stats.translations_interpreted, 0);
+    assert_eq!(stats.runtime_fallbacks, 0);
     drop(warm);
 
-    // Corruption matrix: every damaged `.sirx` is rejected (counted),
-    // serving degrades to a fresh lowering with identical bytes, and the
-    // write-back repairs the file for the next process.
-    for scenario in SCENARIOS {
-        let label = scenario.label;
-        std::fs::write(&sirx_path, (scenario.damage)(&pristine))
-            .unwrap_or_else(|e| panic!("{label}: writing damaged sirx: {e}"));
-        TranslatorCache::reset();
-        reset_compile_stats();
-
-        let lookup = TranslatorCache::lookup_or_synthesize(config.clone(), &tests)
-            .unwrap_or_else(|e| panic!("{label}: lookup failed: {e}"));
-        assert!(
-            lookup.from_store,
-            "{label}: the intact .sirt entry must still serve"
-        );
-        let stats = compile_stats();
-        assert_eq!(
-            stats.sirx_corrupt, 1,
-            "{label}: the rejected compiled entry must be counted"
-        );
-        assert_eq!(stats.sirx_loaded, 0, "{label}: damaged entry must not load");
-        assert_eq!(
-            stats.sirx_writes, 1,
-            "{label}: the fresh lowering must write back a repair"
-        );
-        assert_tiers_agree(label, &lookup.outcome, None, tgt, &tests);
-        drop(lookup);
-
-        // The repair round-trips: the next process adopts it again.
-        let repaired = std::fs::read(&sirx_path).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(repaired, pristine, "{label}: repair must restore the entry");
-
-        std::fs::write(&sirx_path, &pristine)
-            .unwrap_or_else(|e| panic!("{label}: restoring pristine sirx: {e}"));
-    }
-
-    // decode_compiled against the wrong key is a corruption, not a panic
-    // and not a silently re-keyed translator.
-    let other_key = StoreKey::new(&SynthesisConfig::new(src, IrVersion::V3_7), 0);
-    assert!(
-        decode_compiled(&pristine, &other_key).is_err(),
-        "a compiled entry must never decode under a different key"
+    // A warm-boot pre-load lowers at adoption too.
+    TranslatorCache::reset();
+    reset_compile_stats();
+    assert!(TranslatorCache::warm_from_store(&config, &tests));
+    assert_eq!(compile_stats().lowered, 1, "warm-boot pre-load must lower");
+    assert_eq!(
+        file_names(&dir),
+        vec![key.file_name()],
+        "adoption wrote a file"
     );
 
     set_active_store(None);
+    TranslatorCache::reset();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -140,8 +140,6 @@ USAGE:
                [--store <dir>]                       persist translators; warm-start at boot
                [--store-validation off|checksum|full] load-time validation (default checksum)
                [--store-max-bytes <n>]               GC the store down to <n> bytes after writes
-               [--no-compile]                        serve on the interpreter only (skip the
-                                                     compiled tier; see docs/COMPILED.md)
     siro loadgen [--remote <addr>]                   open-loop rate sweep (docs/SERVING.md);
                [--threads <n>]                       boots an in-process daemon unless --remote
                [--rates <r1,r2,...>] [--slo-ms <n>]  (defaults: 500,1000,2000,4000; 25 ms)
@@ -170,8 +168,6 @@ ENVIRONMENT:
                           a Chrome trace_event JSON on exit
     SIRO_TRACE_FILE=path  where to write it (default siro_trace.json)
     SIRO_THREADS=n        worker threads for synthesis and serving
-    SIRO_COMPILE=0        disable the compiled translate tier (interpreter only);
-                          `siro serve --no-compile` does the same per-invocation
     SIRO_CLIENT_TIMEOUT_MS=n  default for --timeout-ms on remote commands"
     );
 }
@@ -464,9 +460,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             b.parse()
                 .map_err(|_| format!("bad --admission-burst `{b}`"))?,
         );
-    }
-    if args.iter().any(|a| a == "--no-compile") {
-        siro::synth::set_compile_enabled(false);
     }
     let admission = config.admission.rate_per_sec;
     let handle = siro::serve::start(config).map_err(|e| format!("starting server: {e}"))?;

@@ -1,17 +1,18 @@
 //! End-to-end check that the compiled translate tier is invisible on the
-//! wire: the same synthesized request served with the tier on and off
-//! returns byte-identical text, and the daemon's `STATS` page shows which
-//! tier did the work.
+//! wire: a synthesized request served by the daemon (from the compiled
+//! tier) returns exactly the bytes the interpreter produces in-process
+//! for the same text, and the daemon's `STATS` page shows which tier did
+//! the work.
 //!
-//! Lives in its own integration-test binary because it toggles the
-//! process-global compile switch — sharing a process with other serve
-//! tests would race their translations onto the wrong tier.
+//! Lives in its own integration-test binary so the compile counters on
+//! the `STATS` page count this test's translations only.
 
 use std::time::Duration;
 
+use siro::core::Skeleton;
 use siro::ir::{interp::Machine, parse, write, IrVersion};
 use siro::serve::{stats_value, Client, ServeConfig, TranslateMode};
-use siro::synth::set_compile_enabled;
+use siro::synth::{oracle_corpus, SynthesisConfig, TranslatorCache};
 
 #[test]
 fn compiled_tier_is_byte_invisible_on_the_wire() {
@@ -29,10 +30,9 @@ fn compiled_tier_is_byte_invisible_on_the_wire() {
     .expect("bind ephemeral port");
     let mut client = Client::connect(handle.addr(), Duration::from_secs(60)).expect("connect");
 
-    // First request with the tier on: synthesizes, lowers, serves from
-    // the compiled tier (the in-place mirror driver on this corpus pair).
-    set_compile_enabled(true);
-    let compiled_out = client
+    // The request synthesizes, lowers, and serves from the compiled tier
+    // (the in-place mirror driver on this corpus pair).
+    let served = client
         .translate(src, tgt, TranslateMode::Synthesized, text.clone())
         .expect("served translation (compiled tier)");
     let page = client.stats().expect("stats");
@@ -41,34 +41,35 @@ fn compiled_tier_is_byte_invisible_on_the_wire() {
         compiled_count.is_some_and(|n| n >= 1),
         "expected a compiled-tier translation on the stats page, got {compiled_count:?}"
     );
-    assert_eq!(stats_value(&page, "compile_enabled"), Some(1));
-
-    // Same request with the tier forced off: the interpreter must serve
-    // the exact same bytes (the translator is already cached, so only the
-    // execution tier changes).
-    set_compile_enabled(false);
-    let interpreted_out = client
-        .translate(src, tgt, TranslateMode::Synthesized, text)
-        .expect("served translation (interpreter)");
     assert_eq!(
-        compiled_out.text, interpreted_out.text,
-        "disabling the compiled tier changed served bytes"
+        stats_value(&page, "compile_translations_interpreted"),
+        Some(0)
     );
-    let page = client.stats().expect("stats");
-    assert!(
-        stats_value(&page, "compile_translations_interpreted").is_some_and(|n| n >= 1),
-        "expected an interpreted translation after disabling the tier"
+
+    // The interpreter, run in-process on the same text with the same
+    // (now cached) translator, must produce the exact served bytes.
+    let outcome = TranslatorCache::get_or_synthesize(
+        SynthesisConfig::new(src, tgt),
+        &oracle_corpus(src, tgt),
+    )
+    .expect("cached translator");
+    let module = parse::parse_module(&text).expect("parse request text");
+    let interpreted = Skeleton::new(tgt)
+        .translate_module(&module, &outcome.translator)
+        .expect("interpreted translation");
+    assert_eq!(
+        served.text,
+        write::write_module(&interpreted),
+        "the compiled tier served bytes the interpreter does not produce"
     );
-    assert_eq!(stats_value(&page, "compile_enabled"), Some(0));
 
     // The served text is live: it reparses and meets the corpus oracle.
-    let reparsed = parse::parse_module(&compiled_out.text).expect("reparse served text");
+    let reparsed = parse::parse_module(&served.text).expect("reparse served text");
     let got = Machine::new(&reparsed)
         .run_main()
         .expect("run served module")
         .return_int();
     assert_eq!(got, Some(case.oracle));
 
-    set_compile_enabled(true);
     handle.shutdown();
 }
