@@ -181,7 +181,7 @@ pub fn corpus_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
 /// Catalog intermediates for `(src, tgt)` ranked the way the router
 /// ranks them: by the summed edge cost of the two-hop decomposition
 /// `src → mid → tgt` under the router's *current* cost landscape (cache
-/// warmth, store entries, observed latency), cheapest first with ties
+/// warmth, store entries), cheapest first with ties
 /// broken toward the lower version. The head of this list is the
 /// intermediate a composed route would take; the tail is the alternate
 /// paths that path-selection fuzzing rotates through.

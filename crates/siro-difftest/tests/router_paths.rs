@@ -3,7 +3,7 @@
 //!
 //! Three layers, cheapest first:
 //!
-//! * **planner properties** — randomized warm/cold/latency landscapes
+//! * **planner properties** — randomized warm/cold/extra-cost landscapes
 //!   over the real catalog, with [`VersionGraph::cheapest_path`] checked
 //!   against path invariants and, on small node subsets, against a
 //!   brute-force enumeration of every simple path;
@@ -23,10 +23,11 @@ use std::time::Duration;
 use siro_difftest::{routed_mids, run, ChainSet, DifftestConfig, Verdict, ORACLE_FUEL};
 use siro_ir::{FuncBuilder, IrVersion, Module, Opcode, ValueRef};
 use siro_rng::{Rng, SeedableRng, StdRng};
-use siro_synth::{
-    EdgeClass, EdgeInfo, RoutePlan, SynthFault, VersionGraph, COST_COLD_US, COST_HOT_US,
-    COST_WARM_US, OBSERVED_CAP_US,
-};
+use siro_synth::{EdgeClass, EdgeInfo, RoutePlan, SynthFault, VersionGraph, COST_COLD_US};
+
+/// Bound on the random extra cost an edge of a fuzzed landscape carries
+/// on top of its class cost.
+const EXTRA_CAP_US: u64 = COST_COLD_US / 2;
 
 fn tiny(version: IrVersion) -> Module {
     let mut m = Module::new("tiny", version);
@@ -41,8 +42,8 @@ fn tiny(version: IrVersion) -> Module {
 }
 
 /// A random cost landscape: each ordered pair gets an edge with
-/// probability `edge_p` (percent), a random class, and a random observed
-/// latency below the cap.
+/// probability `edge_p` (percent), a random class, and, half the time, a
+/// random extra cost below [`EXTRA_CAP_US`] in its `cost_us`.
 fn random_graph(rng: &mut StdRng, nodes: &[IrVersion], edge_p: u32) -> VersionGraph {
     let mut edges = Vec::new();
     for &a in nodes {
@@ -55,22 +56,16 @@ fn random_graph(rng: &mut StdRng, nodes: &[IrVersion], edge_p: u32) -> VersionGr
                 1 => EdgeClass::Warm,
                 _ => EdgeClass::Cold,
             };
-            let class_cost = match class {
-                EdgeClass::Hot => COST_HOT_US,
-                EdgeClass::Warm => COST_WARM_US,
-                EdgeClass::Cold => COST_COLD_US,
-            };
-            let observed = if rng.gen_range(0..2) == 0 {
-                Some(rng.gen_range(0..OBSERVED_CAP_US))
+            let extra = if rng.gen_range(0..2) == 0 {
+                rng.gen_range(0..EXTRA_CAP_US)
             } else {
-                None
+                0
             };
             edges.push(EdgeInfo {
                 from: a.into(),
                 to: b.into(),
                 class,
-                observed_us: observed,
-                cost_us: class_cost + observed.unwrap_or(0),
+                cost_us: class.cost_us() + extra,
             });
         }
     }

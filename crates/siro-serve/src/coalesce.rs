@@ -6,8 +6,9 @@
 //! key serialize and the losers adopt the winner's outcome. This module
 //! adds the serving-side bookkeeping on top:
 //!
-//! * the oracle corpus for a pair is built once and reused (building it
-//!   for every request would re-render 68 modules per call);
+//! * the oracle corpus for a pair is built and fingerprinted once and
+//!   reused (building or fingerprinting it per request would re-render
+//!   every corpus module per call);
 //! * per-pair counters (`syntheses`, `coalesced`) make the coalescing
 //!   observable — the e2e test asserts `syntheses == 1` after a stampede,
 //!   and `STATS` exposes the totals.
@@ -26,7 +27,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use siro_ir::IrVersion;
 use siro_synth::{
-    oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache,
+    corpus_fingerprint, oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome,
+    TranslatorCache,
 };
 
 /// Observable per-pair counters.
@@ -40,7 +42,8 @@ struct PairCounters {
 }
 
 struct PairState {
-    corpus: OnceLock<Arc<Vec<OracleTest>>>,
+    /// The pair's oracle corpus and its [`corpus_fingerprint`].
+    corpus: OnceLock<(Vec<OracleTest>, u64)>,
     counters: PairCounters,
 }
 
@@ -126,11 +129,16 @@ impl PairCoalescer {
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
         let state = self.state((source, target));
-        let corpus = state
-            .corpus
-            .get_or_init(|| Arc::new(oracle_corpus(source, target)));
-        let lookup =
-            TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(source, target), corpus)?;
+        let (corpus, fingerprint) = state.corpus.get_or_init(|| {
+            let corpus = oracle_corpus(source, target);
+            let fingerprint = corpus_fingerprint(&corpus);
+            (corpus, fingerprint)
+        });
+        let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
+            SynthesisConfig::new(source, target),
+            corpus,
+            *fingerprint,
+        )?;
         if lookup.fresh {
             state.counters.syntheses.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_fresh", 1);

@@ -287,8 +287,9 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// a guaranteed cache hit, so warm start never synthesizes. Unreadable or
 /// corrupt entries are skipped (counted by the store as corrupt) and the
 /// pair falls back to cold synthesis on first request. Last, the Siro
-/// router builds its graph (every pair's corpus and fingerprint), so the
-/// first request plans at hot speed instead of paying that build.
+/// router builds the graph of the current route epoch (every pair's
+/// corpus and fingerprint, every edge classified), so the first request
+/// plans over a memoized graph instead of paying that build.
 ///
 /// Returns the number of entries successfully seeded.
 fn warm_start(engine: &Arc<Engine>) -> u64 {

@@ -273,6 +273,8 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
     line("router_composed_cached", router.composed_cached);
     line("router_fallbacks", router.fallbacks);
     line("router_max_hops", router.max_hops);
+    line("router_graph_builds", router.graph_builds);
+    line("router_store_probes", router.store_probes);
     line("trace_enabled", u64::from(siro_trace::enabled()));
     out
 }
@@ -395,6 +397,16 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
     );
     sample("siro_router_fallbacks_total", "counter", router.fallbacks);
     sample("siro_router_max_hops", "gauge", router.max_hops);
+    sample(
+        "siro_router_graph_builds_total",
+        "counter",
+        router.graph_builds,
+    );
+    sample(
+        "siro_router_store_probes_total",
+        "counter",
+        router.store_probes,
+    );
     out.push_str(&siro_trace::export::render_prometheus_counters(
         &siro_trace::snapshot(),
     ));
@@ -512,6 +524,8 @@ mod tests {
         assert!(stats_value(&page, "router_plans").is_some());
         assert!(stats_value(&page, "router_composed").is_some());
         assert!(stats_value(&page, "router_fallbacks").is_some());
+        assert!(stats_value(&page, "router_graph_builds").is_some());
+        assert!(stats_value(&page, "router_store_probes").is_some());
         // The compiled-tier funnel: which tier served is always
         // observable.
         assert!(stats_value(&page, "compile_lowered").is_some());

@@ -824,6 +824,16 @@ pub fn reset_bridge_cache() {
         .lock()
         .expect("bridge cache poisoned")
         .clear();
+    crate::router::bump_route_epoch();
+}
+
+/// Memoizes a validated bridge; its edges turn hot, so routes replan.
+fn insert_bridge(outcome: &Arc<BridgeOutcome>) {
+    bridge_cache()
+        .lock()
+        .expect("bridge cache poisoned")
+        .insert((outcome.siro, outcome.wir), Arc::clone(outcome));
+    crate::router::bump_route_epoch();
 }
 
 /// Memoized bridge acquisition: process cache, then the active store's
@@ -854,10 +864,7 @@ pub fn bridge_cached(
             if parse_certificate(&text) == Some((siro, wir)) {
                 if let Ok(stats) = validate_bridge(siro, wir) {
                     let outcome = Arc::new(BridgeOutcome { siro, wir, stats });
-                    bridge_cache()
-                        .lock()
-                        .expect("bridge cache poisoned")
-                        .insert((siro, wir), Arc::clone(&outcome));
+                    insert_bridge(&outcome);
                     siro_trace::counter("bridge.store_hits", 1);
                     return Ok((outcome, false));
                 }
@@ -869,10 +876,7 @@ pub fn bridge_cached(
     if let Some(store) = active_store() {
         let _ = store.save_named(&bridge_store_name(siro, wir), &render_certificate(&outcome));
     }
-    bridge_cache()
-        .lock()
-        .expect("bridge cache poisoned")
-        .insert((siro, wir), Arc::clone(&outcome));
+    insert_bridge(&outcome);
     Ok((outcome, true))
 }
 

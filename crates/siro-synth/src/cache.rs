@@ -31,6 +31,12 @@
 //! a validated entry is adopted without synthesizing — and a cold
 //! synthesis writes its outcome back, so the *next* process starts warm.
 //! Failures and fault-injected configs never touch the store.
+//!
+//! A slot filled with a translator (synthesized, adopted from the store,
+//! or warm-loaded) and a [`TranslatorCache::reset`] each start a new route
+//! epoch ([`crate::router::bump_route_epoch`]): the edge turned hot (or every
+//! edge turned cold), so routers rebuild their graphs. A failed synthesis
+//! leaves its edge cold and starts none.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -228,8 +234,24 @@ impl TranslatorCache {
         config: SynthesisConfig,
         tests: &[OracleTest],
     ) -> Result<CacheLookup, SynthError> {
-        let key = CacheKey::new(&config, tests);
-        let fingerprint = key.corpus_fingerprint;
+        Self::lookup_or_synthesize_fingerprint(config, tests, corpus_fingerprint(tests))
+    }
+
+    /// Like [`TranslatorCache::lookup_or_synthesize`], but with the
+    /// [`corpus_fingerprint`] of `tests` precomputed. Fingerprinting
+    /// renders every corpus module, so callers that hold a corpus fixed
+    /// (the serving coalescer, the router's hops) fingerprint it once and
+    /// look up with this.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the memoized [`SynthError`] of the underlying synthesis.
+    pub fn lookup_or_synthesize_fingerprint(
+        config: SynthesisConfig,
+        tests: &[OracleTest],
+        fingerprint: u64,
+    ) -> Result<CacheLookup, SynthError> {
+        let key = CacheKey::with_fingerprint(&config, fingerprint);
         let shard = shard_of(&key);
         let slot = {
             let mut map = shard.map.lock().expect("translator cache poisoned");
@@ -271,6 +293,9 @@ impl TranslatorCache {
         });
         let fresh = ran.get();
         let from_store = loaded.get();
+        if (fresh || from_store) && result.is_ok() {
+            crate::router::bump_route_epoch();
+        }
         // With a store attached, a translator entering the cache (cold
         // synthesis or store adoption) is lowered now, so the first request
         // it answers already runs on the compiled tier. Memory hits skip
@@ -332,6 +357,7 @@ impl TranslatorCache {
         // the slot is populated now.
         if slot.set(Ok(outcome)).is_ok() {
             crate::store::note_warm_loaded();
+            crate::router::bump_route_epoch();
         }
         true
     }
@@ -437,6 +463,7 @@ impl TranslatorCache {
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
         }
+        crate::router::bump_route_epoch();
     }
 }
 

@@ -90,9 +90,9 @@ pub use pertest::{OracleTest, PerTestTranslator};
 pub use profile::{profile_module, ProfileTable, ProfiledInst};
 pub use refine::{CandIdx, MStar, SynthFault};
 pub use router::{
-    chain_persist_key, reset_router_stats, router_stats, Acquired, ComposedHop, ComposedTranslator,
-    EdgeClass, EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router, RouterStats, VersionGraph,
-    COST_COLD_US, COST_HOT_US, COST_WARM_US, OBSERVED_CAP_US,
+    bump_route_epoch, chain_persist_key, reset_router_stats, router_stats, Acquired, ComposedHop,
+    ComposedTranslator, EdgeClass, EdgeInfo, HopKind, RouteOutcome, RoutePlan, Router, RouterStats,
+    VersionGraph, COST_COLD_US, COST_HOT_US, COST_WARM_US,
 };
 pub use store::{
     active_store, oracle_corpus, reset_store_stats, set_active_store, store_stats, GcReport,

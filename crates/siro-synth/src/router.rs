@@ -40,11 +40,26 @@
 //! * **Cold** — the translator must be synthesized or the bridge validated
 //!   ([`COST_COLD_US`] ≈ a measured full-corpus synthesis).
 //!
-//! `cost(edge) = class_cost_us + observed_hop_us`, where `observed_hop_us`
-//! is the mean duration of `route.hop` / `serve.translate` spans recorded
-//! by [`siro_trace`] for that pair (zero when tracing is off or the pair
-//! has no traffic yet). The unit is "expected microseconds to serve one
-//! request through this edge", so path costs add meaningfully.
+//! `cost(edge) = class_cost_us`. The unit is "expected microseconds to
+//! serve one request through this edge", so path costs add meaningfully.
+//! Nothing observed at run time (trace spans, latencies) enters the cost,
+//! so turning tracing on cannot change a route.
+//!
+//! ## Route epoch
+//!
+//! An edge's class changes only at a handful of events: a translator,
+//! WIR translator or bridge entering (or a reset emptying) its in-memory
+//! cache, a store file written or collected, or a different store
+//! attached. Each of them bumps one process-wide counter, the route
+//! epoch ([`bump_route_epoch`]). A [`Router`] builds its [`VersionGraph`] at
+//! most once per epoch and memoizes every plan made over it, so a request
+//! whose plan is memoized costs one hash lookup: no edge classification,
+//! no store probe. A failed synthesis does not bump: its edge stays cold.
+//!
+//! A store entry written by *another process* is not an event this
+//! process sees. It enters the graph at the next epoch; acquiring that
+//! edge before then still loads it from the store, so only the route
+//! choice lags.
 //!
 //! ## Fallback ladder
 //!
@@ -60,8 +75,9 @@
 //! whose translators persist in their own store entries.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use siro_ir::{Dialect, DialectVersion, IrVersion, Module};
 use siro_wir::{AnyModule, WirVersion};
@@ -82,9 +98,6 @@ pub const COST_HOT_US: u64 = 10;
 pub const COST_WARM_US: u64 = 2_000;
 /// Cost (µs) of an edge whose translator must be synthesized.
 pub const COST_COLD_US: u64 = 50_000;
-/// Cap on the observed-latency term, so one pathological trace sample
-/// cannot make a hot edge look colder than synthesis.
-pub const OBSERVED_CAP_US: u64 = COST_COLD_US / 2;
 
 /// Extracts the WIR-family version, if `v` names one.
 fn as_wir(v: DialectVersion) -> Option<WirVersion> {
@@ -102,6 +115,17 @@ pub enum EdgeClass {
     Cold,
 }
 
+impl EdgeClass {
+    /// The edge cost of this class (µs).
+    pub fn cost_us(self) -> u64 {
+        match self {
+            EdgeClass::Hot => COST_HOT_US,
+            EdgeClass::Warm => COST_WARM_US,
+            EdgeClass::Cold => COST_COLD_US,
+        }
+    }
+}
+
 impl std::fmt::Display for EdgeClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -112,7 +136,7 @@ impl std::fmt::Display for EdgeClass {
     }
 }
 
-/// One edge of the version graph, with its cost breakdown.
+/// One edge of the version graph, with its cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeInfo {
     /// Source node of the hop.
@@ -121,10 +145,8 @@ pub struct EdgeInfo {
     pub to: DialectVersion,
     /// Acquisition class at snapshot time.
     pub class: EdgeClass,
-    /// Mean observed per-hop translate latency (µs) from trace spans,
-    /// when any traffic has been recorded.
-    pub observed_us: Option<u64>,
-    /// Total edge cost: class cost + capped observed latency.
+    /// Edge cost: the class cost for graphs the router builds; synthetic
+    /// landscapes ([`VersionGraph::from_edges`]) may set any cost.
     pub cost_us: u64,
 }
 
@@ -233,7 +255,7 @@ impl VersionGraph {
 }
 
 /// The route chosen for one `(from, to)` request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutePlan {
     /// Requested source node.
     pub from: DialectVersion,
@@ -496,11 +518,13 @@ static COMPOSED: AtomicU64 = AtomicU64::new(0);
 static COMPOSED_CACHED: AtomicU64 = AtomicU64::new(0);
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static MAX_HOPS: AtomicU64 = AtomicU64::new(0);
+static GRAPH_BUILDS: AtomicU64 = AtomicU64::new(0);
+static STORE_PROBES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-lifetime router counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
-    /// Route plans computed.
+    /// Route plans requested (memoized or computed).
     pub plans: u64,
     /// Acquisitions answered by a direct (≤1 hop) route.
     pub direct: u64,
@@ -513,6 +537,10 @@ pub struct RouterStats {
     pub fallbacks: u64,
     /// Longest hop count acquired so far.
     pub max_hops: u64,
+    /// Version graphs built (at most one per router per route epoch).
+    pub graph_builds: u64,
+    /// Store files stat-ed while classifying edges during graph builds.
+    pub store_probes: u64,
 }
 
 /// Snapshot of the router counters.
@@ -524,6 +552,8 @@ pub fn router_stats() -> RouterStats {
         composed_cached: COMPOSED_CACHED.load(Ordering::Relaxed),
         fallbacks: FALLBACKS.load(Ordering::Relaxed),
         max_hops: MAX_HOPS.load(Ordering::Relaxed),
+        graph_builds: GRAPH_BUILDS.load(Ordering::Relaxed),
+        store_probes: STORE_PROBES.load(Ordering::Relaxed),
     }
 }
 
@@ -536,6 +566,8 @@ pub fn reset_router_stats() {
         &COMPOSED_CACHED,
         &FALLBACKS,
         &MAX_HOPS,
+        &GRAPH_BUILDS,
+        &STORE_PROBES,
     ] {
         c.store(0, Ordering::Relaxed);
     }
@@ -545,11 +577,58 @@ fn note_max_hops(hops: u64) {
     MAX_HOPS.fetch_max(hops, Ordering::Relaxed);
 }
 
+/// Whether a store file exists, counted as one store probe.
+fn store_has(path: &Path) -> bool {
+    STORE_PROBES.fetch_add(1, Ordering::Relaxed);
+    path.exists()
+}
+
+// ---- route epoch ----------------------------------------------------------
+
+/// Bumped (`AcqRel`) *after* each class-changing state change; loaded
+/// (`Acquire`) *before* a graph build reads that state. A build that loads
+/// a bumped value therefore sees the change, and one that loads an older
+/// value is tagged with it and rebuilt at the next plan.
+static ROUTE_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// The current route epoch: how many events that can change an edge's
+/// class this process has seen (see the module docs).
+fn route_epoch() -> u64 {
+    ROUTE_EPOCH.load(Ordering::Acquire)
+}
+
+/// Starts a new route epoch, so every router rebuilds its graph at its
+/// next plan. The caches, the store and [`crate::set_active_store`] call
+/// this *after* their state changed; call it directly only for a change
+/// this process cannot see, such as store entries written by another
+/// process.
+pub fn bump_route_epoch() {
+    ROUTE_EPOCH.fetch_add(1, Ordering::AcqRel);
+}
+
+/// One router's memo: the graph of one route epoch and every plan made
+/// over it. Both are tagged by `epoch`, read before the graph was built,
+/// so a bump that races the build leaves the memo stale, not wrong.
+#[derive(Default)]
+struct RouteMemo {
+    epoch: u64,
+    graph: Option<Arc<VersionGraph>>,
+    plans: HashMap<(DialectVersion, DialectVersion), Option<RoutePlan>>,
+}
+
+impl RouteMemo {
+    /// The graph, when it was built in `epoch`.
+    fn graph_at(&self, epoch: u64) -> Option<&Arc<VersionGraph>> {
+        self.graph.as_ref().filter(|_| self.epoch == epoch)
+    }
+}
+
 /// The version-graph router. One instance per engine / CLI invocation;
 /// the counters it bumps are process-global so `STATS` can report them.
 pub struct Router {
     nodes: Vec<DialectVersion>,
     corpora: Mutex<PairMap<(Arc<Vec<OracleTest>>, u64)>>,
+    memo: RwLock<RouteMemo>,
     composed: Mutex<HashMap<(DialectVersion, DialectVersion), Arc<ComposedTranslator>>>,
 }
 
@@ -587,6 +666,7 @@ impl Router {
         Router {
             nodes,
             corpora: Mutex::new(HashMap::new()),
+            memo: RwLock::new(RouteMemo::default()),
             composed: Mutex::new(HashMap::new()),
         }
     }
@@ -597,11 +677,10 @@ impl Router {
         self.corpus_with_fingerprint(from, to).0
     }
 
-    /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`].
-    /// The fingerprint is hashed once per pair per router, not per plan —
-    /// [`Router::graph`] probes every catalog edge on every call, and
-    /// re-hashing ~n² corpora per request was the serving hot path's
-    /// dominant cost.
+    /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`],
+    /// hashed once per pair per router: a graph build classifies every
+    /// Siro edge by it, and every Siro hop of a chain names its store
+    /// entry by it.
     fn corpus_with_fingerprint(
         &self,
         from: IrVersion,
@@ -614,30 +693,6 @@ impl Router {
             (corpus, fp)
         });
         (Arc::clone(corpus), *fp)
-    }
-
-    fn observed_latencies() -> HashMap<(DialectVersion, DialectVersion), u64> {
-        let mut sums: HashMap<(DialectVersion, DialectVersion), (u64, u64)> = HashMap::new();
-        for span in siro_trace::snapshot().spans {
-            if span.name != "route.hop" && span.name != "serve.translate" {
-                continue;
-            }
-            // Details look like `13.0->3.6` or `wir1.0->wir2.0`
-            // (route.hop), or `13.0->3.6 synthesized` (serve.translate).
-            let pair_str = span.detail.split(' ').next().unwrap_or("");
-            let Some((a, b)) = pair_str.split_once("->") else {
-                continue;
-            };
-            let (Ok(a), Ok(b)) = (a.parse::<DialectVersion>(), b.parse::<DialectVersion>()) else {
-                continue;
-            };
-            let e = sums.entry((a, b)).or_insert((0, 0));
-            e.0 += span.dur_ns / 1_000;
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(pair, (total_us, n))| (pair, total_us / n.max(1)))
-            .collect()
     }
 
     /// Classifies one potential edge, or `None` when the pair has no edge
@@ -658,7 +713,8 @@ impl Router {
                 let config = SynthesisConfig::new(sa, sb);
                 Some(if TranslatorCache::is_warm_fingerprint(&config, fp) {
                     EdgeClass::Hot
-                } else if store.is_some_and(|s| s.entry_path(&StoreKey::new(&config, fp)).exists())
+                } else if store
+                    .is_some_and(|s| store_has(&s.entry_path(&StoreKey::new(&config, fp))))
                 {
                     EdgeClass::Warm
                 } else {
@@ -669,7 +725,7 @@ impl Router {
                 let (wa, wb) = (as_wir(a)?, as_wir(b)?);
                 Some(if wir_pair_is_hot(wa, wb) {
                     EdgeClass::Hot
-                } else if store.is_some_and(|s| s.named_path(&wir_store_name(wa, wb)).exists()) {
+                } else if store.is_some_and(|s| store_has(&s.named_path(&wir_store_name(wa, wb)))) {
                     EdgeClass::Warm
                 } else {
                     EdgeClass::Cold
@@ -680,12 +736,11 @@ impl Router {
         }
     }
 
-    /// Snapshots the version graph: classifies every edge against the
-    /// in-memory caches and the attached store, and folds in observed
-    /// per-hop latencies from the trace collector.
-    pub fn graph(&self) -> VersionGraph {
+    /// Classifies every edge against the in-memory caches and the attached
+    /// store.
+    fn build_graph(&self) -> VersionGraph {
+        GRAPH_BUILDS.fetch_add(1, Ordering::Relaxed);
         let store = active_store();
-        let observed = Self::observed_latencies();
         let mut edges = HashMap::new();
         for &a in &self.nodes {
             for &b in &self.nodes {
@@ -695,21 +750,13 @@ impl Router {
                 let Some(class) = self.classify_edge(a, b, store.as_deref()) else {
                     continue;
                 };
-                let class_cost = match class {
-                    EdgeClass::Hot => COST_HOT_US,
-                    EdgeClass::Warm => COST_WARM_US,
-                    EdgeClass::Cold => COST_COLD_US,
-                };
-                let observed_us = observed.get(&(a, b)).copied();
-                let cost_us = class_cost + observed_us.unwrap_or(0).min(OBSERVED_CAP_US);
                 edges.insert(
                     (a, b),
                     EdgeInfo {
                         from: a,
                         to: b,
                         class,
-                        observed_us,
-                        cost_us,
+                        cost_us: class.cost_us(),
                     },
                 );
             }
@@ -720,9 +767,44 @@ impl Router {
         }
     }
 
-    /// Plans the cheapest route for `(from, to)` over a fresh graph
-    /// snapshot. `None` when either endpoint is off-catalog or no path
-    /// exists (including cross-dialect requests with no anchor bridge).
+    /// The current route epoch and its graph, built on the first call of
+    /// the epoch.
+    fn snapshot(&self) -> (u64, Arc<VersionGraph>) {
+        let epoch = route_epoch();
+        if let Some(graph) = self
+            .memo
+            .read()
+            .expect("router memo poisoned")
+            .graph_at(epoch)
+        {
+            return (epoch, Arc::clone(graph));
+        }
+        let mut memo = self.memo.write().expect("router memo poisoned");
+        // Another thread may have built the graph while this one waited.
+        let epoch = route_epoch();
+        if let Some(graph) = memo.graph_at(epoch) {
+            return (epoch, Arc::clone(graph));
+        }
+        let graph = Arc::new(self.build_graph());
+        *memo = RouteMemo {
+            epoch,
+            graph: Some(Arc::clone(&graph)),
+            plans: HashMap::new(),
+        };
+        (epoch, graph)
+    }
+
+    /// The version graph of the current route epoch: every edge
+    /// classified against the in-memory caches and the attached store.
+    /// Built at most once per epoch; later calls share the snapshot.
+    pub fn graph(&self) -> Arc<VersionGraph> {
+        self.snapshot().1
+    }
+
+    /// Plans the cheapest route for `(from, to)`, memoized per route
+    /// epoch. `None` when either endpoint is off this router's node set
+    /// or no path exists (including cross-dialect requests with no anchor
+    /// bridge).
     pub fn plan(
         &self,
         from: impl Into<DialectVersion>,
@@ -731,9 +813,27 @@ impl Router {
         let (from, to) = (from.into(), to.into());
         PLANS.fetch_add(1, Ordering::Relaxed);
         siro_trace::counter("route.plans", 1);
-        let sp = siro_trace::span!("route.plan", "{from}->{to}");
-        let plan = self.graph().cheapest_path(from, to);
-        drop(sp);
+        // Off-node endpoints are answered without the memo, so requests
+        // naming arbitrary versions cannot grow it.
+        if !self.nodes.contains(&from) || !self.nodes.contains(&to) {
+            return None;
+        }
+        let _sp = siro_trace::span!("route.plan", "{from}->{to}");
+        let epoch = route_epoch();
+        {
+            let memo = self.memo.read().expect("router memo poisoned");
+            if memo.epoch == epoch {
+                if let Some(plan) = memo.plans.get(&(from, to)) {
+                    return plan.clone();
+                }
+            }
+        }
+        let (epoch, graph) = self.snapshot();
+        let plan = graph.cheapest_path(from, to);
+        let mut memo = self.memo.write().expect("router memo poisoned");
+        if memo.epoch == epoch {
+            memo.plans.insert((from, to), plan.clone());
+        }
         plan
     }
 
@@ -765,8 +865,13 @@ impl Router {
         to: impl Into<DialectVersion>,
     ) -> Result<Acquired, SynthError> {
         self.acquire_with(from.into(), to.into(), &|a, b, tests| {
-            TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(a, b), tests)
-                .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
+            let (_, fingerprint) = self.corpus_with_fingerprint(a, b);
+            TranslatorCache::lookup_or_synthesize_fingerprint(
+                SynthesisConfig::new(a, b),
+                tests,
+                fingerprint,
+            )
+            .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
         })
     }
 
@@ -890,16 +995,14 @@ impl Router {
                     edge.from.as_siro().expect("siro edge"),
                     edge.to.as_siro().expect("siro edge"),
                 );
-                let corpus = self.corpus(a, b);
+                let (corpus, fp) = self.corpus_with_fingerprint(a, b);
                 let (outcome, fresh) = resolve(a, b, &corpus)?;
-                let config = SynthesisConfig::new(a, b);
-                let fp = crate::cache::corpus_fingerprint(&corpus);
                 (
                     ComposedHop {
                         from: edge.from,
                         to: edge.to,
                         kind: HopKind::Siro(outcome),
-                        entry_file: StoreKey::new(&config, fp).file_name(),
+                        entry_file: StoreKey::new(&SynthesisConfig::new(a, b), fp).file_name(),
                     },
                     fresh,
                 )
@@ -1007,11 +1110,10 @@ impl Router {
         let mut edges = Vec::with_capacity(path.len() - 1);
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let corpus = self.corpus(a, b);
-            let lookup =
-                TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(a, b), &corpus)?;
+            let (corpus, fp) = self.corpus_with_fingerprint(a, b);
             let config = SynthesisConfig::new(a, b);
-            let fp = crate::cache::corpus_fingerprint(&corpus);
+            let lookup =
+                TranslatorCache::lookup_or_synthesize_fingerprint(config.clone(), &corpus, fp)?;
             hops.push(ComposedHop {
                 from: a.into(),
                 to: b.into(),
@@ -1022,7 +1124,6 @@ impl Router {
                 from: a.into(),
                 to: b.into(),
                 class: EdgeClass::Hot,
-                observed_us: None,
                 cost_us: COST_HOT_US,
             });
         }
@@ -1058,7 +1159,7 @@ fn anchor_class(s: IrVersion, w: WirVersion, store: Option<&TranslatorStore>) ->
     }
     Some(if bridge_is_hot(s, w) {
         EdgeClass::Hot
-    } else if store.is_some_and(|st| st.named_path(&bridge_store_name(s, w)).exists()) {
+    } else if store.is_some_and(|st| store_has(&st.named_path(&bridge_store_name(s, w)))) {
         EdgeClass::Warm
     } else {
         EdgeClass::Cold
@@ -1128,7 +1229,6 @@ mod tests {
             from: from.into(),
             to: to.into(),
             class,
-            observed_us: None,
             cost_us,
         };
         let (a, m, b) = (IrVersion::V13_0, IrVersion::V12_0, IrVersion::V3_6);
@@ -1152,7 +1252,6 @@ mod tests {
             from: from.into(),
             to: to.into(),
             class: EdgeClass::Hot,
-            observed_us: None,
             cost_us,
         };
         let (a, m, b) = (IrVersion::V13_0, IrVersion::V12_0, IrVersion::V3_6);

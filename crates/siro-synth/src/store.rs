@@ -852,6 +852,7 @@ impl TranslatorStore {
                 break;
             }
             if fs::remove_file(&entry.path).is_ok() {
+                crate::router::bump_route_epoch();
                 report.removed += 1;
                 report.bytes_after -= entry.bytes;
                 siro_trace::counter("store.gc_removed", 1);
@@ -911,7 +912,8 @@ impl TranslatorStore {
     /// The one writer behind every store file: write `bytes` to a unique
     /// temp file in the store directory, fsync it, and rename it over
     /// `name`, so a reader sees the old file or the new one, never a torn
-    /// hybrid.
+    /// hybrid. A written file can turn an edge warm, so it starts a new
+    /// route epoch.
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         let tmp_path = self.config.dir.join(format!(
             ".{name}.{}.{}.tmp",
@@ -924,8 +926,11 @@ impl TranslatorStore {
             f.sync_all()?;
             fs::rename(&tmp_path, self.config.dir.join(name))
         })();
-        if write.is_err() {
-            let _ = fs::remove_file(&tmp_path);
+        match write {
+            Ok(()) => crate::router::bump_route_epoch(),
+            Err(_) => {
+                let _ = fs::remove_file(&tmp_path);
+            }
         }
         write
     }
@@ -997,12 +1002,15 @@ fn active_cell() -> &'static Mutex<Option<Arc<TranslatorStore>>> {
 
 /// Attaches (or, with `None`, detaches) the process-wide store consulted
 /// by [`crate::cache::TranslatorCache::lookup_or_synthesize`]. Returns the
-/// previously attached store.
+/// previously attached store. Starts a new route epoch: which edges are
+/// warm depends on the store.
 pub fn set_active_store(store: Option<Arc<TranslatorStore>>) -> Option<Arc<TranslatorStore>> {
-    std::mem::replace(
+    let previous = std::mem::replace(
         &mut *active_cell().lock().expect("active store poisoned"),
         store,
-    )
+    );
+    crate::router::bump_route_epoch();
+    previous
 }
 
 /// The currently attached store, if any.

@@ -578,6 +578,16 @@ pub fn wir_pair_is_hot(from: WirVersion, to: WirVersion) -> bool {
 /// Drops every memoized WIR translator (tests).
 pub fn reset_wir_cache() {
     wir_cache().lock().expect("wir cache poisoned").clear();
+    crate::router::bump_route_epoch();
+}
+
+/// Memoizes a WIR translator; its edge turns hot, so routes replan.
+fn insert_wir(from: WirVersion, to: WirVersion, outcome: &Arc<WirOutcome>) {
+    wir_cache()
+        .lock()
+        .expect("wir cache poisoned")
+        .insert((from, to), Arc::clone(outcome));
+    crate::router::bump_route_epoch();
 }
 
 /// Memoized acquisition: process cache, then the active store's `.sirw`
@@ -606,10 +616,7 @@ pub fn wir_translator_cached(
                         translator: t,
                         stats: WirSynthStats::default(),
                     });
-                    wir_cache()
-                        .lock()
-                        .expect("wir cache poisoned")
-                        .insert((from, to), Arc::clone(&outcome));
+                    insert_wir(from, to, &outcome);
                     siro_trace::counter("wir.store_hits", 1);
                     return Ok((outcome, false));
                 }
@@ -620,10 +627,7 @@ pub fn wir_translator_cached(
     if let Some(store) = active_store() {
         let _ = store.save_named(&wir_store_name(from, to), &outcome.translator.render());
     }
-    wir_cache()
-        .lock()
-        .expect("wir cache poisoned")
-        .insert((from, to), Arc::clone(&outcome));
+    insert_wir(from, to, &outcome);
     Ok((outcome, true))
 }
 

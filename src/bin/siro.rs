@@ -196,6 +196,34 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Rejects every argument of `siro <cmd>` that is not one of its flags:
+/// each of `valued` takes the next argument as its value, each of
+/// `switches` stands alone. A misspelled or removed flag must fail, not
+/// run the command without it.
+fn check_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if valued.contains(&a) {
+            if rest.next().is_none() {
+                return Err(format!("`{a}` needs a value (siro {cmd})"));
+            }
+        } else if !switches.contains(&a) {
+            let what = if a.starts_with('-') {
+                "unknown flag"
+            } else {
+                "unexpected argument"
+            };
+            return Err(format!("{what} `{a}` for `siro {cmd}` (try `siro help`)"));
+        }
+    }
+    Ok(())
+}
+
 fn positional(args: &[String]) -> Vec<&str> {
     let mut out = Vec::new();
     let mut skip = false;
@@ -425,6 +453,21 @@ fn cmd_translate_remote(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--addr",
+            "--threads",
+            "--queue",
+            "--store",
+            "--store-validation",
+            "--store-max-bytes",
+            "--admission-rps",
+            "--admission-burst",
+        ],
+        &[],
+    )?;
     let mut config = ServeConfig::default();
     if let Some(addr) = flag_value(args, "--addr") {
         config.addr = addr.to_string();
@@ -611,6 +654,12 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: siro route <plan|matrix> [--from <ver> --to <ver>] \
                          [--store <dir>] [--dialects]";
     let sub = args.first().map(String::as_str).ok_or(USAGE)?;
+    check_flags(
+        &format!("route {sub}"),
+        &args[1..],
+        &["--from", "--to", "--store"],
+        &["--dialects"],
+    )?;
     let previous = match flag_value(args, "--store") {
         Some(dir) => {
             let store = TranslatorStore::open(StoreConfig {
@@ -639,12 +688,8 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
                 Some(plan) => {
                     println!("{}", plan.describe());
                     for hop in &plan.hops {
-                        let observed = hop
-                            .observed_us
-                            .map(|us| format!(", observed {us}us"))
-                            .unwrap_or_default();
                         println!(
-                            "  {} -> {}: {} (cost {}us{observed})",
+                            "  {} -> {}: {} (cost {}us)",
                             hop.from, hop.to, hop.class, hop.cost_us
                         );
                     }
