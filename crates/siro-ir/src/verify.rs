@@ -80,14 +80,16 @@ impl Verifier<'_> {
     }
 
     fn run(&mut self) {
-        let mut names = HashSet::new();
-        for f in &self.module.funcs {
-            if !names.insert(f.name.clone()) {
+        let module = self.module;
+        let mut names: HashSet<&str> =
+            HashSet::with_capacity(module.funcs.len() + module.globals.len());
+        for f in &module.funcs {
+            if !names.insert(&f.name) {
                 self.report(format!("duplicate function name `{}`", f.name));
             }
         }
-        for g in &self.module.globals {
-            if !names.insert(g.name.clone()) {
+        for g in &module.globals {
+            if !names.insert(&g.name) {
                 self.report(format!("duplicate symbol name `{}`", g.name));
             }
         }
@@ -107,7 +109,9 @@ impl Verifier<'_> {
             self.report(format!("function `{}` (#{idx}) has no blocks", f.name));
             return;
         }
-        let mut seen_inst = HashSet::new();
+        // Indexed by instruction id; dangling ids are reported (and
+        // skipped) before this is read.
+        let mut seen_inst = vec![false; f.insts.len()];
         for (bi, block) in f.blocks.iter().enumerate() {
             let bid = BlockId::new(bi as u32);
             if block.insts.is_empty() {
@@ -119,7 +123,7 @@ impl Verifier<'_> {
                     self.report(format!("{}: dangling instruction id {:?}", f.name, iid));
                     continue;
                 }
-                if !seen_inst.insert(iid) {
+                if std::mem::replace(&mut seen_inst[iid.index()], true) {
                     self.report(format!(
                         "{}: instruction {:?} appears in more than one block",
                         f.name, iid
