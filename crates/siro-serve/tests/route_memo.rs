@@ -13,9 +13,9 @@ use std::time::Duration;
 use siro_ir::{DialectVersion, IrVersion};
 use siro_serve::{metrics_value, stats_value, Client, ServeConfig, TranslateMode};
 use siro_synth::{
-    active_store, bridge_cached, oracle_corpus, reset_bridge_cache, reset_wir_cache, router_stats,
-    set_active_store, wir_translator_cached, OracleTest, Router, StoreConfig, StoreKey,
-    SynthesisConfig, TranslatorCache, TranslatorStore,
+    active_store, bridge_cached, corpus_fingerprint, oracle_corpus, reset_bridge_cache,
+    reset_wir_cache, router_stats, set_active_store, wir_translator_cached, OracleTest, Router,
+    StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
 };
 use siro_wir::WirVersion;
 
@@ -135,7 +135,11 @@ fn hot_requests_reuse_the_graph_and_each_bump_site_rebuilds_it() {
     });
     TranslatorCache::reset();
     rebuilds("warm_from_store", &mut || {
-        assert!(TranslatorCache::warm_from_store(&config, &corpus));
+        assert!(TranslatorCache::warm_from_store(
+            &config,
+            &corpus,
+            corpus_fingerprint(&corpus)
+        ));
     });
     rebuilds("a fresh synthesis", &mut || {
         let lookup = TranslatorCache::lookup_or_synthesize(
