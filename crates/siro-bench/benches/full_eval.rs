@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use siro_bench::{banner, oracle_tests, synthesize_pairs};
+use siro_bench::{banner, synthesize_pairs};
 use siro_ir::IrVersion;
 use siro_synth::{SynthesisConfig, Synthesizer, TranslatorCache};
 
@@ -42,7 +42,7 @@ fn main() {
     TranslatorCache::reset();
     let t0 = Instant::now();
     for &(src, tgt) in &PAIRS {
-        let tests = oracle_tests(src, tgt);
+        let tests = siro_synth::oracle_corpus(src, tgt);
         Synthesizer::new(SynthesisConfig::new(src, tgt))
             .synthesize(&tests)
             .unwrap_or_else(|e| panic!("sequential {src} -> {tgt}: {e}"));

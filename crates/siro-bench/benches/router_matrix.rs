@@ -162,11 +162,12 @@ fn main() {
                 )
             }
         };
+        let corpus = siro_synth::pair_corpus(a, b);
         let direct_outcome =
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &router.corpus(a, b))
+            TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &corpus)
                 .unwrap_or_else(|e| panic!("direct synthesis {a} -> {b}: {e}"));
         let skeleton = Skeleton::new(b);
-        for test in router.corpus(a, b).iter() {
+        for test in corpus.iter() {
             let via_chain = chain.translate_module(&test.module);
             let via_direct = skeleton.translate_module(&test.module, &direct_outcome.translator);
             let (c, d) = match (via_chain, via_direct) {

@@ -6,7 +6,7 @@
 //!    the paper's 24 h timeout with 13,000,000 translators pending;
 //! 3. optimization III versus five random test orders.
 
-use siro_bench::{banner, oracle_tests};
+use siro_bench::banner;
 use siro_ir::IrVersion;
 use siro_rng::seq::SliceRandom;
 use siro_rng::SeedableRng;
@@ -15,7 +15,7 @@ use siro_synth::{GenLimits, SynthesisConfig, Synthesizer, TypeGraph};
 fn main() {
     banner("RQ3 - ablation study (13.0 -> 3.6)");
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let tests = oracle_tests(src, tgt);
+    let tests = siro_synth::oracle_corpus(src, tgt);
 
     // -- 1. Without per-test translators -------------------------------
     let registry = siro_api::ApiRegistry::for_pair(src, tgt);

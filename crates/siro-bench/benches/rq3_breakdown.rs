@@ -8,12 +8,12 @@
 
 use std::time::Instant;
 
-use siro_bench::{banner, oracle_tests, perf::SynthRecord, synthesize_pair};
+use siro_bench::{banner, perf::SynthRecord, synthesize_pair};
 use siro_ir::IrVersion;
 
 fn main() {
     banner("RQ3 - synthesis time breakdown (13.0 -> 3.6, base corpus)");
-    let tests: Vec<_> = oracle_tests(IrVersion::V13_0, IrVersion::V3_6);
+    let tests: Vec<_> = siro_synth::oracle_corpus(IrVersion::V13_0, IrVersion::V3_6);
     println!("test cases: {}", tests.len());
     let t0 = Instant::now();
     let outcome =

@@ -29,21 +29,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use siro_ir::IrVersion;
-use siro_synth::{OracleTest, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
+use siro_synth::{oracle_corpus, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
 
 pub mod perf;
-
-/// Converts the corpus cases usable for a pair into synthesizer inputs.
-pub fn oracle_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro_testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
 
 /// A synthesis failure tagged with the version pair it belongs to, so a
 /// failing multi-pair run names the culprit.
@@ -80,7 +68,7 @@ impl std::error::Error for PairError {
 ///
 /// Returns a [`PairError`] naming the pair when synthesis fails.
 pub fn synthesize_pair(src: IrVersion, tgt: IrVersion) -> Result<Arc<SynthesisOutcome>, PairError> {
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     TranslatorCache::get_or_synthesize(SynthesisConfig::new(src, tgt), &tests).map_err(|error| {
         PairError {
             source: src,
@@ -97,7 +85,7 @@ pub fn synthesize_pair(src: IrVersion, tgt: IrVersion) -> Result<Arc<SynthesisOu
 ///
 /// Propagates [`SynthError`].
 pub fn synthesize_with(config: SynthesisConfig) -> Result<Arc<SynthesisOutcome>, SynthError> {
-    let tests = oracle_tests(config.source, config.target);
+    let tests = oracle_corpus(config.source, config.target);
     TranslatorCache::get_or_synthesize(config, &tests)
 }
 
@@ -119,7 +107,7 @@ pub fn synthesize_pairs(
                 .iter()
                 .map(|&(src, tgt)| {
                     scope.spawn(move || {
-                        let tests = oracle_tests(src, tgt);
+                        let tests = oracle_corpus(src, tgt);
                         let t0 = Instant::now();
                         let lookup = TranslatorCache::lookup_or_synthesize(
                             SynthesisConfig::new(src, tgt),

@@ -25,7 +25,8 @@ use siro_ir::{
     verify, write, IrVersion, Module,
 };
 use siro_synth::{
-    OracleTest, Router, SynthError, SynthFault, SynthesisConfig, SynthesisOutcome, TranslatorCache,
+    oracle_corpus, Router, SynthError, SynthFault, SynthesisConfig, SynthesisOutcome,
+    TranslatorCache,
 };
 
 /// Default interpreter fuel for oracle runs.
@@ -165,19 +166,6 @@ pub struct ChainSet {
     pub fault: Option<SynthFault>,
 }
 
-/// Converts the hand-written corpus usable for a pair into synthesis
-/// oracle tests built at `src`.
-pub fn corpus_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro_testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
-
 /// Catalog intermediates for `(src, tgt)` ranked the way the router
 /// ranks them: by the summed edge cost of the two-hop decomposition
 /// `src → mid → tgt` under the router's *current* cost landscape (cache
@@ -244,7 +232,7 @@ impl ChainSet {
         let leg = |a: IrVersion, b: IrVersion| {
             let mut cfg = SynthesisConfig::new(a, b);
             cfg.fault = fault;
-            TranslatorCache::get_or_synthesize(cfg, &corpus_tests(a, b))
+            TranslatorCache::get_or_synthesize(cfg, &oracle_corpus(a, b))
         };
         Ok(ChainSet {
             src,

@@ -6,12 +6,13 @@
 //! key serialize and the losers adopt the winner's outcome. This module
 //! adds the serving-side bookkeeping on top:
 //!
-//! * the oracle corpus for a pair is built and fingerprinted once and
-//!   reused (building or fingerprinting it per request would re-render
-//!   every corpus module per call);
 //! * per-pair counters (`syntheses`, `coalesced`) make the coalescing
 //!   observable — the e2e test asserts `syntheses == 1` after a stampede,
 //!   and `STATS` exposes the totals.
+//!
+//! The coalescer keeps no corpus: each lookup reads the pair's shared
+//! corpus and fingerprint from [`siro_synth::corpus`], the copy the
+//! routers hand their resolvers too.
 //!
 //! The pair map is **sharded** [`COALESCE_SHARDS`] ways by pair hash,
 //! mirroring the sharded `TranslatorCache`: concurrent requests for
@@ -23,12 +24,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use siro_ir::IrVersion;
 use siro_synth::{
-    corpus_fingerprint, oracle_corpus, OracleTest, SynthError, SynthesisConfig, SynthesisOutcome,
-    TranslatorCache,
+    pair_corpus, pair_fingerprint, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache,
 };
 
 /// Observable per-pair counters.
@@ -41,16 +41,10 @@ struct PairCounters {
     coalesced: AtomicU64,
 }
 
-struct PairState {
-    /// The pair's oracle corpus and its [`corpus_fingerprint`].
-    corpus: OnceLock<(Vec<OracleTest>, u64)>,
-    counters: PairCounters,
-}
-
 /// Number of independent pair-map shards (power of two).
 pub const COALESCE_SHARDS: usize = 8;
 
-type PairMap = HashMap<(IrVersion, IrVersion), Arc<PairState>>;
+type PairMap = HashMap<(IrVersion, IrVersion), Arc<PairCounters>>;
 
 /// Coalesces translator acquisition per `(source, target)` pair.
 pub struct PairCoalescer {
@@ -106,14 +100,9 @@ impl PairCoalescer {
             .collect()
     }
 
-    fn state(&self, pair: (IrVersion, IrVersion)) -> Arc<PairState> {
+    fn counters(&self, pair: (IrVersion, IrVersion)) -> Arc<PairCounters> {
         let mut map = self.shard(pair).lock().expect("coalescer poisoned");
-        Arc::clone(map.entry(pair).or_insert_with(|| {
-            Arc::new(PairState {
-                corpus: OnceLock::new(),
-                counters: PairCounters::default(),
-            })
-        }))
+        Arc::clone(map.entry(pair).or_default())
     }
 
     /// Returns the (memoized) synthesized translator for `source -> target`,
@@ -128,22 +117,17 @@ impl PairCoalescer {
         source: IrVersion,
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
-        let state = self.state((source, target));
-        let (corpus, fingerprint) = state.corpus.get_or_init(|| {
-            let corpus = oracle_corpus(source, target);
-            let fingerprint = corpus_fingerprint(&corpus);
-            (corpus, fingerprint)
-        });
+        let counters = self.counters((source, target));
         let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
             SynthesisConfig::new(source, target),
-            corpus,
-            *fingerprint,
+            &pair_corpus(source, target),
+            pair_fingerprint(source, target),
         )?;
         if lookup.fresh {
-            state.counters.syntheses.fetch_add(1, Ordering::Relaxed);
+            counters.syntheses.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_fresh", 1);
         } else {
-            state.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            counters.coalesced.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.coalesce_joined", 1);
         }
         Ok(CoalescedLookup {
@@ -152,32 +136,15 @@ impl PairCoalescer {
         })
     }
 
-    /// Gives the pair its serving corpus (`oracle_corpus(source, target)`)
-    /// and that corpus's fingerprint, built by the caller (warm start), so
-    /// that [`PairCoalescer::translator_for`] need not build them again. A
-    /// pair that already holds its corpus keeps it.
-    pub(crate) fn set_corpus(
-        &self,
-        source: IrVersion,
-        target: IrVersion,
-        corpus: Vec<OracleTest>,
-        fingerprint: u64,
-    ) {
-        let _ = self
-            .state((source, target))
-            .corpus
-            .set((corpus, fingerprint));
-    }
-
     /// Counters for one pair: `(syntheses, coalesced)`.
     pub fn pair_counters(&self, source: IrVersion, target: IrVersion) -> (u64, u64) {
         let pair = (source, target);
         let map = self.shard(pair).lock().expect("coalescer poisoned");
         map.get(&pair)
-            .map(|s| {
+            .map(|c| {
                 (
-                    s.counters.syntheses.load(Ordering::Relaxed),
-                    s.counters.coalesced.load(Ordering::Relaxed),
+                    c.syntheses.load(Ordering::Relaxed),
+                    c.coalesced.load(Ordering::Relaxed),
                 )
             })
             .unwrap_or((0, 0))
@@ -190,9 +157,9 @@ impl PairCoalescer {
         let mut t = CoalesceTotals::default();
         for map in &guards {
             t.pairs += map.len() as u64;
-            for s in map.values() {
-                t.syntheses += s.counters.syntheses.load(Ordering::Relaxed);
-                t.coalesced += s.counters.coalesced.load(Ordering::Relaxed);
+            for c in map.values() {
+                t.syntheses += c.syntheses.load(Ordering::Relaxed);
+                t.coalesced += c.coalesced.load(Ordering::Relaxed);
             }
         }
         t

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use siro_core::{ReferenceTranslator, Skeleton};
-use siro_ir::DialectVersion;
+use siro_ir::{DialectVersion, IrVersion};
 use siro_synth::{RouteOutcome, Router};
 use siro_wir::AnyModule;
 
@@ -94,7 +94,9 @@ impl Engine {
     /// whether reference mode serves (Siro pairs only), and the error code
     /// of a failed acquire. Unbridgeable pairs answer `Unsupported` — the
     /// dialect router reports them unreachable rather than planning a
-    /// bogus chain.
+    /// bogus chain. So does a Siro version outside [`IrVersion::CATALOG`],
+    /// before anything is parsed or acquired: no request can add a
+    /// translator, a coalescer pair or a store entry beyond the catalog's.
     fn translate(
         &self,
         source: DialectVersion,
@@ -104,6 +106,15 @@ impl Engine {
     ) -> Response {
         let t_start = Instant::now();
         self.metrics.translations.fetch_add(1, Ordering::Relaxed);
+        if let Some(v) = [source, target].into_iter().find(|v| {
+            v.as_siro()
+                .is_some_and(|s| !IrVersion::CATALOG.contains(&s))
+        }) {
+            return err(
+                ErrorCode::Unsupported,
+                format!("Siro version {v} is outside the catalog"),
+            );
+        }
         // `Some(target)` exactly when both endpoints are Siro versions.
         let siro_target = source.as_siro().and(target.as_siro());
         let (router, acquire_code, acquiring) = if siro_target.is_some() {
@@ -243,7 +254,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siro_ir::{parse, write, IrVersion};
+    use siro_ir::{parse, write};
 
     fn engine() -> Engine {
         Engine::new(Arc::new(Metrics::default()))
@@ -432,6 +443,36 @@ mod tests {
             } => assert!(message.contains("no route"), "{message}"),
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn siro_versions_outside_the_catalog_are_refused() {
+        // The cache is process-wide and other tests fill it concurrently,
+        // so the test checks the refused pairs' own keys.
+        let e = engine();
+        let off = IrVersion::new(99, 7);
+        for (source, target) in [(off, IrVersion::V3_6), (IrVersion::V3_6, off)] {
+            let resp = e.execute(&Request::Translate {
+                source: source.into(),
+                target: target.into(),
+                mode: TranslateMode::Synthesized,
+                text: sample_module(source),
+            });
+            match resp {
+                Response::Error {
+                    code: ErrorCode::Unsupported,
+                    message,
+                } => assert!(message.contains("outside the catalog"), "{message}"),
+                other => panic!("expected Unsupported for {source} -> {target}, got {other:?}"),
+            }
+            let config = siro_synth::SynthesisConfig::new(source, target);
+            let fingerprint = siro_synth::pair_fingerprint(source, target);
+            assert!(!siro_synth::TranslatorCache::is_warm_fingerprint(
+                &config,
+                fingerprint
+            ));
+        }
+        assert_eq!(e.coalescer().totals().pairs, 0);
     }
 
     #[test]

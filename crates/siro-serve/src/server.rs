@@ -21,8 +21,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use siro_synth::{
-    corpus_fingerprint, oracle_corpus, set_active_store, StoreConfig, StoreKey, SynthesisConfig,
-    TranslatorCache, TranslatorStore, ValidationMode,
+    pair_corpus, pair_fingerprint, set_active_store, StoreConfig, TranslatorCache, TranslatorStore,
+    ValidationMode,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
@@ -279,17 +279,15 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 
 /// Warm-starts the translator cache from the active persistent store.
 ///
-/// For every readable entry, the outcome is loaded and seeded into the
-/// in-process [`TranslatorCache`] via
-/// [`TranslatorCache::warm_from_store`]. Entries whose key matches the
-/// default serving configuration are additionally primed through the
-/// coalescer so the pair's serving corpus is built up front; that call is
-/// a guaranteed cache hit, so warm start never synthesizes. Unreadable or
-/// corrupt entries are skipped (counted by the store as corrupt) and the
-/// pair falls back to cold synthesis on first request. Last, the Siro
-/// router builds the graph of the current route epoch (every pair's
-/// corpus and fingerprint, every edge classified), so the first request
-/// plans over a memoized graph instead of paying that build.
+/// For every readable entry, the outcome is loaded, validated against the
+/// pair's shared corpus ([`pair_corpus`]) and seeded into the in-process
+/// [`TranslatorCache`] via [`TranslatorCache::warm_from_store`], which
+/// never synthesizes. Unreadable or corrupt entries are skipped (counted
+/// by the store as corrupt) and the pair falls back to cold synthesis on
+/// first request. Last, the Siro router builds the graph of the current
+/// route epoch (every pair's corpus fingerprint, every edge classified),
+/// so the first request plans over a memoized graph instead of paying
+/// that build.
 ///
 /// Returns the number of entries successfully seeded.
 fn warm_start(engine: &Arc<Engine>) -> u64 {
@@ -299,22 +297,10 @@ fn warm_start(engine: &Arc<Engine>) -> u64 {
     let mut loaded = 0u64;
     for entry in store.entries().unwrap_or_default() {
         let Some(key) = entry.key else { continue };
-        // Rendering the corpus to fingerprint it is the costly part; do it
-        // once per entry and hand the result on.
-        let tests = oracle_corpus(key.source, key.target);
-        let fingerprint = corpus_fingerprint(&tests);
-        let config = key.config();
-        if !TranslatorCache::warm_from_store(&config, &tests, fingerprint) {
-            continue;
-        }
-        loaded += 1;
-        let default_key = StoreKey::new(&SynthesisConfig::new(key.source, key.target), fingerprint);
-        if key == default_key {
-            // Hand the serving corpus to the pair; the cache slot is
-            // already populated, so the lookup cannot trigger synthesis.
-            let coalescer = engine.coalescer();
-            coalescer.set_corpus(key.source, key.target, tests, fingerprint);
-            let _ = coalescer.translator_for(key.source, key.target);
+        let tests = pair_corpus(key.source, key.target);
+        let fingerprint = pair_fingerprint(key.source, key.target);
+        if TranslatorCache::warm_from_store(&key.config(), &tests, fingerprint) {
+            loaded += 1;
         }
     }
     engine.router().graph();

@@ -235,9 +235,9 @@ impl TranslatorCache {
 
     /// Like [`TranslatorCache::lookup_or_synthesize`], but with the
     /// [`corpus_fingerprint`] of `tests` precomputed. Fingerprinting
-    /// renders every corpus module, so callers that hold a corpus fixed
-    /// (the serving coalescer, the router's hops) fingerprint it once and
-    /// look up with this.
+    /// renders every corpus module, so callers serving a pair's shared
+    /// corpus (the serving coalescer, the router's hops) pass its
+    /// [`crate::corpus::pair_fingerprint`].
     ///
     /// # Errors
     ///
@@ -322,8 +322,8 @@ impl TranslatorCache {
     /// a corrupt one) just returns `false`. Returns `true` when the slot
     /// is populated — whether by this call or already beforehand — so
     /// callers know a subsequent lookup will hit. `fingerprint` is the
-    /// [`corpus_fingerprint`] of `tests`, which callers (warm start) also
-    /// need for the store key and so compute once.
+    /// [`corpus_fingerprint`] of `tests`; warm start passes the pair's
+    /// [`crate::corpus::pair_fingerprint`].
     pub fn warm_from_store(
         config: &SynthesisConfig,
         tests: &[OracleTest],
@@ -364,19 +364,11 @@ impl TranslatorCache {
         true
     }
 
-    /// Whether the in-memory slot for `(config, tests)` already holds a
-    /// *successful* outcome — no store probe, no synthesis, no counter
-    /// bump. The version-graph router uses this to classify an edge as
-    /// hot (answerable at memory speed) without perturbing the edge.
-    pub fn is_warm(config: &SynthesisConfig, tests: &[OracleTest]) -> bool {
-        Self::is_warm_fingerprint(config, corpus_fingerprint(tests))
-    }
-
-    /// Like [`TranslatorCache::is_warm`], but with a precomputed
-    /// [`corpus_fingerprint`]. The version-graph router probes every
-    /// catalog edge each time it plans, and re-hashing a full corpus per
-    /// probe would dwarf the lookup itself — callers that hold a corpus
-    /// fixed should fingerprint it once and probe with this.
+    /// Whether the in-memory slot for `config` and a corpus with this
+    /// [`corpus_fingerprint`] already holds a *successful* outcome — no
+    /// store probe, no synthesis, no counter bump. The version-graph
+    /// router uses this to classify an edge as hot (answerable at memory
+    /// speed) without perturbing the edge.
     pub fn is_warm_fingerprint(config: &SynthesisConfig, corpus_fingerprint: u64) -> bool {
         let key = CacheKey::with_fingerprint(config, corpus_fingerprint);
         let map = shard_of(&key)

@@ -3256,8 +3256,8 @@ pub fn translate_module_owned_tiered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::oracle_corpus;
     use crate::driver::SynthesisConfig;
-    use crate::store::oracle_corpus;
     use crate::TranslatorCache;
     use siro_api::{ApiId, ApiProgram};
     use siro_core::TranslatorArm;

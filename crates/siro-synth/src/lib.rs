@@ -18,6 +18,8 @@
 //! * [`cache`] — the process-wide [`TranslatorCache`] memoizing finished
 //!   outcomes per `(pair, corpus fingerprint, config)` and the
 //!   [`synthesize_all`] multi-pair fan-out;
+//! * [`corpus`] — each catalog pair's oracle corpus and its fingerprint,
+//!   built once per process and shared by every reader;
 //! * [`persist`] + [`store`] — the on-disk [`TranslatorStore`]: a
 //!   versioned, checksummed binary format persisting outcomes across
 //!   processes, with load-time validation against the oracle corpus and
@@ -58,6 +60,7 @@ pub mod cache;
 pub mod candgen;
 pub mod compile;
 pub mod complete;
+pub mod corpus;
 pub mod driver;
 pub mod persist;
 pub mod pertest;
@@ -82,6 +85,7 @@ pub use compile::{
     compile_stats, reset_compile_stats, translate_module_owned_tiered, translate_module_tiered,
     CompileError, CompileStats, CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
 };
+pub use corpus::{oracle_corpus, pair_corpus, pair_fingerprint};
 pub use driver::{
     resolve_threads, threads_from_override, StageTimings, SynthError, SynthesisConfig,
     SynthesisOutcome, SynthesisReport, Synthesizer, TestStats,
@@ -95,8 +99,8 @@ pub use router::{
     VersionGraph, COST_COLD_US, COST_HOT_US, COST_WARM_US,
 };
 pub use store::{
-    active_store, oracle_corpus, reset_store_stats, set_active_store, store_stats, GcReport,
-    StoreConfig, StoreEntry, StoreKey, StoreStats, TranslatorStore, ValidationMode, VerifyOutcome,
+    active_store, reset_store_stats, set_active_store, store_stats, GcReport, StoreConfig,
+    StoreEntry, StoreKey, StoreStats, TranslatorStore, ValidationMode, VerifyOutcome,
 };
 pub use typegraph::TypeGraph;
 pub use wir::{

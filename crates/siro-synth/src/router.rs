@@ -14,7 +14,7 @@
 //! family are different nodes. Edges come in three kinds:
 //!
 //! * **Siro → Siro** — the synthesized pairwise translator for the pair
-//!   (exists when the pair has an oracle corpus);
+//!   (every ordered pair of Siro nodes; each has an oracle corpus);
 //! * **WIR → WIR** — the synthesized WIR translator
 //!   ([`crate::wir::wir_translator_cached`]; every ordered catalog pair);
 //! * **Siro ↔ WIR** — a validated bridge at one of the
@@ -73,6 +73,13 @@
 //! Composed chains are memoized per process (the router's composed cache)
 //! and never persisted: a new process recomposes a chain from its hops,
 //! whose translators persist in their own store entries.
+//!
+//! ## Corpora
+//!
+//! A router keeps no corpus. A graph build reads each Siro edge's
+//! fingerprint from [`crate::corpus`], and an acquire hands its resolver
+//! the pair's shared corpus from there, so every router in a process
+//! reads the same copy.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -86,10 +93,11 @@ use crate::bridge::{
     bridge_cached, bridge_is_hot, bridge_store_name, is_anchor_pair, BridgeOutcome,
 };
 use crate::cache::{CacheLookup, TranslatorCache};
+use crate::corpus::{pair_corpus, pair_fingerprint};
 use crate::driver::{SynthError, SynthesisConfig, SynthesisOutcome};
 use crate::persist::fnv1a64;
 use crate::pertest::OracleTest;
-use crate::store::{active_store, oracle_corpus, StoreKey, TranslatorStore};
+use crate::store::{active_store, StoreKey, TranslatorStore};
 use crate::wir::{wir_pair_is_hot, wir_store_name, wir_translator_cached, WirOutcome};
 
 /// Cost (µs) of an edge whose translator is in the in-memory cache.
@@ -500,7 +508,8 @@ pub struct Acquired {
 }
 
 /// A hop resolver: returns the translator outcome for one Siro pair plus
-/// whether this call synthesized it. The serving layer passes a
+/// whether this call synthesized it. The tests it gets are the pair's
+/// shared corpus ([`pair_corpus`]). The serving layer passes a
 /// coalescer-backed resolver; the default resolver goes straight to
 /// [`TranslatorCache`]. WIR and bridge hops resolve through their own
 /// process caches and are not routed through this hook.
@@ -627,13 +636,9 @@ impl RouteMemo {
 /// the counters it bumps are process-global so `STATS` can report them.
 pub struct Router {
     nodes: Vec<DialectVersion>,
-    corpora: Mutex<PairMap<(Arc<Vec<OracleTest>>, u64)>>,
     memo: RwLock<RouteMemo>,
     composed: Mutex<HashMap<(DialectVersion, DialectVersion), Arc<ComposedTranslator>>>,
 }
-
-/// Memoization table keyed by an ordered Siro version pair.
-type PairMap<T> = HashMap<(IrVersion, IrVersion), T>;
 
 impl Default for Router {
     fn default() -> Self {
@@ -665,38 +670,15 @@ impl Router {
     pub fn over_dialects(nodes: Vec<DialectVersion>) -> Self {
         Router {
             nodes,
-            corpora: Mutex::new(HashMap::new()),
             memo: RwLock::new(RouteMemo::default()),
             composed: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The memoized oracle corpus for a Siro pair (empty corpus = no
-    /// edge).
-    pub fn corpus(&self, from: IrVersion, to: IrVersion) -> Arc<Vec<OracleTest>> {
-        self.corpus_with_fingerprint(from, to).0
-    }
-
-    /// The memoized corpus *and* its [`crate::cache::corpus_fingerprint`],
-    /// hashed once per pair per router: a graph build classifies every
-    /// Siro edge by it, and every Siro hop of a chain names its store
-    /// entry by it.
-    fn corpus_with_fingerprint(
-        &self,
-        from: IrVersion,
-        to: IrVersion,
-    ) -> (Arc<Vec<OracleTest>>, u64) {
-        let mut map = self.corpora.lock().expect("router corpora poisoned");
-        let (corpus, fp) = map.entry((from, to)).or_insert_with(|| {
-            let corpus = Arc::new(oracle_corpus(from, to));
-            let fp = crate::cache::corpus_fingerprint(&corpus);
-            (corpus, fp)
-        });
-        (Arc::clone(corpus), *fp)
-    }
-
     /// Classifies one potential edge, or `None` when the pair has no edge
-    /// (empty Siro corpus; non-anchor cross-dialect pair).
+    /// (a non-anchor cross-dialect pair). A Siro edge is classified by its
+    /// corpus fingerprint alone ([`pair_fingerprint`]), so a graph build
+    /// keeps no corpus.
     fn classify_edge(
         &self,
         a: DialectVersion,
@@ -706,10 +688,7 @@ impl Router {
         match (a.dialect, b.dialect) {
             (Dialect::Siro, Dialect::Siro) => {
                 let (sa, sb) = (a.as_siro()?, b.as_siro()?);
-                let (corpus, fp) = self.corpus_with_fingerprint(sa, sb);
-                if corpus.is_empty() {
-                    return None;
-                }
+                let fp = pair_fingerprint(sa, sb);
                 let config = SynthesisConfig::new(sa, sb);
                 Some(if TranslatorCache::is_warm_fingerprint(&config, fp) {
                     EdgeClass::Hot
@@ -865,11 +844,10 @@ impl Router {
         to: impl Into<DialectVersion>,
     ) -> Result<Acquired, SynthError> {
         self.acquire_with(from.into(), to.into(), &|a, b, tests| {
-            let (_, fingerprint) = self.corpus_with_fingerprint(a, b);
             TranslatorCache::lookup_or_synthesize_fingerprint(
                 SynthesisConfig::new(a, b),
                 tests,
-                fingerprint,
+                pair_fingerprint(a, b),
             )
             .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
         })
@@ -917,7 +895,7 @@ impl Router {
                 from.as_siro().expect("checked siro"),
                 to.as_siro().expect("checked siro"),
             );
-            let (outcome, fresh) = resolve(sf, st, &self.corpus(sf, st))?;
+            let (outcome, fresh) = resolve(sf, st, &pair_corpus(sf, st))?;
             DIRECT.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("route.direct", 1);
             return Ok(Acquired {
@@ -969,7 +947,7 @@ impl Router {
                     from.as_siro().expect("checked siro"),
                     to.as_siro().expect("checked siro"),
                 );
-                let (outcome, fresh) = resolve(sf, st, &self.corpus(sf, st))?;
+                let (outcome, fresh) = resolve(sf, st, &pair_corpus(sf, st))?;
                 DIRECT.fetch_add(1, Ordering::Relaxed);
                 Ok(Acquired {
                     outcome: RouteOutcome::Direct(outcome),
@@ -995,14 +973,14 @@ impl Router {
                     edge.from.as_siro().expect("siro edge"),
                     edge.to.as_siro().expect("siro edge"),
                 );
-                let (corpus, fp) = self.corpus_with_fingerprint(a, b);
-                let (outcome, fresh) = resolve(a, b, &corpus)?;
+                let (outcome, fresh) = resolve(a, b, &pair_corpus(a, b))?;
+                let key = StoreKey::new(&SynthesisConfig::new(a, b), pair_fingerprint(a, b));
                 (
                     ComposedHop {
                         from: edge.from,
                         to: edge.to,
                         kind: HopKind::Siro(outcome),
-                        entry_file: StoreKey::new(&SynthesisConfig::new(a, b), fp).file_name(),
+                        entry_file: key.file_name(),
                     },
                     fresh,
                 )
@@ -1110,10 +1088,13 @@ impl Router {
         let mut edges = Vec::with_capacity(path.len() - 1);
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let (corpus, fp) = self.corpus_with_fingerprint(a, b);
             let config = SynthesisConfig::new(a, b);
-            let lookup =
-                TranslatorCache::lookup_or_synthesize_fingerprint(config.clone(), &corpus, fp)?;
+            let fp = pair_fingerprint(a, b);
+            let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
+                config.clone(),
+                &pair_corpus(a, b),
+                fp,
+            )?;
             hops.push(ComposedHop {
                 from: a.into(),
                 to: b.into(),
@@ -1271,7 +1252,7 @@ mod tests {
         let (a, m, b) = (IrVersion::V14_0, IrVersion::V12_0, IrVersion::V3_0);
         let r = Router::over(vec![a, m, b]);
         for (s, t) in [(a, m), (m, b)] {
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &r.corpus(s, t))
+            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &pair_corpus(s, t))
                 .expect("hop synthesis");
         }
         let plan = r.plan(a, b).expect("plan");
@@ -1294,7 +1275,7 @@ mod tests {
         let (a, m, b) = (IrVersion::V15_0, IrVersion::V13_0, IrVersion::V4_0);
         let r = Router::over(vec![a, m, b]);
         for (s, t) in [(a, m), (m, b)] {
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &r.corpus(s, t))
+            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &pair_corpus(s, t))
                 .expect("hop synthesis");
         }
         let first = r.acquire(a, b).expect("acquire");
@@ -1312,7 +1293,7 @@ mod tests {
 
         // Composed output equals the direct translator's output.
         let direct =
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &r.corpus(a, b))
+            TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &pair_corpus(a, b))
                 .expect("direct synthesis");
         for case in siro_testcases::corpus_for_pair(a, b).iter().take(8) {
             let module = case.build(a);

@@ -65,6 +65,7 @@ use siro_ir::interp::Machine;
 use siro_ir::{IrVersion, Opcode};
 
 use crate::candgen::GenLimits;
+use crate::corpus::{pair_corpus, pair_fingerprint};
 use crate::driver::{StageTimings, SynthesisConfig, SynthesisOutcome, SynthesisReport, TestStats};
 use crate::persist::{fnv1a64, ByteReader, ByteWriter, DecodeError};
 use crate::pertest::OracleTest;
@@ -619,20 +620,6 @@ pub fn decode_entry(
     })
 }
 
-/// Builds the full oracle corpus for a pair, in the shape synthesis (and
-/// hence store keys) consume. Shared by warm-start, `siro store`, and the
-/// tests so everyone fingerprints the same corpus.
-pub fn oracle_corpus(source: IrVersion, target: IrVersion) -> Vec<OracleTest> {
-    siro_testcases::corpus_for_pair(source, target)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(source),
-            oracle: c.oracle,
-        })
-        .collect()
-}
-
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -954,9 +941,9 @@ impl TranslatorStore {
                 });
                 continue;
             };
-            let tests = oracle_corpus(key.source, key.target);
+            let tests = pair_corpus(key.source, key.target);
             let expected = StoreKey {
-                corpus_fingerprint: crate::cache::corpus_fingerprint(&tests),
+                corpus_fingerprint: pair_fingerprint(key.source, key.target),
                 ..key
             };
             let result = fs::read(&entry.path)

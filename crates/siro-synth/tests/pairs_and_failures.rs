@@ -3,21 +3,10 @@
 
 use siro_core::Skeleton;
 use siro_ir::{interp::Machine, IrVersion};
-use siro_synth::{OracleTest, SynthError, SynthesisConfig, Synthesizer};
-
-fn oracle_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro_testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
+use siro_synth::{oracle_corpus, OracleTest, SynthError, SynthesisConfig, Synthesizer};
 
 fn check_pair(src: IrVersion, tgt: IrVersion) {
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     let outcome = Synthesizer::for_pair(src, tgt)
         .synthesize(&tests)
         .unwrap_or_else(|e| panic!("{src}->{tgt}: {e}"));
@@ -63,7 +52,7 @@ fn same_version_pair_is_the_degenerate_case() {
 #[test]
 fn synthesis_is_deterministic() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     let a = Synthesizer::for_pair(src, tgt).synthesize(&tests).unwrap();
     let b = Synthesizer::for_pair(src, tgt).synthesize(&tests).unwrap();
     assert_eq!(a.rendered, b.rendered);
@@ -78,7 +67,7 @@ fn synthesis_is_deterministic() {
 #[test]
 fn corrupted_oracle_is_a_conflict() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let mut tests = oracle_tests(src, tgt);
+    let mut tests = oracle_corpus(src, tgt);
     // Poison one oracle: no per-test translator can satisfy it.
     let victim = tests
         .iter_mut()
@@ -148,7 +137,7 @@ fn empty_corpus_yields_warning_translators_for_everything() {
 #[test]
 fn single_threaded_synthesis_matches_parallel() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let tests: Vec<OracleTest> = oracle_tests(src, tgt).into_iter().take(12).collect();
+    let tests: Vec<OracleTest> = oracle_corpus(src, tgt).into_iter().take(12).collect();
     let mut cfg1 = SynthesisConfig::new(src, tgt);
     cfg1.threads = 1;
     let a = Synthesizer::new(cfg1).synthesize(&tests).unwrap();
@@ -161,7 +150,7 @@ fn single_threaded_synthesis_matches_parallel() {
 #[test]
 fn ordering_off_still_converges() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     let mut cfg = SynthesisConfig::new(src, tgt);
     cfg.opt_ordering = false;
     cfg.max_assignments_per_test = 2_000_000;

@@ -7,10 +7,12 @@
 //! that makes edges hot and the router counters are process-global.
 
 use siro_ir::{DialectVersion, IrVersion};
-use siro_synth::{router_stats, RouteOutcome, Router, SynthesisConfig, TranslatorCache};
+use siro_synth::{
+    pair_corpus, router_stats, RouteOutcome, Router, SynthesisConfig, TranslatorCache,
+};
 
-fn heat(r: &Router, from: IrVersion, to: IrVersion) {
-    TranslatorCache::get_or_synthesize(SynthesisConfig::new(from, to), &r.corpus(from, to))
+fn heat(from: IrVersion, to: IrVersion) {
+    TranslatorCache::get_or_synthesize(SynthesisConfig::new(from, to), &pair_corpus(from, to))
         .unwrap_or_else(|e| panic!("synthesizing {from}->{to}: {e}"));
 }
 
@@ -26,7 +28,7 @@ fn a_cached_chain_reports_its_own_plan_after_a_cheaper_route_turns_hot() {
 
     // Three hot hops against a cold direct edge: a->b->c->d.
     for (from, to) in [(a, b), (b, c), (c, d)] {
-        heat(&r, from, to);
+        heat(from, to);
     }
     let first = r.acquire(a, d).expect("acquire a->d");
     let RouteOutcome::Composed(chain) = &first.outcome else {
@@ -37,7 +39,7 @@ fn a_cached_chain_reports_its_own_plan_after_a_cheaper_route_turns_hot() {
     // A cheaper two-hop route turns hot: a->c->d. Heating it is a new
     // route epoch, so re-planning rebuilds the graph, once.
     let builds = router_stats().graph_builds;
-    heat(&r, a, c);
+    heat(a, c);
     assert_eq!(
         r.plan(a, d).expect("plan a->d").hop_count(),
         2,

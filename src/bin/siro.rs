@@ -38,7 +38,7 @@ use std::time::Duration;
 use siro::core::{ReferenceTranslator, Skeleton};
 use siro::ir::{interp::Machine, parse, verify, write, IrVersion, Module};
 use siro::serve::{Client, ServeConfig, TranslateMode};
-use siro::synth::{OracleTest, Synthesizer};
+use siro::synth::{oracle_corpus, Synthesizer};
 
 /// Default I/O timeout for the remote-client commands. Generous because a
 /// cold synthesized pair blocks the response on a full synthesis.
@@ -314,17 +314,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn corpus_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro::testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
-
 fn cmd_translate(args: &[String]) -> Result<(), String> {
     let to_any = parse_dialect_version(flag_value(args, "--to").ok_or("missing --to <version>")?)?;
     let [path] = positional(args)[..] else {
@@ -355,7 +344,7 @@ fn cmd_translate(args: &[String]) -> Result<(), String> {
             m.version, to
         );
         let outcome = Synthesizer::for_pair(m.version, to)
-            .synthesize(&corpus_tests(m.version, to))
+            .synthesize(&oracle_corpus(m.version, to))
             .map_err(|e| format!("synthesis failed: {e}"))?;
         skel.translate_module(&m, &outcome.translator)
     } else {
@@ -755,6 +744,12 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: siro store <warm|ls|gc|verify> --dir <dir> \
                          [--pairs <a:b,...>] [--validation <mode>] [--max-bytes <n>]";
     let sub = args.first().map(String::as_str).ok_or(USAGE)?;
+    check_flags(
+        &format!("store {sub}"),
+        &args[1..],
+        &["--dir", "--pairs", "--validation", "--max-bytes"],
+        &[],
+    )?;
     let dir = flag_value(args, "--dir").ok_or("missing --dir <path>")?;
     let validation = match flag_value(args, "--validation") {
         Some(s) => s
@@ -779,7 +774,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
                         .ok_or_else(|| format!("pair `{pair}` must look like `13.0:3.6`"))?;
                     let src = parse_version(a)?;
                     let tgt = parse_version(b)?;
-                    let tests = corpus_tests(src, tgt);
+                    let tests = oracle_corpus(src, tgt);
                     let config = synth::SynthesisConfig::new(src, tgt);
                     let lookup = synth::TranslatorCache::lookup_or_synthesize(config, &tests)
                         .map_err(|e| format!("synthesis {src} -> {tgt} failed: {e}"))?;
@@ -947,7 +942,7 @@ fn cmd_shutdown(args: &[String]) -> Result<(), String> {
 fn cmd_synthesize(args: &[String]) -> Result<(), String> {
     let from = parse_version(flag_value(args, "--from").ok_or("missing --from <version>")?)?;
     let to = parse_version(flag_value(args, "--to").ok_or("missing --to <version>")?)?;
-    let tests = corpus_tests(from, to);
+    let tests = oracle_corpus(from, to);
     eprintln!("pair {from} -> {to}: {} usable corpus tests", tests.len());
     let outcome = Synthesizer::for_pair(from, to)
         .synthesize(&tests)

@@ -1,6 +1,6 @@
-//! `siro serve` and `siro route` refuse flags they do not know: a
-//! misspelled or removed flag must fail with its name and a non-zero
-//! exit, never run the command without it.
+//! `siro serve`, `siro route` and `siro store` refuse flags they do not
+//! know: a misspelled or removed flag must fail with its name and a
+//! non-zero exit, never run the command without it.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -87,4 +87,28 @@ fn route_refuses_unknown_flags_and_prints_class_costs() {
         "{stdout}"
     );
     assert!(!stdout.contains("observed"), "{stdout}");
+}
+
+#[test]
+fn store_refuses_unknown_flags() {
+    let dir = std::env::temp_dir().join(format!("siro-cli-flags-store-{}", std::process::id()));
+    let d = dir.to_str().expect("utf-8 temp dir");
+    // `--pair` is not `--pairs`: warming the default pair instead would
+    // synthesize and write a store the caller did not ask for.
+    assert_refused(
+        &["store", "warm", "--dir", d, "--pair", "12.0:3.6"],
+        "--pair",
+    );
+    assert_refused(&["store", "ls", "--dir", d, "extra"], "extra");
+    assert_refused(&["store", "gc", "--dir", d, "--max-bytes"], "--max-bytes");
+    assert!(!dir.exists(), "a refused command must not open the store");
+
+    let out = siro(&["store", "ls", "--dir", d], Duration::from_secs(20));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("0 entries"));
 }

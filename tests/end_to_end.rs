@@ -5,23 +5,12 @@ use std::sync::Arc;
 
 use siro::core::{InstTranslator, ReferenceTranslator, Skeleton};
 use siro::ir::{interp::Machine, verify, IrVersion};
-use siro::synth::{OracleTest, SynthesisConfig, SynthesisOutcome, Synthesizer, TranslatorCache};
-
-fn oracle_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro::testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
+use siro::synth::{oracle_corpus, SynthesisConfig, SynthesisOutcome, Synthesizer, TranslatorCache};
 
 /// Synthesizes through the process-wide cache, so tests in this binary
 /// that need the same pair share one synthesis.
 fn synth(src: IrVersion, tgt: IrVersion) -> Arc<SynthesisOutcome> {
-    TranslatorCache::get_or_synthesize(SynthesisConfig::new(src, tgt), &oracle_tests(src, tgt))
+    TranslatorCache::get_or_synthesize(SynthesisConfig::new(src, tgt), &oracle_corpus(src, tgt))
         .expect("synthesis")
 }
 
@@ -48,7 +37,7 @@ fn upgrade_pair_3_6_to_12_synthesizes_and_translates() {
     // Tab. 3 pair 10: low-to-high translation.
     let (src, tgt) = (IrVersion::V3_6, IrVersion::V12_0);
     let outcome = Synthesizer::for_pair(src, tgt)
-        .synthesize(&oracle_tests(src, tgt))
+        .synthesize(&oracle_corpus(src, tgt))
         .expect("synthesis");
     let skel = Skeleton::new(tgt);
     for case in siro::testcases::corpus_for_pair(src, tgt).iter().take(20) {
@@ -67,7 +56,7 @@ fn upgrade_pair_3_6_to_12_synthesizes_and_translates() {
 #[test]
 fn close_pair_5_to_4_covers_windows_eh() {
     let (src, tgt) = (IrVersion::V5_0, IrVersion::V4_0);
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     // The extended corpus must contribute the EH cases here.
     assert!(tests.iter().any(|t| t.name.starts_with("eh_")));
     let outcome = Synthesizer::for_pair(src, tgt)
@@ -89,7 +78,7 @@ fn close_pair_5_to_4_covers_windows_eh() {
 #[test]
 fn pair_17_to_12_covers_callbr_and_freeze() {
     let (src, tgt) = (IrVersion::V17_0, IrVersion::V12_0);
-    let tests = oracle_tests(src, tgt);
+    let tests = oracle_corpus(src, tgt);
     assert!(tests.iter().any(|t| t.name.starts_with("callbr")));
     assert!(tests.iter().any(|t| t.name.starts_with("freeze")));
     let outcome = Synthesizer::for_pair(src, tgt)
@@ -179,7 +168,7 @@ fn clients_compose_with_a_synthesized_translator() {
         .map(|src| {
             (
                 SynthesisConfig::new(src, IrVersion::V3_6),
-                oracle_tests(src, IrVersion::V3_6),
+                oracle_corpus(src, IrVersion::V3_6),
             )
         })
         .collect();

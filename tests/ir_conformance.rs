@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use siro::core::Skeleton;
 use siro::ir::{interp, parse, verify, write, IrVersion, Module, Opcode};
-use siro::synth::{OracleTest, SynthesisConfig, SynthesisOutcome, TranslatorCache};
+use siro::synth::{oracle_corpus, SynthesisConfig, SynthesisOutcome, TranslatorCache};
 use siro::wir::{self, WKind, WirModule, WirVersion};
 
 fn golden_dir() -> PathBuf {
@@ -656,19 +656,8 @@ fn wir_corpus_covers_every_instruction_kind() {
     );
 }
 
-fn oracle_tests(src: IrVersion, tgt: IrVersion) -> Vec<OracleTest> {
-    siro::testcases::corpus_for_pair(src, tgt)
-        .into_iter()
-        .map(|c| OracleTest {
-            name: c.name.to_string(),
-            module: c.build(src),
-            oracle: c.oracle,
-        })
-        .collect()
-}
-
 fn synth(src: IrVersion, tgt: IrVersion) -> Arc<SynthesisOutcome> {
-    TranslatorCache::get_or_synthesize(SynthesisConfig::new(src, tgt), &oracle_tests(src, tgt))
+    TranslatorCache::get_or_synthesize(SynthesisConfig::new(src, tgt), &oracle_corpus(src, tgt))
         .expect("synthesis")
 }
 
