@@ -78,7 +78,9 @@ fn main() {
     );
 
     // ---- Phase 2: plan the whole matrix in one snapshot, then serve. ----
-    let router = Router::new();
+    // The Siro catalog alone: its plans equal those of `Router::new()`,
+    // which holds the WIR catalog too (crates/siro-synth/tests/one_router.rs).
+    let router = Router::over(catalog.to_vec());
     let matrix = router.matrix();
     let mut unreachable = 0usize;
     let mut direct = 0usize;

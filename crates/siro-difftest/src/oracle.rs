@@ -433,6 +433,8 @@ fn translate_leg(
 /// Runs the same leg through the compiled tier (when the translator
 /// lowers) and demands it agrees with the interpreter: the
 /// same ok/skip/fail verdict, and byte-identical output text on success.
+/// The compiled leg runs the drivers in the order serving does: the
+/// in-place mirror driver, then the push driver when the mirror bails.
 /// Every fuzzed mutant therefore exercises *both* execution tiers — the
 /// difftest doubles as the compile backend's equivalence oracle.
 fn check_tiers(
@@ -450,7 +452,7 @@ fn check_tiers(
             detail,
         })
     };
-    match (compiled.translate_module(m), interpreted) {
+    match (compiled.translate_module_owned(m.clone()), interpreted) {
         (Ok(fast), Ok(slow)) => {
             let (fast, slow) = (write::write_module(&fast), write::write_module(slow));
             if fast == slow {

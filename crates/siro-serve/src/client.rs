@@ -93,6 +93,38 @@ pub struct Translated {
     pub timings: StageNanos,
 }
 
+impl Translated {
+    /// Reads the answer to a translate request, from a daemon or from an
+    /// in-process [`crate::Engine::execute`].
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Server`] for an error response,
+    /// [`ClientError::Throttled`] for a throttled one.
+    pub fn from_response(response: Response) -> Result<Self, ClientError> {
+        match response {
+            Response::TranslateOk {
+                cache_hit,
+                timings,
+                text,
+            } => Ok(Translated {
+                text,
+                cache_hit,
+                timings,
+            }),
+            Response::Error { code, message } => Err(ClientError::Server { code, message }),
+            Response::Throttled {
+                retry_after_ms,
+                message,
+            } => Err(ClientError::Throttled {
+                retry_after_ms,
+                message,
+            }),
+            other => Err(ClientError::Unexpected(format!("{other:?}"))),
+        }
+    }
+}
+
 /// One blocking connection to a `siro-serve` daemon.
 pub struct Client {
     stream: TcpStream,
@@ -189,32 +221,12 @@ impl Client {
         mode: TranslateMode,
         text: impl Into<String>,
     ) -> Result<Translated, ClientError> {
-        let response = self.roundtrip(&Request::Translate {
+        Translated::from_response(self.roundtrip(&Request::Translate {
             source: source.into(),
             target: target.into(),
             mode,
             text: text.into(),
-        })?;
-        match response {
-            Response::TranslateOk {
-                cache_hit,
-                timings,
-                text,
-            } => Ok(Translated {
-                text,
-                cache_hit,
-                timings,
-            }),
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            Response::Throttled {
-                retry_after_ms,
-                message,
-            } => Err(ClientError::Throttled {
-                retry_after_ms,
-                message,
-            }),
-            other => Err(ClientError::Unexpected(format!("{other:?}"))),
-        }
+        })?)
     }
 
     /// Pipelines a whole batch of translate requests on this connection

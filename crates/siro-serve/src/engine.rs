@@ -24,7 +24,6 @@ use crate::stats::Metrics;
 pub struct Engine {
     coalescer: PairCoalescer,
     router: Router,
-    dialect_router: Router,
     metrics: Arc<Metrics>,
 }
 
@@ -41,7 +40,6 @@ impl Engine {
         Engine {
             coalescer: PairCoalescer::new(),
             router: Router::new(),
-            dialect_router: Router::with_wir(),
             metrics,
         }
     }
@@ -51,17 +49,15 @@ impl Engine {
         &self.coalescer
     }
 
-    /// The version-graph router serving Siro any-pair requests.
+    /// The version-graph router serving every pair of either dialect.
     pub fn router(&self) -> &Router {
         &self.router
     }
 
-    /// The dual-catalog router serving requests with a WIR endpoint.
-    /// Separate from [`Engine::router`] on purpose: pure-Siro requests
-    /// plan over the Siro-only node set, so adding the second dialect
-    /// cannot change how existing traffic routes.
+    /// The same router as [`Engine::router`]: one router serves both
+    /// dialects.
     pub fn dialect_router(&self) -> &Router {
-        &self.dialect_router
+        &self.router
     }
 
     /// Executes one already-dequeued request. `Stats` and `Shutdown` are
@@ -90,13 +86,13 @@ impl Engine {
 
     /// The one request path, for every pair of either dialect: parse →
     /// verify → acquire → translate → verify → print over [`AnyModule`].
-    /// The dialects decide three things: which router plans the route,
-    /// whether reference mode serves (Siro pairs only), and the error code
-    /// of a failed acquire. Unbridgeable pairs answer `Unsupported` — the
-    /// dialect router reports them unreachable rather than planning a
-    /// bogus chain. So does a Siro version outside [`IrVersion::CATALOG`],
-    /// before anything is parsed or acquired: no request can add a
-    /// translator, a coalescer pair or a store entry beyond the catalog's.
+    /// The dialects decide two things: whether reference mode serves (Siro
+    /// pairs only), and the error code of a failed acquire. Unbridgeable
+    /// pairs answer `Unsupported` — the router reports them unreachable
+    /// rather than planning a bogus chain. So does a Siro version outside
+    /// [`IrVersion::CATALOG`], before anything is parsed or acquired: no
+    /// request can add a translator, a coalescer pair or a store entry
+    /// beyond the catalog's.
     fn translate(
         &self,
         source: DialectVersion,
@@ -117,8 +113,8 @@ impl Engine {
         }
         // `Some(target)` exactly when both endpoints are Siro versions.
         let siro_target = source.as_siro().and(target.as_siro());
-        let (router, acquire_code, acquiring) = if siro_target.is_some() {
-            (&self.router, ErrorCode::Synthesis, "synthesizing")
+        let (acquire_code, acquiring) = if siro_target.is_some() {
+            (ErrorCode::Synthesis, "synthesizing")
         } else {
             self.metrics.cross_dialect.fetch_add(1, Ordering::Relaxed);
             siro_trace::counter("serve.cross_dialect", 1);
@@ -128,7 +124,7 @@ impl Engine {
                     "the reference translator only serves Siro-to-Siro pairs",
                 );
             }
-            (&self.dialect_router, ErrorCode::Unsupported, "acquiring")
+            (ErrorCode::Unsupported, "acquiring")
         };
 
         // Parse + verify the incoming module; its version header selects
@@ -162,7 +158,7 @@ impl Engine {
             TranslateMode::Reference => None,
             TranslateMode::Synthesized => {
                 let _sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-                match router.acquire_with(source, target, &|s, t, _tests| {
+                match self.router.acquire_with(source, target, &|s, t, _tests| {
                     self.coalescer
                         .translator_for(s, t)
                         .map(|l| (l.outcome, l.fresh))
@@ -378,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn wir_pair_serves_through_the_dialect_router() {
+    fn wir_pair_serves_through_the_router() {
         let e = engine();
         let m = siro_wir::generate_straightline(11, siro_wir::WirVersion::W1_0);
         let text = siro_wir::write::write_module(&m);

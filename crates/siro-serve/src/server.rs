@@ -284,7 +284,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// [`TranslatorCache`] via [`TranslatorCache::warm_from_store`], which
 /// never synthesizes. Unreadable or corrupt entries are skipped (counted
 /// by the store as corrupt) and the pair falls back to cold synthesis on
-/// first request. Last, the Siro router builds the graph of the current
+/// first request. Last, the router builds the graph of the current
 /// route epoch (every pair's corpus fingerprint, every edge classified),
 /// so the first request plans over a memoized graph instead of paying
 /// that build.

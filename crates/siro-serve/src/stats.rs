@@ -88,8 +88,7 @@ pub struct Metrics {
     pub requests_throttled: AtomicU64,
     /// Translate requests executed by workers.
     pub translations: AtomicU64,
-    /// Translate requests with a WIR endpoint (WIR↔WIR or SIRO↔WIR),
-    /// served through the dual-catalog router.
+    /// Translate requests with a WIR endpoint (WIR↔WIR or SIRO↔WIR).
     pub cross_dialect: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,

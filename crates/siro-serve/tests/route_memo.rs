@@ -1,8 +1,9 @@
 //! The route memo, with a store attached: once warm, repeat requests over
 //! direct, composed, WIR and cross-dialect pairs neither build a version
 //! graph nor probe the store (`router_graph_builds` and
-//! `router_store_probes` stay put on STATS and METRICS), and every event
-//! that can change an edge's class makes the next plan rebuild the graph,
+//! `router_store_probes` stay put on STATS and METRICS); one graph per
+//! route epoch serves Siro and WIR requests alike; and every event that
+//! can change an edge's class makes the next plan rebuild the graph,
 //! once. A failed synthesis is not such an event.
 //!
 //! Its own integration-test binary with one test: the caches, the active
@@ -13,9 +14,9 @@ use std::time::Duration;
 use siro_ir::{DialectVersion, IrVersion};
 use siro_serve::{metrics_value, stats_value, Client, ServeConfig, TranslateMode};
 use siro_synth::{
-    active_store, bridge_cached, corpus_fingerprint, oracle_corpus, reset_bridge_cache,
-    reset_wir_cache, router_stats, set_active_store, wir_translator_cached, OracleTest, Router,
-    StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
+    active_store, bridge_cached, bump_route_epoch, corpus_fingerprint, oracle_corpus,
+    reset_bridge_cache, reset_wir_cache, router_stats, set_active_store, wir_translator_cached,
+    OracleTest, Router, StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
 };
 use siro_wir::WirVersion;
 
@@ -109,6 +110,20 @@ fn hot_requests_reuse_the_graph_and_each_bump_site_rebuilds_it() {
         .plan(v13, v11)
         .expect("13.0 -> 11.0 plans");
     assert_eq!(plan.hop_count(), 2, "{}", plan.describe());
+
+    // ---- One graph per route epoch, for both dialects. -----------------
+    bump_route_epoch();
+    let builds = router_stats().graph_builds;
+    for (from, to, text) in [&requests[0], &requests[3]] {
+        client
+            .translate(*from, *to, TranslateMode::Synthesized, text.clone())
+            .unwrap_or_else(|e| panic!("{from} -> {to}: {e}"));
+    }
+    assert_eq!(
+        router_stats().graph_builds - builds,
+        1,
+        "a Siro and a WIR request in one epoch must share one graph"
+    );
     drop(client);
 
     // ---- Every bump site makes the next plan rebuild, once. ------------

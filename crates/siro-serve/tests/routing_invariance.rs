@@ -1,5 +1,5 @@
 //! Observing the daemon must not change how it routes: every plan of
-//! `Router::new()` and `Router::with_wir()` made with tracing off is
+//! `Router::new()`, over both catalogs, made with tracing off is
 //! identical, cost included, to the plan made after traced direct,
 //! composed and WIR traffic has filled the span sink with `route.hop` and
 //! `serve.translate` spans.
@@ -87,10 +87,9 @@ fn tracing_does_not_change_any_plan() {
     // edge changes class between the two planning rounds.
     serve(&engine, &requests);
 
-    let (siro, both) = (Router::new(), Router::with_wir());
-    let before = (all_plans(&siro), all_plans(&both));
+    let router = Router::new();
+    let before = all_plans(&router);
     let composed = before
-        .0
         .iter()
         .find(|(pair, _)| *pair == (IrVersion::V13_0.into(), IrVersion::V11_0.into()))
         .and_then(|(_, plan)| plan.as_ref())
@@ -109,10 +108,9 @@ fn tracing_does_not_change_any_plan() {
         );
     }
     bump_route_epoch();
-    let after = (all_plans(&siro), all_plans(&both));
+    let after = all_plans(&router);
     siro_trace::set_enabled(false);
     siro_trace::reset();
 
-    assert_eq!(before.0, after.0, "Siro router plans moved under tracing");
-    assert_eq!(before.1, after.1, "dual-catalog plans moved under tracing");
+    assert_eq!(before, after, "plans moved under tracing");
 }

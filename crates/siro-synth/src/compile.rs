@@ -2584,10 +2584,11 @@ impl CompiledTranslator {
     /// driver: the same walk as `Skeleton::translate_module` — same order,
     /// same counters, same errors — but with the per-function value map in
     /// dense (indexed) form and each instruction borrowed rather than
-    /// re-fetched and cloned per API call. This is the entry point the
-    /// tiered translation path ([`translate_module_tiered`]) uses; going
-    /// through [`Skeleton`] with a [`CompiledTranslator`] as a plain
-    /// [`InstTranslator`] stays supported and produces identical bytes.
+    /// re-fetched and cloned per API call. The tiered translation path
+    /// ([`translate_module_owned_tiered`]) falls back to this push driver
+    /// when the mirror driver bails; going through [`Skeleton`] with a
+    /// [`CompiledTranslator`] as a plain [`InstTranslator`] stays
+    /// supported and produces identical bytes.
     ///
     /// # Errors
     ///
@@ -3172,47 +3173,15 @@ impl SynthesisOutcome {
 
 // ---- Tiered module translation ---------------------------------------------
 
-/// Translates a module through the outcome's best tier: compiled when
-/// available, interpreter otherwise — and interpreter again if the
-/// compiled tier errors at runtime (counted as a
-/// `translate.compiled_fallback`; both tiers implement identical
+/// Translates an *owned* module through the outcome's best tier — the
+/// one tiered entry point (serving parses every request into a module it
+/// owns, and composed chains own each intermediate hop result). Runs the
+/// compiled tier's in-place mirror driver directly on the owned module,
+/// falling back — still with zero clones, because the mirror driver
+/// mutates only on success — first to the compiled push driver and then
+/// to the interpreter on the pristine input (a runtime fallback counted
+/// as `translate.compiled_fallback`; both tiers implement identical
 /// semantics, so the interpreter reproduces the same result or error).
-/// Serving, routing, and difftest all translate through this single entry
-/// point.
-///
-/// # Errors
-///
-/// The interpreted tier's [`TranslateError`].
-pub fn translate_module_tiered(
-    outcome: &SynthesisOutcome,
-    target: siro_ir::IrVersion,
-    module: &Module,
-) -> TranslateResult<Module> {
-    if let Some(compiled) = outcome.compiled() {
-        match compiled.translate_module(module) {
-            Ok(m) => {
-                TRANSLATE_COMPILED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled", 1);
-                return Ok(m);
-            }
-            Err(_) => {
-                RUNTIME_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled_fallback", 1);
-            }
-        }
-    }
-    TRANSLATE_INTERPRETED.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("translate.interpreted", 1);
-    Skeleton::new(target).translate_module(module, &outcome.translator)
-}
-
-/// [`translate_module_tiered`] for an *owned* module — the serving-shaped
-/// entry point (serving parses every request into a module it owns, and
-/// composed chains own each intermediate hop result). Runs the compiled
-/// tier's in-place mirror driver directly on the owned module, falling
-/// back — still with zero clones, because the mirror driver mutates only
-/// on success — first to the compiled push driver and then to the
-/// interpreter on the pristine input.
 ///
 /// # Errors
 ///
@@ -3386,7 +3355,7 @@ mod tests {
         let outcome = outcome_for(src, tgt);
         let tests = oracle_corpus(src, tgt);
         let before = compile_stats();
-        let tiered = translate_module_tiered(&outcome, tgt, &tests[0].module).unwrap();
+        let tiered = translate_module_owned_tiered(&outcome, tgt, tests[0].module.clone()).unwrap();
         assert!(
             compile_stats().translations_compiled > before.translations_compiled,
             "the compiled tier must serve a translator that lowers"

@@ -82,8 +82,8 @@ pub use cache::{
 };
 pub use candgen::{generate_all, generate_for_kind, GenLimits};
 pub use compile::{
-    compile_stats, reset_compile_stats, translate_module_owned_tiered, translate_module_tiered,
-    CompileError, CompileStats, CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
+    compile_stats, reset_compile_stats, translate_module_owned_tiered, CompileError, CompileStats,
+    CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
 };
 pub use corpus::{oracle_corpus, pair_corpus, pair_fingerprint};
 pub use driver::{

@@ -23,10 +23,13 @@
 //!   span dialects with no anchor on any path is reported *unreachable*
 //!   rather than served by a bogus chain.
 //!
-//! [`Router::new`] keeps the historical Siro-only node set (nothing about
-//! pure-Siro serving changes); [`Router::with_wir`] adds the WIR catalog
-//! and the anchor bridges, after which cross-dialect hops compose like any
-//! other edge.
+//! [`Router::new`] holds both catalogs and the anchor bridges between
+//! them, so one graph, one plan memo and one chain memo serve every pair.
+//! One rule keeps the second dialect out of Siro traffic: a plan whose
+//! endpoints are both Siro versions relaxes only edges into Siro nodes
+//! ([`VersionGraph::cheapest_path`]), so it equals the plan of a Siro-only
+//! graph and never detours through a bridge. A plan with a WIR endpoint
+//! uses every edge, and its cross-dialect hops compose like any other.
 //!
 //! ## Edge-cost formula
 //!
@@ -199,7 +202,9 @@ impl VersionGraph {
 
     /// Cheapest path `from -> to` by summed edge cost (Dijkstra; ties
     /// broken toward fewer hops, then lower node order, so plans are
-    /// deterministic). `from == to` yields an empty-hop plan.
+    /// deterministic). `from == to` yields an empty-hop plan. When both
+    /// endpoints are Siro versions, only edges into Siro nodes are
+    /// relaxed: the plan is the one the graph's Siro nodes alone give.
     pub fn cheapest_path(
         &self,
         from: impl Into<DialectVersion>,
@@ -217,6 +222,7 @@ impl VersionGraph {
                 cost_us: 0,
             });
         }
+        let siro_only = from.dialect == Dialect::Siro && to.dialect == Dialect::Siro;
         // dist: node -> (cost, hops); prev: node -> predecessor.
         let mut dist: HashMap<DialectVersion, (u64, usize)> = HashMap::new();
         let mut prev: HashMap<DialectVersion, DialectVersion> = HashMap::new();
@@ -245,7 +251,7 @@ impl VersionGraph {
             }
             done.push(node);
             for (&(a, b), e) in &self.edges {
-                if a != node {
+                if a != node || (siro_only && b.dialect != Dialect::Siro) {
                     continue;
                 }
                 let next = (cost + e.cost_us, hops + 1);
@@ -285,17 +291,6 @@ impl RoutePlan {
     /// Whether this plan needs no composition.
     pub fn is_direct(&self) -> bool {
         self.hops.len() <= 1
-    }
-
-    /// Whether every node on the plan (endpoints and hops) is a
-    /// Siro-family version.
-    pub fn is_all_siro(&self) -> bool {
-        self.from.dialect == Dialect::Siro
-            && self.to.dialect == Dialect::Siro
-            && self
-                .hops
-                .iter()
-                .all(|h| h.from.dialect == Dialect::Siro && h.to.dialect == Dialect::Siro)
     }
 
     /// One-line rendering, e.g. `13.0 -> 12.0 -> 3.6 (2 hops, cost 2010us)`.
@@ -390,8 +385,7 @@ impl ComposedTranslator {
     }
 
     /// Translates a whole module through every hop in order. The input
-    /// dialect must match `from`; Siro-only chains behave exactly as the
-    /// pre-dialect router did.
+    /// dialect must match `from`.
     ///
     /// # Errors
     ///
@@ -647,15 +641,10 @@ impl Default for Router {
 }
 
 impl Router {
-    /// A router over the full Siro [`IrVersion::CATALOG`] (no WIR nodes;
-    /// the historical single-dialect behaviour).
+    /// The router over both catalogs: every Siro version
+    /// ([`IrVersion::CATALOG`]), every WIR version ([`WirVersion::CATALOG`]),
+    /// and the anchor bridges between them.
     pub fn new() -> Self {
-        Self::over(IrVersion::CATALOG.to_vec())
-    }
-
-    /// A router over both catalogs: every Siro version, every WIR version
-    /// ([`WirVersion::CATALOG`]), and the anchor bridges between them.
-    pub fn with_wir() -> Self {
         let mut nodes: Vec<DialectVersion> = IrVersion::CATALOG.iter().map(|&v| v.into()).collect();
         nodes.extend(WirVersion::CATALOG.iter().map(|&v| DialectVersion::from(v)));
         Self::over_dialects(nodes)
@@ -890,7 +879,9 @@ impl Router {
         };
         note_max_hops(plan.hop_count() as u64);
 
-        if plan.is_direct() && plan.is_all_siro() && all_siro_endpoints {
+        // A plan between Siro endpoints has only Siro hops (see
+        // `VersionGraph::cheapest_path`).
+        if plan.is_direct() && all_siro_endpoints {
             let (sf, st) = (
                 from.as_siro().expect("checked siro"),
                 to.as_siro().expect("checked siro"),
@@ -1325,7 +1316,7 @@ mod tests {
 
     #[test]
     fn nodes_are_keyed_by_dialect_and_version() {
-        let g = Router::with_wir().graph();
+        let g = Router::new().graph();
         let wir1: DialectVersion = WirVersion::W1_0.into();
         let wir2: DialectVersion = WirVersion::W2_0.into();
         // WIR pairs always have an edge; anchors bridge the dialects; a
@@ -1343,7 +1334,7 @@ mod tests {
 
     #[test]
     fn cross_dialect_plans_route_through_an_anchor() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let plan = r
             .plan(IrVersion::V13_0, WirVersion::W1_0)
             .expect("route exists via the 13.0<->wir2.0 anchor");
@@ -1377,7 +1368,7 @@ mod tests {
 
     #[test]
     fn wir_pairs_acquire_composed_chains_that_translate() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let acquired = r
             .acquire(WirVersion::W1_0, WirVersion::W2_0)
             .expect("wir pair acquires");
@@ -1402,7 +1393,7 @@ mod tests {
 
     #[test]
     fn siro_chains_refuse_a_wir_module() {
-        let r = Router::with_wir();
+        let r = Router::new();
         let acquired = r
             .acquire(WirVersion::W1_0, WirVersion::W2_0)
             .expect("wir pair acquires");

@@ -1,6 +1,6 @@
 //! One corpus per pair, and the same store keys: a version-graph build
 //! keeps no corpus, every catalog pair's fingerprint is the one its
-//! full corpus hashes to, and both routers hand their resolvers the same
+//! full corpus hashes to, and two routers hand their resolvers the same
 //! corpus allocation.
 //!
 //! One test in its own binary, so no other test shares the process whose
@@ -24,11 +24,12 @@ fn vm_rss_kib() -> u64 {
 
 #[test]
 fn graphs_keep_no_corpus_and_routers_share_one() {
-    // 1. Both graph builds together keep less than 5 MiB; all 156
+    // 1. Two graph builds together keep less than 5 MiB; all 156
     //    corpora take some 25 MiB.
+    let siro_only = || Router::over(IrVersion::CATALOG.to_vec());
     let before = vm_rss_kib();
     Router::new().graph();
-    Router::with_wir().graph();
+    siro_only().graph();
     let grown = vm_rss_kib().saturating_sub(before);
     assert!(
         grown < 5 * 1024,
@@ -48,10 +49,10 @@ fn graphs_keep_no_corpus_and_routers_share_one() {
         }
     }
 
-    // 3. Both routers hand their resolvers the same corpus allocation. The
+    // 3. Two routers hand their resolvers the same corpus allocation. The
     //    resolver refuses, so nothing synthesizes.
     let (a, b) = (IrVersion::V13_0, IrVersion::V3_6);
-    let seen = [Router::new(), Router::with_wir()].map(|router| {
+    let seen = [Router::new(), siro_only()].map(|router| {
         let tests_at = Cell::new(None);
         let refused = router.acquire_with(a, b, &|_, _, tests| {
             tests_at.set(Some(tests.as_ptr()));

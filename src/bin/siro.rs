@@ -14,8 +14,8 @@
 //! siro serve [--addr 127.0.0.1:4799] [--threads N] [--queue N] [--store DIR]
 //!           [--admission-rps N] [--admission-burst N]
 //! siro loadgen [--remote 127.0.0.1:4799] [--rates 1000,2000] [--connections N]
-//! siro route plan --from 13.0 --to 3.6 [--store DIR] [--dialects]
-//! siro route matrix [--store DIR] [--dialects]
+//! siro route plan --from 13.0 --to wir2.0 [--store DIR]
+//! siro route matrix [--store DIR]
 //! siro store warm --dir DIR [--pairs 13.0:3.6,17.0:12.0]
 //! siro store ls --dir DIR
 //! siro store gc --dir DIR --max-bytes N
@@ -33,12 +33,14 @@
 //! `docs/OBSERVABILITY.md`.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
-use siro::core::{ReferenceTranslator, Skeleton};
+use siro::core::Skeleton;
 use siro::ir::{interp::Machine, parse, verify, write, IrVersion, Module};
-use siro::serve::{Client, ServeConfig, TranslateMode};
+use siro::serve::{Client, Engine, Metrics, Request, ServeConfig, TranslateMode, Translated};
 use siro::synth::{oracle_corpus, Synthesizer};
+use siro::wir::any::AnyModule;
 
 /// Default I/O timeout for the remote-client commands. Generous because a
 /// cold synthesized pair blocks the response on a full synthesis.
@@ -121,8 +123,10 @@ fn print_usage() {
 USAGE:
     siro versions                                    list the IR version catalog
     siro run <file>                                  interpret a textual IR module
-    siro translate --to <ver> <file> [-o <out>]      translate across versions
+    siro translate --to <ver> <file> [-o <out>]      translate across versions (in process,
+                                                     on the daemon's request path)
                    [--synthesized]                   use a corpus-synthesized translator
+                                                     (implied when a side is WIR)
                    [--remote <addr>]                 translate via a siro-serve daemon
     siro synthesize --from <ver> --to <ver>          synthesize instruction translators
                    [--emit-code]                     print the generated source
@@ -148,7 +152,8 @@ USAGE:
                [-o <json>]                           write a loadtest-v1 JSON report
     siro route plan --from <ver> --to <ver>          show the cheapest translation route
                [--store <dir>]                       classify edges against a store
-    siro route matrix [--store <dir>]                plan every catalog pair (hop-count grid)
+    siro route matrix [--store <dir>]                plan every pair of both catalogs
+                                                     (hop-count grid)
     siro store warm --dir <dir> [--pairs <a:b,...>]  synthesize and persist translators
                [--validation off|checksum|full]      (default pair 13.0:3.6)
     siro store ls --dir <dir>                        list persisted translators
@@ -196,22 +201,27 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Rejects every argument of `siro <cmd>` that is not one of its flags:
-/// each of `valued` takes the next argument as its value, each of
-/// `switches` stands alone. A misspelled or removed flag must fail, not
-/// run the command without it.
-fn check_flags(
+/// Rejects every argument of `siro <cmd>` that is neither one of its
+/// flags nor one of its first `files` positional arguments, and returns
+/// those positional arguments: each of `valued` takes the next argument
+/// as its value, each of `switches` stands alone. A misspelled or removed
+/// flag must fail, not run the command without it.
+fn check_flags<'a>(
     cmd: &str,
-    args: &[String],
+    args: &'a [String],
     valued: &[&str],
     switches: &[&str],
-) -> Result<(), String> {
+    files: usize,
+) -> Result<Vec<&'a str>, String> {
+    let mut positionals = Vec::new();
     let mut rest = args.iter().map(String::as_str);
     while let Some(a) = rest.next() {
         if valued.contains(&a) {
             if rest.next().is_none() {
                 return Err(format!("`{a}` needs a value (siro {cmd})"));
             }
+        } else if !a.starts_with('-') && positionals.len() < files {
+            positionals.push(a);
         } else if !switches.contains(&a) {
             let what = if a.starts_with('-') {
                 "unknown flag"
@@ -221,7 +231,7 @@ fn check_flags(
             return Err(format!("{what} `{a}` for `siro {cmd}` (try `siro help`)"));
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 fn positional(args: &[String]) -> Vec<&str> {
@@ -232,11 +242,7 @@ fn positional(args: &[String]) -> Vec<&str> {
             skip = false;
             continue;
         }
-        if a.starts_with("--")
-            && a != "--synthesized"
-            && a != "--emit-code"
-            && a != "--expect-failure"
-        {
+        if a.starts_with("--") && a != "--emit-code" && a != "--expect-failure" {
             skip = true;
             continue;
         }
@@ -314,119 +320,52 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// `siro translate`: one translate request, answered by a daemon
+/// (`--remote`) or by an in-process [`Engine`], the code a daemon worker
+/// runs, so both answer with the same bytes. The file's version header
+/// names the source version.
 fn cmd_translate(args: &[String]) -> Result<(), String> {
-    let to_any = parse_dialect_version(flag_value(args, "--to").ok_or("missing --to <version>")?)?;
-    let [path] = positional(args)[..] else {
+    let [path] = check_flags(
+        "translate",
+        args,
+        &["--to", "-o", "--remote", "--timeout-ms"],
+        &["--synthesized"],
+        1,
+    )?[..] else {
         return Err(
             "usage: siro translate --to <ver> <file> [-o <out>] [--synthesized] [--remote <addr>]"
                 .into(),
         );
     };
-    if let Some(addr) = flag_value(args, "--remote") {
-        return cmd_translate_remote(args, addr, to_any, path);
-    }
-    // A WIR endpoint (either side) goes through the dual-catalog router;
-    // the classic Siro→Siro paths below are untouched.
-    let Some(to) = to_any.as_siro() else {
-        return cmd_translate_any(args, to_any, path);
-    };
-    {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        if siro::wir::parse::looks_like_wir(&text) {
-            return cmd_translate_any(args, to_any, path);
-        }
-    }
-    let m = load_module(path)?;
-    let skel = Skeleton::new(to);
-    let translated = if args.iter().any(|a| a == "--synthesized") {
-        eprintln!(
-            "synthesizing a {} -> {} translator from the corpus ...",
-            m.version, to
-        );
-        let outcome = Synthesizer::for_pair(m.version, to)
-            .synthesize(&oracle_corpus(m.version, to))
-            .map_err(|e| format!("synthesis failed: {e}"))?;
-        skel.translate_module(&m, &outcome.translator)
-    } else {
-        skel.translate_module(&m, &ReferenceTranslator)
-    }
-    .map_err(|e| format!("translation failed: {e}"))?;
-    verify::verify_module(&translated).map_err(|e| format!("output does not verify: {e}"))?;
-    emit_module(&translated, flag_value(args, "-o"))
-}
-
-/// `siro translate` with a WIR endpoint on either side: parse whichever
-/// dialect the file holds, acquire a composed route over the dual catalog
-/// (WIR translator hops, anchor bridges), and emit the result in the
-/// target dialect. `--synthesized` is implied — there is no reference
-/// translator across dialects.
-fn cmd_translate_any(
-    args: &[String],
-    to: siro::ir::DialectVersion,
-    path: &str,
-) -> Result<(), String> {
-    use siro::synth::{RouteOutcome, Router};
-    use siro::wir::any::AnyModule;
-
+    let to = parse_dialect_version(flag_value(args, "--to").ok_or("missing --to <version>")?)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let m = AnyModule::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    m.verify()
-        .map_err(|e| format!("{path} does not verify: {e}"))?;
-    let source = m.dialect_version();
-    eprintln!("routing {source} -> {to} over the dual catalog ...");
-    let router = Router::with_wir();
-    let acquired = router
-        .acquire(source, to)
-        .map_err(|e| format!("no translator for {source} -> {to}: {e}"))?;
-    let out = match &acquired.outcome {
-        RouteOutcome::Composed(chain) => chain
-            .translate_any_owned(m)
-            .map_err(|e| format!("translation failed: {e}"))?,
-        RouteOutcome::Direct(_) => {
-            return Err("cross-dialect request resolved to a direct Siro translator".into())
-        }
-    };
-    out.verify()
-        .map_err(|e| format!("output does not verify: {e}"))?;
-    let rendered = out.print();
-    match flag_value(args, "-o") {
-        Some(out_path) => {
-            std::fs::write(out_path, rendered).map_err(|e| format!("writing {out_path}: {e}"))
-        }
-        None => {
-            print!("{rendered}");
-            Ok(())
-        }
-    }
-}
-
-/// `siro translate --remote`: ship the module text to a daemon and emit
-/// what comes back. The daemon parses/verifies server-side, so this path
-/// deliberately does not parse locally — the wire carries the raw text.
-fn cmd_translate_remote(
-    args: &[String],
-    addr: &str,
-    to: siro::ir::DialectVersion,
-    path: &str,
-) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let source = siro::wir::any::AnyModule::parse(&text)
+    let source = AnyModule::parse(&text)
         .map_err(|e| format!("parsing {path}: {e}"))?
         .dialect_version();
     // Cross-dialect pairs have no reference translator: imply
-    // `--synthesized` so the daemon routes instead of rejecting.
+    // `--synthesized` so the pair is routed instead of refused.
     let cross = source.as_siro().is_none() || to.as_siro().is_none();
     let mode = if cross || args.iter().any(|a| a == "--synthesized") {
         TranslateMode::Synthesized
     } else {
         TranslateMode::Reference
     };
-    let mut client = connect_remote(args, addr)?;
-    let out = client
-        .translate(source, to, mode, text)
-        .map_err(|e| format!("remote translation failed: {e}"))?;
+    let remote = flag_value(args, "--remote");
+    let out = match remote {
+        Some(addr) => connect_remote(args, addr)?.translate(source, to, mode, text),
+        None => Translated::from_response(Engine::new(Arc::new(Metrics::default())).execute(
+            &Request::Translate {
+                source,
+                target: to,
+                mode,
+                text,
+            },
+        )),
+    };
+    let place = if remote.is_some() { "remote" } else { "local" };
+    let out = out.map_err(|e| format!("{place} translation failed: {e}"))?;
     eprintln!(
-        "translated {source} -> {to} remotely in {:.3} ms (cache {})",
+        "translated {source} -> {to} ({place}) in {:.3} ms (cache {})",
         out.timings.total as f64 / 1e6,
         if out.cache_hit { "hit" } else { "miss" }
     );
@@ -456,6 +395,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--admission-burst",
         ],
         &[],
+        0,
     )?;
     let mut config = ServeConfig::default();
     if let Some(addr) = flag_value(args, "--addr") {
@@ -641,13 +581,14 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     use siro::synth::{self, Router, StoreConfig, TranslatorStore, ValidationMode};
 
     const USAGE: &str = "usage: siro route <plan|matrix> [--from <ver> --to <ver>] \
-                         [--store <dir>] [--dialects]";
+                         [--store <dir>]";
     let sub = args.first().map(String::as_str).ok_or(USAGE)?;
     check_flags(
         &format!("route {sub}"),
         &args[1..],
         &["--from", "--to", "--store"],
-        &["--dialects"],
+        &[],
+        0,
     )?;
     let previous = match flag_value(args, "--store") {
         Some(dir) => {
@@ -661,13 +602,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    // `--dialects` widens the node set to both catalogs (WIR versions and
-    // the anchor bridges); the default stays Siro-only.
-    let router = if args.iter().any(|a| a == "--dialects") {
-        Router::with_wir()
-    } else {
-        Router::new()
-    };
+    let router = Router::new();
     let result = match sub {
         "plan" => {
             let from =
@@ -749,6 +684,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
         &args[1..],
         &["--dir", "--pairs", "--validation", "--max-bytes"],
         &[],
+        0,
     )?;
     let dir = flag_value(args, "--dir").ok_or("missing --dir <path>")?;
     let validation = match flag_value(args, "--validation") {

@@ -1,9 +1,15 @@
-//! `siro serve`, `siro route` and `siro store` refuse flags they do not
-//! know: a misspelled or removed flag must fail with its name and a
-//! non-zero exit, never run the command without it.
+//! `siro serve`, `siro route`, `siro store` and `siro translate` refuse
+//! flags they do not know: a misspelled or removed flag must fail with its
+//! name and a non-zero exit, never run the command without it. A local
+//! `siro translate` answers with the bytes the serving engine answers.
 
 use std::process::{Command, Output, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use siro::ir::{write, DialectVersion, IrVersion};
+use siro::serve::{Engine, Metrics, Request, Response, TranslateMode};
+use siro::wir::WirVersion;
 
 /// Runs the `siro` binary, killing it (and failing) if it is still
 /// running after `limit` — a daemon that booted instead of refusing.
@@ -87,6 +93,22 @@ fn route_refuses_unknown_flags_and_prints_class_costs() {
         "{stdout}"
     );
     assert!(!stdout.contains("observed"), "{stdout}");
+
+    // One router holds both catalogs: a WIR endpoint needs no flag.
+    let out = siro(
+        &["route", "plan", "--from", "13.0", "--to", "wir1.0"],
+        Duration::from_secs(120),
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.starts_with("13.0 -> wir2.0 -> wir1.0 (2 hops"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -111,4 +133,111 @@ fn store_refuses_unknown_flags() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("0 entries"));
+}
+
+#[test]
+fn translate_refuses_unknown_flags() {
+    assert_refused(
+        &[
+            "translate",
+            "--to",
+            "3.6",
+            "m.sir",
+            "--synthesized",
+            "--bogus",
+        ],
+        "--bogus",
+    );
+    // The source version comes from the file's header, never a flag.
+    assert_refused(
+        &["translate", "--from", "13.0", "--to", "3.6", "m.sir"],
+        "--from",
+    );
+    assert_refused(&["translate", "--to", "3.6", "a.sir", "b.sir"], "b.sir");
+    assert_refused(&["translate", "m.sir", "--to"], "--to");
+}
+
+#[test]
+fn local_translate_answers_what_the_engine_serves() {
+    let dir = std::env::temp_dir().join(format!("siro-cli-translate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (v13, v36) = (IrVersion::V13_0, IrVersion::V3_6);
+    let siro13 = write::write_module(&siro::testcases::corpus_for_pair(v13, v36)[0].build(v13));
+    let wir1 =
+        siro::wir::write::write_module(&siro::wir::generate_straightline(7, WirVersion::W1_0));
+    // Raising a straight-line WIR module gives a 13.0 module inside the
+    // 13.0 <-> wir2.0 bridge's lowerable subset.
+    let bridged13 = write::write_module(
+        &siro::synth::raise_module(&siro::wir::generate_straightline(23, WirVersion::W2_0), v13)
+            .expect("raise"),
+    );
+    let wir2: DialectVersion = WirVersion::W2_0.into();
+    let cases: [(&str, &String, DialectVersion, DialectVersion, TranslateMode); 4] = [
+        (
+            "siro_ref",
+            &siro13,
+            v13.into(),
+            v36.into(),
+            TranslateMode::Reference,
+        ),
+        (
+            "siro_syn",
+            &siro13,
+            v13.into(),
+            v36.into(),
+            TranslateMode::Synthesized,
+        ),
+        (
+            "wir",
+            &wir1,
+            WirVersion::W1_0.into(),
+            wir2,
+            TranslateMode::Synthesized,
+        ),
+        (
+            "cross",
+            &bridged13,
+            v13.into(),
+            wir2,
+            TranslateMode::Synthesized,
+        ),
+    ];
+    let engine = Engine::new(Arc::new(Metrics::default()));
+    for (name, text, source, target, mode) in cases {
+        let input = dir.join(format!("{name}.sir"));
+        let output = dir.join(format!("{name}_out.sir"));
+        std::fs::write(&input, text).expect("write input");
+        let to = target.to_string();
+        let mut args = vec![
+            "translate",
+            "--to",
+            &to,
+            input.to_str().expect("utf-8 path"),
+            "-o",
+            output.to_str().expect("utf-8 path"),
+        ];
+        // A WIR endpoint implies `--synthesized`.
+        if mode == TranslateMode::Synthesized && source.as_siro().and(target.as_siro()).is_some() {
+            args.push("--synthesized");
+        }
+        let out = siro(&args, Duration::from_secs(600));
+        assert!(
+            out.status.success(),
+            "`siro {}`: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let served = match engine.execute(&Request::Translate {
+            source,
+            target,
+            mode,
+            text: text.clone(),
+        }) {
+            Response::TranslateOk { text, .. } => text,
+            other => panic!("{name}: the engine answered {other:?}"),
+        };
+        let local = std::fs::read_to_string(&output).expect("read output");
+        assert_eq!(local, served, "{name}: `siro {}`", args.join(" "));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
