@@ -7,19 +7,22 @@
 //!
 //! * [`protocol`] — the length-prefixed binary wire protocol (documented
 //!   in `DESIGN.md` § "The siro-serve wire protocol");
-//! * [`queue`] — the bounded request queue whose `try_push` *rejects*
-//!   (`Busy`) instead of queuing unboundedly — backpressure by
-//!   construction;
-//! * [`pool`] — the fixed worker pool, sized by `SIRO_THREADS`;
+//! * [`queue`] — the bounded queue of requests no thread could run at
+//!   once, whose `try_push` *rejects* (`Busy`) instead of queuing
+//!   unboundedly — backpressure by construction;
+//! * [`pool`] — the fixed worker pool, sized by `SIRO_THREADS`: each
+//!   worker reads a request, runs it, and writes its reply;
 //! * [`engine`] — per-request execution (parse → verify → acquire →
 //!   translate → verify → print, one path for both dialects),
 //!   panic-isolated per request;
 //! * [`coalesce`] — per-version-pair request coalescing: N concurrent
 //!   requests for the same cold pair run exactly one synthesis;
-//! * [`poller`] — std-only level-triggered readiness (epoll on Linux via
-//!   an `extern "C"` shim, `poll(2)` elsewhere — no new dependencies);
-//! * [`reactor`] — the nonblocking event-loop engine: one thread owns
-//!   every socket, workers handle CPU-bound work, write queues give
+//! * [`poller`] — std-only readiness, level-triggered or one-shot, with
+//!   one poller nested in another (epoll on Linux via an `extern "C"`
+//!   shim, `poll(2)` elsewhere — no new dependencies);
+//! * [`reactor`] — the nonblocking event engine: every connection sits
+//!   in one shared one-shot set the workers poll, the reactor thread
+//!   accepts and reads only while every worker is busy, write queues give
 //!   per-connection backpressure (see `docs/SERVING.md`);
 //! * [`admission`] — per-peer token-bucket fairness; over-budget
 //!   requests get a structured `Throttled` with retry-after;

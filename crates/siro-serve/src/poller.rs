@@ -1,28 +1,42 @@
-//! Readiness polling for the event-loop engine — std-only, no new deps.
+//! Readiness polling for the event engine — std-only, no new deps.
 //!
-//! The reactor needs one thing from the OS: "block until any registered
+//! The engine needs one thing from the OS: "block until any registered
 //! socket is readable/writable, and tell me which". On Linux that is
 //! `epoll`; everywhere else on unix it is `poll(2)`. Neither is exposed
 //! by std, so this module declares the handful of symbols directly with
 //! `extern "C"` — they live in the C runtime std already links, so no
 //! `libc` crate (or any other dependency) is required.
 //!
-//! Semantics are deliberately the lowest common denominator:
+//! A registration is one of two kinds:
 //!
-//! * **level-triggered** readiness (a socket with unread bytes reports
-//!   readable on every wait until drained) — the reactor never needs the
-//!   edge-triggered "drain until `WouldBlock` or lose the wakeup" dance;
-//! * one `u64` token per fd, echoed back in events;
-//! * interest is replaced wholesale by [`Poller::modify`], not OR-ed.
+//! * **level-triggered** ([`Poller::register`]): an fd with unread bytes
+//!   reports readable on every wait until drained. The reactor's
+//!   listener and wake pipe use it.
+//! * **one-shot** ([`Poller::register_oneshot`]): the registration
+//!   reports at most one event, to one waiting thread, and is then
+//!   disarmed until [`Poller::rearm`]. Every connection sits in one
+//!   shared one-shot set that all pool threads wait on, so the thread
+//!   that receives a connection's event owns it until it re-arms it: no
+//!   two threads are woken for the same readiness.
 //!
-//! The poller also keeps a registration map so [`Poller::registered`]
-//! can report the live fd count as a gauge (and so the portable
-//! `poll(2)` backend can rebuild its pollfd array each wait).
+//! A poller can also watch another poller ([`Poller::nest`]): the nested
+//! registration is one-shot, disarmed until [`Poller::arm_nested`], and
+//! reports its token when any armed registration of the inner poller is
+//! ready. The reactor watches the shared connection set this way, and
+//! only while every worker is executing.
+//!
+//! Events carry one `u64` token per registration; interest is replaced
+//! wholesale, not OR-ed. Errors and hangups fold into
+//! `readable`/`writable`, and the caller discovers the condition from its
+//! next `read`/`write`.
+//!
+//! Every method takes `&self` and may be called from any thread: pool
+//! threads re-arm connections while others wait on the same set.
 
-use std::collections::HashMap;
-use std::io;
-use std::os::fd::RawFd;
-use std::sync::Mutex;
+use std::io::{self, Read as _, Write as _};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// What readiness a registration wants to hear about.
@@ -50,14 +64,14 @@ impl Interest {
         readable: false,
         writable: true,
     };
+
+    /// Whether the interest asks for nothing.
+    pub fn is_none(self) -> bool {
+        !self.readable && !self.writable
+    }
 }
 
 /// One readiness event: the registered token plus what fired.
-///
-/// Errors and hangups are folded into `readable`/`writable` — the
-/// reactor discovers the actual condition from the subsequent
-/// `read`/`write` returning `Ok(0)` or an error, which keeps the event
-/// type trivial and the error handling in one place.
 #[derive(Debug, Clone, Copy)]
 pub struct PollEvent {
     /// Token supplied at registration.
@@ -68,21 +82,11 @@ pub struct PollEvent {
     pub writable: bool,
 }
 
-/// On Linux the kernel tracks token + interest inside epoll, so these
-/// fields only feed the `poll(2)` fallback (and the gauge via the map's
-/// size).
-#[derive(Debug)]
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-struct Registration {
-    token: u64,
-    interest: Interest,
-}
-
 /// A readiness poller over raw fds (epoll on Linux, `poll(2)` elsewhere).
 #[derive(Debug)]
 pub struct Poller {
     backend: backend::Backend,
-    registrations: Mutex<HashMap<RawFd, Registration>>,
+    registered: AtomicUsize,
 }
 
 impl Poller {
@@ -94,64 +98,88 @@ impl Poller {
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
             backend: backend::Backend::new()?,
-            registrations: Mutex::new(HashMap::new()),
+            registered: AtomicUsize::new(0),
         })
     }
 
-    /// Registers `fd` under `token` with the given interest.
+    /// Registers `fd` under `token`, level-triggered.
     ///
     /// # Errors
     ///
     /// Propagates the OS error (e.g. the fd is already registered).
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.register(fd, token, interest)?;
-        self.registrations
-            .lock()
-            .expect("poller registrations poisoned")
-            .insert(fd, Registration { token, interest });
+        self.backend.register(fd, token, interest, false)?;
+        self.registered.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Replaces the interest set of an already-registered fd.
+    /// Registers `fd` under `token`, one-shot and armed with `interest`:
+    /// its first event disarms it until [`Poller::rearm`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error (e.g. the fd is already registered).
+    pub fn register_oneshot(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.backend.register(fd, token, interest, true)?;
+        self.registered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Re-arms a one-shot registration with `interest`, whether or not
+    /// its last event has fired. An fd that is ready at once reports at
+    /// once.
     ///
     /// # Errors
     ///
     /// Propagates the OS error (e.g. the fd is not registered).
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.modify(fd, token, interest)?;
-        self.registrations
-            .lock()
-            .expect("poller registrations poisoned")
-            .insert(fd, Registration { token, interest });
-        Ok(())
+    pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.backend.rearm(fd, token, interest)
     }
 
     /// Removes an fd from the poller.
     ///
     /// # Errors
     ///
-    /// Propagates the OS error; the local registration is dropped either
-    /// way so the gauge cannot leak.
+    /// Propagates the OS error (e.g. the fd is not registered).
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.registrations
-            .lock()
-            .expect("poller registrations poisoned")
-            .remove(&fd);
-        self.backend.deregister(fd)
+        self.backend.deregister(fd)?;
+        self.registered.fetch_sub(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Watches `inner` under `token`: one-shot, and disarmed until
+    /// [`Poller::arm_nested`]. An armed nested registration reports its
+    /// token (as readable) once any armed registration of `inner` is
+    /// ready; the caller then takes the events with `inner.wait`.
+    /// `inner` must not be `self`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error.
+    pub fn nest(&self, inner: &Poller, token: u64) -> io::Result<()> {
+        self.backend.nest(&inner.backend, token)?;
+        self.registered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Arms (or disarms) the nested registration of `inner`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the OS error (e.g. `inner` is not nested here).
+    pub fn arm_nested(&self, inner: &Poller, token: u64, armed: bool) -> io::Result<()> {
+        self.backend.arm_nested(&inner.backend, token, armed)
     }
 
     /// Number of currently registered fds (the `registered_fds` gauge).
     pub fn registered(&self) -> usize {
-        self.registrations
-            .lock()
-            .expect("poller registrations poisoned")
-            .len()
+        self.registered.load(Ordering::Relaxed)
     }
 
     /// Blocks until at least one event fires or `timeout` elapses
-    /// (`None` blocks indefinitely). Events are appended to `events`
-    /// (which is cleared first). Returns the number of events delivered;
-    /// `0` means the wait timed out.
+    /// (`None` blocks indefinitely), and delivers at most `max` events
+    /// into `events` (which is cleared first). Returns the number of
+    /// events delivered; `0` means the wait timed out.
     ///
     /// # Errors
     ///
@@ -159,6 +187,7 @@ impl Poller {
     pub fn wait(
         &self,
         events: &mut Vec<PollEvent>,
+        max: usize,
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
@@ -171,7 +200,7 @@ impl Poller {
                 .min(i32::MAX as u128) as i32,
         };
         loop {
-            match self.backend.wait(events, timeout_ms, &self.registrations) {
+            match self.backend.wait(events, max.max(1), timeout_ms) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 other => return other.map(|()| events.len()),
             }
@@ -179,17 +208,69 @@ impl Poller {
     }
 }
 
-#[cfg(target_os = "linux")]
-mod backend {
-    //! epoll via a thin `extern "C"` shim — the symbols live in the C
-    //! runtime std links, so no crate dependency is introduced.
+/// A self-pipe that interrupts a poller's wait from another thread:
+/// [`Waker::wake`] leaves the read end readable until [`Waker::drain`].
+#[derive(Debug)]
+pub struct Waker {
+    rx: UnixStream,
+    tx: UnixStream,
+}
 
-    use super::{Interest, PollEvent, Registration};
-    use std::collections::HashMap;
+impl Waker {
+    /// Creates a waker.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `socketpair` failure.
+    pub fn new() -> io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker { rx, tx })
+    }
+
+    /// Makes the read end readable. A full pipe is fine: a wake is
+    /// already pending.
+    pub fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes every pending wake.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 256];
+        loop {
+            match (&self.rx).read(&mut buf) {
+                Ok(n) if n > 0 => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return,
+            }
+        }
+    }
+}
+
+impl AsRawFd for Waker {
+    /// The read end, to register with a poller.
+    fn as_raw_fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+}
+
+#[cfg(target_os = "linux")]
+use epoll as backend;
+#[cfg(not(target_os = "linux"))]
+use fallback as backend;
+
+#[cfg(target_os = "linux")]
+mod epoll {
+    //! epoll via a thin `extern "C"` shim — the symbols live in the C
+    //! runtime std links, so no crate dependency is introduced. One-shot
+    //! is `EPOLLONESHOT`; nesting registers the inner epoll fd, which
+    //! polls readable while the inner set has a ready event.
+
+    use super::{Interest, PollEvent};
     use std::ffi::c_int;
     use std::io;
     use std::os::fd::RawFd;
-    use std::sync::Mutex;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EPOLL_CTL_ADD: c_int = 1;
@@ -200,6 +281,7 @@ mod backend {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLONESHOT: u32 = 1 << 30;
 
     /// Mirror of the kernel's `struct epoll_event`. Packed on x86-64,
     /// where the kernel ABI leaves the u64 unaligned.
@@ -228,10 +310,14 @@ mod backend {
         epfd: RawFd,
     }
 
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+    /// The event mask for `interest`. Peer half-close (`EPOLLRDHUP`) is
+    /// asked for only with read interest: a level-triggered half-close
+    /// would otherwise re-fire forever on a connection that has stopped
+    /// reading.
+    fn mask(interest: Interest, oneshot: bool) -> u32 {
+        let mut m = if oneshot { EPOLLONESHOT } else { 0 };
         if interest.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             m |= EPOLLOUT;
@@ -249,12 +335,13 @@ mod backend {
             Ok(Backend { epfd })
         }
 
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
             let mut ev = EpollEvent {
-                events: mask(interest),
+                events,
                 data: token,
             };
-            // SAFETY: `ev` outlives the call; the kernel copies it.
+            // SAFETY: `ev` outlives the call; the kernel copies it. (Kernels
+            // before 2.6.9 demanded a non-null event even for DEL.)
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -262,35 +349,47 @@ mod backend {
             Ok(())
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
+        pub fn register(
+            &self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+            oneshot: bool,
+        ) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, mask(interest, oneshot))
         }
 
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, mask(interest, true))
         }
 
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            // SAFETY: pre-2.6.9 kernels demanded a non-null event for DEL;
-            // passing one is harmless everywhere.
-            let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
+            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+        }
+
+        pub fn nest(&self, inner: &Backend, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, inner.epfd, token, EPOLLONESHOT)
+        }
+
+        pub fn arm_nested(&self, inner: &Backend, token: u64, armed: bool) -> io::Result<()> {
+            let interest = if armed {
+                EPOLLONESHOT | EPOLLIN
+            } else {
+                EPOLLONESHOT
+            };
+            self.ctl(EPOLL_CTL_MOD, inner.epfd, token, interest)
         }
 
         pub fn wait(
             &self,
             out: &mut Vec<PollEvent>,
+            max: usize,
             timeout_ms: i32,
-            _registrations: &Mutex<HashMap<RawFd, Registration>>,
         ) -> io::Result<()> {
             let mut buf = [EpollEvent { events: 0, data: 0 }; 64];
-            // SAFETY: `buf` is a valid writable array of `buf.len()` events.
-            let n =
-                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
+            let max = max.min(buf.len()) as c_int;
+            // SAFETY: `buf` is a valid writable array of at least `max` events.
+            let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), max, timeout_ms) };
             if n < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -316,18 +415,28 @@ mod backend {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod backend {
-    //! Portable `poll(2)` fallback for non-Linux unix. The pollfd array
-    //! is rebuilt from the registration map on every wait — O(fds), fine
-    //! for the connection counts a fallback platform sees.
+// The portable `poll(2)` backend for non-Linux unix. Linux test builds
+// compile it too, so its tests run everywhere.
+#[cfg(any(test, not(target_os = "linux")))]
+mod fallback {
+    //! The pollfd array is rebuilt from the registration table on every
+    //! wait — O(fds), fine for the connection counts a fallback platform
+    //! sees. One-shot is emulated by claiming: an event is delivered
+    //! only if its registration is still armed when the waiter re-takes
+    //! the table's lock, and delivering it disarms it, so two waiters
+    //! that polled the same fd deliver it once. Every change to a table
+    //! wakes the threads blocked on it (each through its own waker, so
+    //! no waiter can consume another's wake), and they poll again with
+    //! the new table. A nested table's armed fds join the outer wait.
 
-    use super::{Interest, PollEvent, Registration};
+    use super::{Interest, PollEvent, Waker};
+    use std::cell::RefCell;
     use std::collections::HashMap;
     use std::ffi::{c_int, c_short, c_ulong};
     use std::io;
-    use std::os::fd::RawFd;
-    use std::sync::Mutex;
+    use std::os::fd::{AsRawFd, RawFd};
+    use std::sync::{Arc, Mutex, MutexGuard};
+    use std::time::Instant;
 
     const POLLIN: c_short = 0x001;
     const POLLOUT: c_short = 0x004;
@@ -346,62 +455,335 @@ mod backend {
     }
 
     #[derive(Debug)]
-    pub struct Backend;
+    struct Registration {
+        token: u64,
+        interest: Interest,
+        oneshot: bool,
+        armed: bool,
+    }
+
+    #[derive(Debug)]
+    struct Nested {
+        token: u64,
+        armed: bool,
+        inner: Arc<Mutex<Table>>,
+    }
+
+    #[derive(Debug, Default)]
+    struct Table {
+        regs: HashMap<RawFd, Registration>,
+        nested: Vec<Nested>,
+        /// Wakers of the threads blocked in a wait that polls this
+        /// table's fds.
+        waiters: Vec<Arc<Waker>>,
+    }
+
+    impl Table {
+        fn changed(&self) {
+            for w in &self.waiters {
+                w.wake();
+            }
+        }
+
+        fn forget(&mut self, me: &Arc<Waker>) {
+            self.waiters.retain(|w| !Arc::ptr_eq(w, me));
+        }
+
+        fn armed(&self) -> impl Iterator<Item = (RawFd, u64, c_short)> + '_ {
+            self.regs
+                .iter()
+                .filter(|(_, r)| r.armed && !r.interest.is_none())
+                .map(|(fd, r)| {
+                    let events = if r.interest.readable { POLLIN } else { 0 }
+                        | if r.interest.writable { POLLOUT } else { 0 };
+                    (*fd, r.token, events)
+                })
+        }
+    }
+
+    fn lock(table: &Mutex<Table>) -> MutexGuard<'_, Table> {
+        table.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// What one polled fd stands for.
+    enum Slot {
+        Direct(RawFd, u64),
+        Nested(usize),
+    }
+
+    thread_local! {
+        static WAITER: RefCell<Option<Arc<Waker>>> = const { RefCell::new(None) };
+    }
+
+    fn thread_waker() -> io::Result<Arc<Waker>> {
+        WAITER.with(|slot| {
+            let mut slot = slot.borrow_mut();
+            if let Some(w) = &*slot {
+                return Ok(Arc::clone(w));
+            }
+            let w = Arc::new(Waker::new()?);
+            *slot = Some(Arc::clone(&w));
+            Ok(w)
+        })
+    }
+
+    #[derive(Debug)]
+    pub struct Backend {
+        table: Arc<Mutex<Table>>,
+    }
 
     impl Backend {
         pub fn new() -> io::Result<Backend> {
-            Ok(Backend)
+            Ok(Backend {
+                table: Arc::new(Mutex::new(Table::default())),
+            })
         }
 
-        pub fn register(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
+        pub fn register(
+            &self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+            oneshot: bool,
+        ) -> io::Result<()> {
+            let mut t = lock(&self.table);
+            if t.regs.contains_key(&fd) {
+                return Err(io::ErrorKind::AlreadyExists.into());
+            }
+            t.regs.insert(
+                fd,
+                Registration {
+                    token,
+                    interest,
+                    oneshot,
+                    armed: true,
+                },
+            );
+            t.changed();
             Ok(())
         }
 
-        pub fn modify(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
+        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let mut t = lock(&self.table);
+            let r = t.regs.get_mut(&fd).ok_or(io::ErrorKind::NotFound)?;
+            r.token = token;
+            r.interest = interest;
+            r.armed = true;
+            t.changed();
             Ok(())
         }
 
-        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
+        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+            let mut t = lock(&self.table);
+            t.regs.remove(&fd).ok_or(io::ErrorKind::NotFound)?;
+            t.changed();
+            Ok(())
+        }
+
+        pub fn nest(&self, inner: &Backend, token: u64) -> io::Result<()> {
+            let mut t = lock(&self.table);
+            t.nested.push(Nested {
+                token,
+                armed: false,
+                inner: Arc::clone(&inner.table),
+            });
+            Ok(())
+        }
+
+        pub fn arm_nested(&self, inner: &Backend, token: u64, armed: bool) -> io::Result<()> {
+            let mut t = lock(&self.table);
+            let n = t
+                .nested
+                .iter_mut()
+                .find(|n| n.token == token && Arc::ptr_eq(&n.inner, &inner.table))
+                .ok_or(io::ErrorKind::NotFound)?;
+            n.armed = armed;
+            t.changed();
             Ok(())
         }
 
         pub fn wait(
             &self,
             out: &mut Vec<PollEvent>,
+            max: usize,
             timeout_ms: i32,
-            registrations: &Mutex<HashMap<RawFd, Registration>>,
         ) -> io::Result<()> {
-            let snapshot: Vec<(RawFd, u64, Interest)> = registrations
-                .lock()
-                .expect("poller registrations poisoned")
-                .iter()
-                .map(|(fd, r)| (*fd, r.token, r.interest))
-                .collect();
-            let mut fds: Vec<PollFd> = snapshot
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: if interest.readable { POLLIN } else { 0 }
-                        | if interest.writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            // SAFETY: `fds` is a valid array of `fds.len()` pollfds.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for (pfd, (_, token, _)) in fds.iter().zip(&snapshot) {
-                if pfd.revents == 0 {
-                    continue;
+            let me = thread_waker()?;
+            let deadline = (timeout_ms >= 0)
+                .then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
+            loop {
+                let mut fds = Vec::new();
+                let mut slots = Vec::new();
+                {
+                    let mut t = lock(&self.table);
+                    for (fd, token, events) in t.armed() {
+                        fds.push(PollFd {
+                            fd,
+                            events,
+                            revents: 0,
+                        });
+                        slots.push(Slot::Direct(fd, token));
+                    }
+                    for (i, n) in t.nested.iter().enumerate() {
+                        if !n.armed {
+                            continue;
+                        }
+                        let mut inner = lock(&n.inner);
+                        inner.waiters.push(Arc::clone(&me));
+                        for (fd, _, events) in inner.armed() {
+                            fds.push(PollFd {
+                                fd,
+                                events,
+                                revents: 0,
+                            });
+                            slots.push(Slot::Nested(i));
+                        }
+                    }
+                    t.waiters.push(Arc::clone(&me));
                 }
-                out.push(PollEvent {
-                    token: *token,
-                    readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                    writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
+                fds.push(PollFd {
+                    fd: me.as_raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
                 });
+                let wait_ms = match deadline {
+                    None => -1,
+                    Some(d) => d
+                        .saturating_duration_since(Instant::now())
+                        .as_millis()
+                        .min(i32::MAX as u128) as c_int,
+                };
+                // SAFETY: `fds` is a valid array of `fds.len()` pollfds.
+                let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, wait_ms) };
+                let polled = if rc < 0 {
+                    Err(io::Error::last_os_error())
+                } else {
+                    Ok(())
+                };
+                let mut t = lock(&self.table);
+                t.forget(&me);
+                for n in &t.nested {
+                    lock(&n.inner).forget(&me);
+                }
+                me.drain();
+                polled?;
+                for (pfd, slot) in fds.iter().zip(&slots) {
+                    if pfd.revents == 0 || out.len() >= max {
+                        continue;
+                    }
+                    match *slot {
+                        Slot::Direct(fd, token) => {
+                            let Some(r) = t.regs.get_mut(&fd) else {
+                                continue;
+                            };
+                            if !r.armed || r.token != token {
+                                continue;
+                            }
+                            r.armed = !r.oneshot;
+                            out.push(PollEvent {
+                                token,
+                                readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
+                                writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
+                            });
+                        }
+                        Slot::Nested(i) => {
+                            let n = &mut t.nested[i];
+                            if !n.armed {
+                                continue;
+                            }
+                            n.armed = false;
+                            out.push(PollEvent {
+                                token: n.token,
+                                readable: true,
+                                writable: false,
+                            });
+                        }
+                    }
+                }
+                if !out.is_empty() || deadline.is_some_and(|d| Instant::now() >= d) {
+                    return Ok(());
+                }
             }
-            Ok(())
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use std::io::Write as _;
+        use std::os::unix::net::UnixStream;
+        use std::time::Duration;
+
+        fn readable_pair() -> (UnixStream, UnixStream) {
+            let (mut a, b) = UnixStream::pair().expect("socketpair");
+            b.set_nonblocking(true).expect("nonblocking");
+            a.write_all(b"x").expect("write");
+            (a, b)
+        }
+
+        #[test]
+        fn oneshot_reports_once_until_rearmed() {
+            let set = Backend::new().expect("backend");
+            let (_a, b) = readable_pair();
+            set.register(b.as_raw_fd(), 7, Interest::READ, true)
+                .expect("register");
+            let mut out = Vec::new();
+            set.wait(&mut out, 8, 1000).expect("wait");
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].token, 7);
+            out.clear();
+            set.wait(&mut out, 8, 20).expect("wait");
+            assert!(out.is_empty(), "a fired one-shot stays silent");
+            set.rearm(b.as_raw_fd(), 7, Interest::READ).expect("rearm");
+            set.wait(&mut out, 8, 1000).expect("wait");
+            assert_eq!(out.len(), 1, "re-arming a ready fd reports it again");
+            set.deregister(b.as_raw_fd()).expect("deregister");
+            out.clear();
+            set.wait(&mut out, 8, 20).expect("wait");
+            assert!(out.is_empty());
+        }
+
+        #[test]
+        fn registration_from_another_thread_wakes_a_blocked_waiter() {
+            let set = Arc::new(Backend::new().expect("backend"));
+            let (_a, b) = readable_pair();
+            let waiter = {
+                let set = Arc::clone(&set);
+                std::thread::spawn(move || {
+                    let mut out = Vec::new();
+                    let t0 = Instant::now();
+                    set.wait(&mut out, 1, 5000).expect("wait");
+                    (out.first().map(|e| e.token), t0.elapsed())
+                })
+            };
+            std::thread::sleep(Duration::from_millis(50));
+            set.register(b.as_raw_fd(), 3, Interest::READ, true)
+                .expect("register");
+            let (token, took) = waiter.join().expect("join");
+            assert_eq!(token, Some(3));
+            assert!(took < Duration::from_secs(2), "woke late: {took:?}");
+        }
+
+        #[test]
+        fn nested_set_reports_only_while_armed() {
+            let outer = Backend::new().expect("outer");
+            let inner = Backend::new().expect("inner");
+            outer.nest(&inner, 9).expect("nest");
+            let (_a, b) = readable_pair();
+            inner
+                .register(b.as_raw_fd(), 1, Interest::READ, true)
+                .expect("register");
+            let mut out = Vec::new();
+            outer.wait(&mut out, 8, 20).expect("wait");
+            assert!(out.is_empty(), "disarmed nesting is silent");
+            outer.arm_nested(&inner, 9, true).expect("arm");
+            outer.wait(&mut out, 8, 1000).expect("wait");
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].token, 9);
+            // Nesting does not consume the inner event.
+            out.clear();
+            inner.wait(&mut out, 8, 1000).expect("inner wait");
+            assert_eq!(out.first().map(|e| e.token), Some(1));
         }
     }
 }
@@ -409,16 +791,14 @@ mod backend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::os::fd::AsRawFd;
-    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
 
     #[test]
     fn wait_times_out_with_no_events() {
         let poller = Poller::new().expect("poller");
         let mut events = Vec::new();
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 8, Some(Duration::from_millis(10)))
             .expect("wait");
         assert_eq!(n, 0);
         assert_eq!(poller.registered(), 0);
@@ -437,13 +817,13 @@ mod tests {
         let mut events = Vec::new();
         // Nothing written yet: no event.
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 8, Some(Duration::from_millis(10)))
             .expect("wait");
         assert_eq!(n, 0);
 
         a.write_all(b"x").expect("write");
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
             .expect("wait");
         assert_eq!(n, 1);
         assert_eq!(events[0].token, 7);
@@ -451,42 +831,100 @@ mod tests {
 
         // Level-triggered: the byte is still unread, so it fires again.
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
             .expect("wait");
         assert_eq!(n, 1);
 
         poller.deregister(b.as_raw_fd()).expect("deregister");
         assert_eq!(poller.registered(), 0);
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
+            .wait(&mut events, 8, Some(Duration::from_millis(10)))
             .expect("wait");
         assert_eq!(n, 0);
     }
 
     #[test]
-    fn modify_switches_interest() {
-        let poller = Poller::new().expect("poller");
+    fn oneshot_delivers_to_one_waiter_then_rearm_switches_interest() {
+        let poller = Arc::new(Poller::new().expect("poller"));
         let (mut a, b) = UnixStream::pair().expect("socketpair");
         b.set_nonblocking(true).expect("nonblocking");
         a.write_all(b"x").expect("write");
         poller
-            .register(b.as_raw_fd(), 1, Interest::WRITE)
+            .register_oneshot(b.as_raw_fd(), 1, Interest::READ)
             .expect("register");
+        // Two threads wait on the same ready fd: exactly one hears it.
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let poller = Arc::clone(&poller);
+                std::thread::spawn(move || {
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, 1, Some(Duration::from_millis(300)))
+                        .expect("wait")
+                })
+            })
+            .collect();
+        let heard: usize = waiters.into_iter().map(|w| w.join().expect("join")).sum();
+        assert_eq!(heard, 1, "a one-shot event reaches one waiter");
+
+        // Re-armed for write only: the unread byte no longer reports.
+        poller
+            .rearm(b.as_raw_fd(), 1, Interest::WRITE)
+            .expect("rearm");
         let mut events = Vec::new();
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(200)))
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
             .expect("wait");
-        // Write interest on an idle socket: writable fires, readable not
-        // requested.
         assert_eq!(n, 1);
-        assert!(events[0].writable);
+        assert!(events[0].writable && !events[0].readable);
+    }
+
+    #[test]
+    fn nested_poller_reports_inner_readiness_while_armed() {
+        let outer = Poller::new().expect("outer");
+        let inner = Poller::new().expect("inner");
+        outer.nest(&inner, 5).expect("nest");
+        let (mut a, b) = UnixStream::pair().expect("socketpair");
+        b.set_nonblocking(true).expect("nonblocking");
+        inner
+            .register_oneshot(b.as_raw_fd(), 2, Interest::READ)
+            .expect("register");
+        a.write_all(b"x").expect("write");
+        let mut events = Vec::new();
+        let n = outer
+            .wait(&mut events, 8, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert_eq!(n, 0, "disarmed nesting is silent");
+        outer.arm_nested(&inner, 5, true).expect("arm");
+        let n = outer
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 5);
+        let n = inner
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
+            .expect("inner wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 2);
+    }
+
+    #[test]
+    fn waker_interrupts_a_wait_until_drained() {
+        let poller = Poller::new().expect("poller");
+        let waker = Waker::new().expect("waker");
         poller
-            .modify(b.as_raw_fd(), 1, Interest::READ)
-            .expect("modify");
+            .register(waker.as_raw_fd(), 4, Interest::READ)
+            .expect("register");
+        waker.wake();
+        let mut events = Vec::new();
         let n = poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
             .expect("wait");
         assert_eq!(n, 1);
-        assert!(events[0].readable);
+        waker.drain();
+        let n = poller
+            .wait(&mut events, 8, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert_eq!(n, 0);
     }
 }

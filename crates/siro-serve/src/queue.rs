@@ -1,16 +1,20 @@
 //! A bounded MPMC work queue with *rejecting* backpressure.
 //!
-//! The server never blocks a connection thread on a full queue — that
-//! would push the backlog into the kernel's socket buffers where it is
-//! invisible. Instead [`BoundedQueue::try_push`] fails fast with
-//! [`PushError::Full`] and the connection answers `Busy`, keeping the
-//! queue depth (and therefore tail latency) bounded by construction.
+//! The queue holds only what the serving threads could not run at once:
+//! data-plane requests read while every worker was executing, and the
+//! pipelined frames after the first of one read. Nobody blocks on it.
+//! [`BoundedQueue::try_push`] fails fast with [`PushError::Full`] and
+//! the connection answers `Busy`, keeping the queue depth (and therefore
+//! tail latency) bounded by construction; [`BoundedQueue::try_pop`]
+//! returns `None` at once when nothing is queued. Workers pop after each
+//! job they run and when the engine wakes them for a push
+//! (`crate::pool`), so the queue needs no condition variable.
 //!
 //! Closing the queue stops new work but lets consumers drain what is
 //! already queued — the graceful-shutdown contract.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Why a push was rejected.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,7 +33,6 @@ struct Inner<T> {
 /// Fixed-capacity multi-producer multi-consumer queue.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
     capacity: usize,
 }
 
@@ -42,7 +45,6 @@ impl<T> BoundedQueue<T> {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
             }),
-            not_empty: Condvar::new(),
             capacity,
         }
     }
@@ -77,30 +79,21 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Blocks until an item is available or the queue is closed *and*
-    /// drained; `None` means "no more work ever" and consumers exit.
-    pub fn pop(&self) -> Option<T> {
+    /// Dequeues the oldest item without blocking, with whether more
+    /// remain behind it. Closing does not stop pops: queued items still
+    /// drain.
+    pub fn try_pop(&self) -> Option<(T, bool)> {
         let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
-        }
+        let item = inner.items.pop_front()?;
+        Some((item, !inner.items.is_empty()))
     }
 
     /// Closes the queue: future pushes fail, queued items still drain.
     pub fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
-        self.not_empty.notify_all();
     }
 }
 
@@ -116,31 +109,20 @@ mod tests {
         q.try_push(2).expect("second");
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.try_pop(), Some((1, true)));
         q.try_push(3).expect("freed slot");
     }
 
     #[test]
-    fn close_drains_queued_items_then_signals_exit() {
+    fn close_drains_queued_items_then_reports_empty() {
         let q = BoundedQueue::new(4);
         q.try_push("a").expect("push");
         q.try_push("b").expect("push");
         q.close();
         assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_consumers_wake_on_close() {
-        let q = Arc::new(BoundedQueue::<u32>::new(1));
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
-        // Give the consumer time to park, then close.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert_eq!(h.join().expect("join"), None);
+        assert_eq!(q.try_pop(), Some(("a", true)));
+        assert_eq!(q.try_pop(), Some(("b", false)));
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
@@ -159,22 +141,33 @@ mod tests {
                 accepted
             }));
         }
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = 0u64;
-                while q.pop().is_some() {
-                    seen += 1;
-                }
-                seen
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut seen = 0u64;
+                    for _ in 0..10_000 {
+                        if q.try_pop().is_some() {
+                            seen += 1;
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                    seen
+                })
             })
-        };
+            .collect();
         let accepted: u64 = producers
             .into_iter()
             .map(|h| h.join().expect("producer"))
             .sum();
-        q.close();
-        let seen = consumer.join().expect("consumer");
+        let mut seen: u64 = consumers
+            .into_iter()
+            .map(|h| h.join().expect("consumer"))
+            .sum();
+        while q.try_pop().is_some() {
+            seen += 1;
+        }
         assert_eq!(accepted, seen);
     }
 }

@@ -1,23 +1,27 @@
 //! The TCP server: startup, warm start, graceful shutdown.
 //!
-//! [`start`] binds the listener and runs the nonblocking reactor
-//! ([`crate::reactor`]): one thread owns every socket via a
-//! level-triggered poller, CPU-bound work runs on the worker pool, and
-//! open connections are decoupled from thread count. The reactor's
-//! accept loop *backs off* on failure (EMFILE/ENFILE and other transient
-//! errors) instead of hot-spinning, counting each failure in
+//! [`start`] binds the listener and starts the event engine
+//! ([`crate::reactor`]): `workers` pool threads wait on one shared
+//! one-shot set of every connection, and the thread that reads a request
+//! runs it and writes its reply; the reactor thread accepts, reads while
+//! every worker is busy, and drains on shutdown. That is `workers + 1`
+//! threads, and open connections are decoupled from thread count. The
+//! reactor's accept loop *backs off* on failure (EMFILE/ENFILE and other
+//! transient errors) instead of hot-spinning, counting each failure in
 //! `accept_errors` / the `serve.accept_errors` trace counter.
 //!
 //! Shutdown (via [`ServerHandle::request_shutdown`] or a wire `Shutdown`
 //! frame) stops accepting, closes the queue for new work, lets workers
-//! drain what is already queued, writes every pending response, and joins
-//! every thread before [`ServerHandle::wait`] returns — in-flight
-//! requests are answered, new ones get `ShuttingDown`.
+//! finish what was admitted and write every reply, and joins every
+//! thread before [`ServerHandle::wait`] returns — in-flight requests are
+//! answered, new ones get `ShuttingDown`.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use siro_synth::{
@@ -27,9 +31,10 @@ use siro_synth::{
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::engine::Engine;
+use crate::poller::{Interest, Poller, Waker};
 use crate::pool::{Job, WorkerPool};
 use crate::queue::BoundedQueue;
-use crate::reactor::{Completions, Reactor, ReactorStats};
+use crate::reactor::{Conn, Reactor, ReactorStats, TOKEN_QUEUE, TOKEN_READY, TOKEN_WAKE};
 use crate::stats::{render_metrics, render_stats, Metrics, ServeGauges};
 
 /// Server configuration. `Default` is suitable for tests and local use.
@@ -72,15 +77,29 @@ impl Default for ServeConfig {
 
 pub(crate) struct Shared {
     addr: SocketAddr,
-    queue: Arc<BoundedQueue<Job>>,
     engine: Arc<Engine>,
     metrics: Arc<Metrics>,
     workers: usize,
     admission: Option<AdmissionControl>,
     reactor_stats: Arc<ReactorStats>,
+    /// Requests no thread could run at once.
+    pub(crate) queue: BoundedQueue<Job>,
+    /// Every open connection, by token.
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    /// The shared one-shot set: every connection, and the queue's waker.
+    pub(crate) ready: Poller,
+    /// The reactor's own poller: the listener, its waker, and `ready`
+    /// while every worker is executing.
+    pub(crate) reactor_poller: Poller,
+    /// Wakes an idle worker for a queued job.
+    queue_wake: Waker,
     /// Wakes the reactor on shutdown.
-    completions: Arc<Completions>,
+    pub(crate) reactor_wake: Waker,
+    /// Workers executing a request right now.
+    executing: Mutex<usize>,
     shutting_down: AtomicBool,
+    /// Set once the reactor has exited: workers stop.
+    stopped: AtomicBool,
     shutdown_cv: (Mutex<bool>, Condvar),
 }
 
@@ -89,7 +108,7 @@ impl Shared {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.completions.wake();
+        self.reactor_wake.wake();
         let (lock, cv) = &self.shutdown_cv;
         *lock.lock().expect("shutdown cv poisoned") = true;
         cv.notify_all();
@@ -103,8 +122,12 @@ impl Shared {
         &self.metrics
     }
 
-    pub(crate) fn queue(&self) -> &Arc<BoundedQueue<Job>> {
-        &self.queue
+    pub(crate) fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
     }
 
     pub(crate) fn admission(&self) -> Option<&AdmissionControl> {
@@ -113,6 +136,127 @@ impl Shared {
 
     pub(crate) fn reactor_stats(&self) -> &Arc<ReactorStats> {
         &self.reactor_stats
+    }
+
+    fn table(&self) -> MutexGuard<'_, HashMap<u64, Arc<Conn>>> {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn conn(&self, token: u64) -> Option<Arc<Conn>> {
+        self.table().get(&token).cloned()
+    }
+
+    pub(crate) fn insert_conn(&self, token: u64, conn: Arc<Conn>) {
+        self.table().insert(token, conn);
+        self.reactor_stats
+            .open_connections
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops a closed connection from the table.
+    pub(crate) fn forget(&self, token: u64) {
+        if self.table().remove(&token).is_some() {
+            self.reactor_stats
+                .open_connections
+                .fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn conns_snapshot(&self) -> Vec<Arc<Conn>> {
+        self.table().values().cloned().collect()
+    }
+
+    pub(crate) fn take_conns(&self) -> Vec<Arc<Conn>> {
+        self.table().drain().map(|(_, c)| c).collect()
+    }
+
+    fn executing(&self) -> MutexGuard<'_, usize> {
+        self.executing.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether every worker is executing a request.
+    pub(crate) fn saturated(&self) -> bool {
+        *self.executing() == self.workers
+    }
+
+    /// A worker starts a request. The last idle one arms the shared set
+    /// in the reactor's poller, so what arrives meanwhile is read.
+    pub(crate) fn enter_executing(&self) {
+        let mut n = self.executing();
+        *n += 1;
+        if *n == self.workers {
+            let _ = self
+                .reactor_poller
+                .arm_nested(&self.ready, TOKEN_READY, true);
+        }
+    }
+
+    /// A worker finished a request (before writing its reply, so the
+    /// client's next request finds it idle rather than the reactor
+    /// armed).
+    pub(crate) fn leave_executing(&self) {
+        let mut n = self.executing();
+        if *n == self.workers {
+            let _ = self
+                .reactor_poller
+                .arm_nested(&self.ready, TOKEN_READY, false);
+        }
+        *n -= 1;
+    }
+
+    /// Re-arms the reactor's one-shot watch of the shared set if every
+    /// worker is still executing.
+    pub(crate) fn watch_if_saturated(&self) {
+        let n = self.executing();
+        if *n == self.workers {
+            let _ = self
+                .reactor_poller
+                .arm_nested(&self.ready, TOKEN_READY, true);
+        }
+    }
+
+    /// Jobs are waiting in the queue: wake an idle worker for them. When
+    /// every worker is executing, each pops the queue once it finishes,
+    /// so no wake is needed.
+    pub(crate) fn jobs_queued(&self) {
+        if !self.saturated() {
+            self.queue_wake.wake();
+        }
+    }
+
+    /// Consumes the queue's wake and re-arms it in the shared set.
+    pub(crate) fn rearm_queue_wake(&self) {
+        self.queue_wake.drain();
+        let _ = self
+            .ready
+            .rearm(self.queue_wake.as_raw_fd(), TOKEN_QUEUE, Interest::READ);
+    }
+
+    /// The oldest queued job. If more remain, another idle worker is
+    /// woken to help.
+    pub(crate) fn pop_job(&self) -> Option<Job> {
+        let (job, more) = self.queue.try_pop()?;
+        if more {
+            self.jobs_queued();
+        }
+        Some(job)
+    }
+
+    /// Stops the workers once the reactor has exited: the stop passes
+    /// from worker to worker through the queue's waker.
+    fn stop_workers(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.queue.close();
+        self.queue_wake.wake();
+    }
+
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Passes a stop on to the next worker.
+    pub(crate) fn pass_stop(&self) {
+        self.queue_wake.wake();
     }
 
     fn gauges(&self) -> ServeGauges {
@@ -125,7 +269,7 @@ impl Shared {
             pairs_synthesized: totals.syntheses,
             coalesced_waiters: totals.coalesced,
             reactor_loops: r.loop_iterations.load(Ordering::Relaxed),
-            registered_fds: r.registered_fds.load(Ordering::Relaxed),
+            registered_fds: (self.ready.registered() + self.reactor_poller.registered()) as u64,
             write_queue_hwm_bytes: r.write_queue_hwm_bytes.load(Ordering::Relaxed),
             open_connections: r.open_connections.load(Ordering::Relaxed),
         }
@@ -208,12 +352,10 @@ impl ServerHandle {
                 signalled = cv.wait(signalled).expect("shutdown cv poisoned");
             }
         }
-        // The reactor closes the queue itself, waits for in-flight work,
-        // writes every pending response, then exits.
+        // The reactor closes the queue itself, waits until every admitted
+        // request is answered and written, then exits.
         let _ = self.reactor.join();
-        // Belt and braces: close the queue so workers exit once the
-        // backlog is drained (close still drains queued jobs).
-        self.shared.queue.close();
+        self.shared.stop_workers();
         self.pool.join();
     }
 
@@ -250,22 +392,33 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         set_active_store(Some(Arc::new(store)));
         warm_start(&engine);
     }
-    let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-    let (completions, wake_rx) = Completions::new()?;
+    let ready = Poller::new()?;
+    let queue_wake = Waker::new()?;
+    ready.register_oneshot(queue_wake.as_raw_fd(), TOKEN_QUEUE, Interest::READ)?;
+    let reactor_poller = Poller::new()?;
+    let reactor_wake = Waker::new()?;
+    reactor_poller.register(reactor_wake.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
+    reactor_poller.nest(&ready, TOKEN_READY)?;
     let shared = Arc::new(Shared {
         addr,
-        queue: Arc::clone(&queue),
-        engine: Arc::clone(&engine),
-        metrics: Arc::clone(&metrics),
+        engine,
+        metrics,
         workers,
         admission: AdmissionControl::from_config(config.admission),
         reactor_stats: Arc::new(ReactorStats::default()),
-        completions: Arc::clone(&completions),
+        queue: BoundedQueue::new(config.queue_capacity),
+        conns: Mutex::new(HashMap::new()),
+        ready,
+        reactor_poller,
+        queue_wake,
+        reactor_wake,
+        executing: Mutex::new(0),
         shutting_down: AtomicBool::new(false),
+        stopped: AtomicBool::new(false),
         shutdown_cv: (Mutex::new(false), Condvar::new()),
     });
-    let reactor = Reactor::new(listener, Arc::clone(&shared), completions, wake_rx)?;
-    let pool = WorkerPool::spawn(workers, queue, engine, metrics);
+    let reactor = Reactor::new(listener, Arc::clone(&shared))?;
+    let pool = WorkerPool::spawn(&shared);
     let reactor = std::thread::Builder::new()
         .name("siro-serve-reactor".into())
         .spawn(move || reactor.run())

@@ -86,6 +86,10 @@ pub struct Metrics {
     pub requests_error: AtomicU64,
     /// Requests rejected by per-peer admission control (`Throttled`).
     pub requests_throttled: AtomicU64,
+    /// Data-plane requests that went through the bounded queue: read
+    /// while every worker was executing, or pipelined behind the first
+    /// request of one read. The rest ran on the thread that read them.
+    pub requests_queued: AtomicU64,
     /// Translate requests executed by workers.
     pub translations: AtomicU64,
     /// Translate requests with a WIR endpoint (WIR↔WIR or SIRO↔WIR).
@@ -145,6 +149,7 @@ impl Metrics {
             requests_busy: self.requests_busy.load(Ordering::Relaxed),
             requests_error: self.requests_error.load(Ordering::Relaxed),
             requests_throttled: self.requests_throttled.load(Ordering::Relaxed),
+            requests_queued: self.requests_queued.load(Ordering::Relaxed),
             translations: self.translations.load(Ordering::Relaxed),
             cross_dialect: self.cross_dialect.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -168,6 +173,8 @@ pub struct MetricsSnapshot {
     pub requests_error: u64,
     /// See [`Metrics::requests_throttled`].
     pub requests_throttled: u64,
+    /// See [`Metrics::requests_queued`].
+    pub requests_queued: u64,
     /// See [`Metrics::translations`].
     pub translations: u64,
     /// See [`Metrics::cross_dialect`].
@@ -196,9 +203,10 @@ pub struct ServeGauges {
     pub pairs_synthesized: u64,
     /// Coalescer: requests that reused another request's synthesis.
     pub coalesced_waiters: u64,
-    /// Event-loop iterations so far.
+    /// Reactor loop iterations so far (accepts, saturated reads, drain).
     pub reactor_loops: u64,
-    /// Fds registered with the poller right now.
+    /// Fds registered right now: the shared connection set plus the
+    /// reactor's own poller.
     pub registered_fds: u64,
     /// Largest per-connection write queue seen, in bytes.
     pub write_queue_hwm_bytes: u64,
@@ -220,6 +228,7 @@ pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
     line("requests_busy", m.requests_busy);
     line("requests_error", m.requests_error);
     line("requests_throttled", m.requests_throttled);
+    line("requests_queued", m.requests_queued);
     line("translations", m.translations);
     line("cross_dialect_translations", m.cross_dialect);
     line("connections", m.connections);
@@ -301,6 +310,7 @@ pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
         "counter",
         m.requests_throttled,
     );
+    sample("siro_requests_queued_total", "counter", m.requests_queued);
     sample("siro_translations_total", "counter", m.translations);
     sample(
         "siro_cross_dialect_translations_total",
@@ -483,9 +493,11 @@ mod tests {
         m.on_request();
         m.on_ok(Duration::from_micros(300));
         m.on_throttled();
+        m.requests_queued.fetch_add(2, Ordering::Relaxed);
         let page = render_stats(&m, &gauges());
         assert_eq!(stats_value(&page, "requests_total"), Some(1));
         assert_eq!(stats_value(&page, "requests_throttled"), Some(1));
+        assert_eq!(stats_value(&page, "requests_queued"), Some(2));
         assert_eq!(stats_value(&page, "queue_depth"), Some(3));
         assert_eq!(stats_value(&page, "queue_capacity"), Some(64));
         assert_eq!(stats_value(&page, "workers"), Some(8));
@@ -538,8 +550,10 @@ mod tests {
         let m = Metrics::default();
         m.on_request();
         m.on_ok(Duration::from_micros(300));
+        m.requests_queued.fetch_add(3, Ordering::Relaxed);
         let page = render_metrics(&m, &gauges());
         assert_eq!(metrics_value(&page, "siro_requests_total"), Some(1));
+        assert_eq!(metrics_value(&page, "siro_requests_queued_total"), Some(3));
         assert_eq!(metrics_value(&page, "siro_queue_capacity"), Some(64));
         assert_eq!(metrics_value(&page, "siro_reactor_loops_total"), Some(11));
         assert!(metrics_value(&page, "siro_requests_throttled_total").is_some());

@@ -1,6 +1,7 @@
 //! End-to-end tests over a real loopback socket: byte-identical
 //! translation, request coalescing, backpressure, pipelining, error
-//! mapping, framing errors, and graceful shutdown.
+//! mapping, framing errors, slow readers, connection churn, and graceful
+//! shutdown.
 //!
 //! Each test starts its own server on an ephemeral port, so the tests are
 //! independent and can run concurrently. The `TranslatorCache` is
@@ -9,14 +10,16 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use siro_core::{ReferenceTranslator, Skeleton};
 use siro_ir::{parse, write, IrVersion};
-use siro_serve::protocol::{read_frame, FrameRead, MAX_FRAME};
+use siro_serve::protocol::{read_frame, write_frame, FrameRead, MAX_FRAME};
+use siro_serve::reactor::WRITE_HIGH_WATER;
 use siro_serve::{
-    metrics_value, stats_value, AdmissionConfig, Client, ClientError, ErrorCode, Response,
+    metrics_value, stats_value, AdmissionConfig, Client, ClientError, ErrorCode, Request, Response,
     ServeConfig, TranslateMode,
 };
 
@@ -169,6 +172,8 @@ fn saturated_queue_answers_busy_without_blocking() {
     let addr = handle.addr();
 
     let mut filler = Client::connect(addr, TIMEOUT).expect("connect filler");
+    let page = filler.stats().expect("stats before the pings");
+    let queued_before = stats_value(&page, "requests_queued").expect("requests_queued");
     // Request 1 occupies the single worker for ~1.5 s.
     filler.ping_nowait(1500).expect("send slow ping");
     // Request 2 sits in the single queue slot.
@@ -189,6 +194,20 @@ fn saturated_queue_answers_busy_without_blocking() {
     assert!(
         elapsed < Duration::from_millis(1000),
         "busy rejection must not block behind the queue (took {elapsed:?})"
+    );
+
+    // The control plane answers while the worker is still pinned, and
+    // only the second ping went through the queue.
+    let t0 = std::time::Instant::now();
+    let page = probe.stats().expect("stats while saturated");
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(1000),
+        "STATS must not wait for a worker (took {elapsed:?})"
+    );
+    assert_eq!(
+        stats_value(&page, "requests_queued"),
+        Some(queued_before + 1)
     );
 
     // The filler's two slow pings still complete (backpressure rejected
@@ -466,5 +485,223 @@ fn metrics_over_the_socket_parse_and_move() {
     // The in-process rendering is the same code path as the wire page.
     let inproc = handle.metrics_page();
     assert!(metrics_value(&inproc, "siro_requests_total").is_some());
+    handle.shutdown();
+}
+
+/// A closed-loop client's requests run on the thread that reads them:
+/// with one worker, none of a hundred goes through the queue.
+#[test]
+fn closed_loop_requests_never_touch_the_queue() {
+    let _serial = serial();
+    let handle = start_server(1, 8);
+    let mut client = Client::connect(handle.addr(), TIMEOUT).expect("connect");
+    client.set_op_timeout(Some(TIMEOUT));
+    let text = corpus_module_text(IrVersion::V13_0, IrVersion::V3_6, 1);
+    for i in 0..100 {
+        client
+            .translate(
+                IrVersion::V13_0,
+                IrVersion::V3_6,
+                TranslateMode::Reference,
+                text.clone(),
+            )
+            .unwrap_or_else(|e| panic!("request {i}: {e}"));
+    }
+    let page = client.stats().expect("stats");
+    assert_eq!(stats_value(&page, "translations"), Some(100));
+    assert_eq!(stats_value(&page, "requests_queued"), Some(0));
+    handle.shutdown();
+}
+
+/// Connections that come and go by the hundred are all served and all
+/// closed: every connection is in the table before its fd can wake a
+/// worker, and a closed one leaves it.
+#[test]
+fn connection_churn_serves_every_connection_and_closes_them_all() {
+    let _serial = serial();
+    let handle = start_server(2, 64);
+    let addr = handle.addr();
+    let text = corpus_module_text(IrVersion::V13_0, IrVersion::V3_6, 2);
+    let started = Instant::now();
+    let threads: Vec<_> = (0..4)
+        .map(|t| {
+            let text = text.clone();
+            std::thread::spawn(move || {
+                for i in 0..100 {
+                    let mut client = Client::connect(addr, TIMEOUT)
+                        .unwrap_or_else(|e| panic!("thread {t} connect {i}: {e}"));
+                    client.set_op_timeout(Some(TIMEOUT));
+                    client
+                        .translate(
+                            IrVersion::V13_0,
+                            IrVersion::V3_6,
+                            TranslateMode::Reference,
+                            text.clone(),
+                        )
+                        .unwrap_or_else(|e| panic!("thread {t} request {i}: {e}"));
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("churn thread");
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "churn took {:?}",
+        started.elapsed()
+    );
+    let open = || {
+        handle
+            .reactor_stats()
+            .open_connections
+            .load(Ordering::Relaxed)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still open after churn",
+            open()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let m = handle.metrics().snapshot();
+    assert_eq!(m.connections, 400);
+    assert_eq!(m.translations, 400);
+    assert_eq!(m.requests_error + m.requests_busy, 0);
+    handle.shutdown();
+}
+
+/// A 13.0 module of `functions` small functions, named apart by `salt`:
+/// its translation is about as long as its text.
+fn wide_module(functions: usize, salt: usize) -> String {
+    let mut text = String::from("; IR version 13.0\n");
+    for i in 0..functions {
+        text.push_str(&format!(
+            "\ndefine i32 @f{salt}_{i}(i32 %v) {{\nentry:\n  %r = add i32 %v, {i}\n  ret i32 %r\n}}\n"
+        ));
+    }
+    text.push_str("\ndefine i32 @main() {\nentry:\n  ret i32 0\n}\n");
+    text
+}
+
+/// A client that keeps sending and reads nothing stops being read once
+/// its replies pass the write queue's high-water mark, so the server
+/// holds about that much for it, not every reply; another connection is
+/// served meanwhile, and every reply arrives intact once the client
+/// reads.
+#[test]
+fn slow_reader_pauses_its_own_reads_and_gets_every_reply() {
+    let _serial = serial();
+    let handle = start_server(2, 64);
+    let addr = handle.addr();
+    let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
+    let modules: Vec<String> = (0..4).map(|salt| wide_module(150, salt)).collect();
+    let expected: Vec<String> = modules
+        .iter()
+        .map(|text| {
+            let module = parse::parse_module(text).expect("local parse");
+            let local = Skeleton::new(tgt)
+                .translate_module(&module, &ReferenceTranslator)
+                .expect("local translation");
+            write::write_module(&local)
+        })
+        .collect();
+    let requests = 2400usize;
+    let total_reply_bytes: usize = (0..requests).map(|i| expected[i % 4].len()).sum();
+
+    let mut slow = TcpStream::connect(addr).expect("connect slow reader");
+    slow.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+    let mut writer = slow.try_clone().expect("clone");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let metrics = Arc::clone(handle.metrics());
+    let sender = {
+        let sent = Arc::clone(&sent);
+        let modules = modules.clone();
+        std::thread::spawn(move || {
+            for i in 0..requests {
+                // At most a few requests wait on the server at a time, so
+                // none is refused `Busy`.
+                while i as u64 >= metrics.snapshot().translations + 8 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let request = Request::Translate {
+                    source: src.into(),
+                    target: tgt.into(),
+                    mode: TranslateMode::Reference,
+                    text: modules[i % 4].clone(),
+                };
+                write_frame(&mut writer, &request.encode(i as u64 + 1)).expect("send");
+                sent.store(i + 1, Ordering::SeqCst);
+            }
+        })
+    };
+
+    // Wait until the server stops reading the slow connection: its
+    // replies reach the high-water mark and then nothing more is read.
+    let hwm = || {
+        handle
+            .reactor_stats()
+            .write_queue_hwm_bytes
+            .load(Ordering::Relaxed) as usize
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while hwm() < WRITE_HIGH_WATER {
+        assert!(
+            Instant::now() < deadline,
+            "the write queue never reached the high-water mark"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut before = handle.metrics().snapshot().translations;
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = handle.metrics().snapshot().translations;
+        if now == before {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the server kept reading");
+        before = now;
+    }
+    let paused_at = sent.load(Ordering::SeqCst);
+    assert!(paused_at < requests, "the sender was never held back");
+
+    // Another connection is served while the slow one is paused.
+    let mut other = Client::connect(addr, TIMEOUT).expect("connect other");
+    other.set_op_timeout(Some(TIMEOUT));
+    let served = other
+        .translate(src, tgt, TranslateMode::Reference, modules[1].clone())
+        .expect("the other connection is served");
+    assert_eq!(served.text, expected[1]);
+
+    // Now the client reads: every reply arrives, byte-identical.
+    for n in 0..requests {
+        let payload = loop {
+            match read_frame(&mut slow).expect("read reply") {
+                FrameRead::Payload(p) => break p,
+                FrameRead::Idle => continue,
+                FrameRead::Eof => panic!("closed after {n} replies"),
+            }
+        };
+        match Response::decode(&payload).expect("decode reply") {
+            (id, Response::TranslateOk { text, .. }) => {
+                assert_eq!(text, expected[(id as usize - 1) % 4], "reply {id}");
+            }
+            other => panic!("reply {n}: {other:?}"),
+        }
+    }
+    sender.join().expect("sender");
+    let page = other.stats().expect("stats");
+    let hwm = stats_value(&page, "reactor_write_queue_hwm_bytes").expect("hwm") as usize;
+    assert!(hwm >= WRITE_HIGH_WATER, "hwm {hwm}");
+    assert!(
+        hwm * 4 < total_reply_bytes,
+        "the server held {hwm} of {total_reply_bytes} reply bytes: reading never paused"
+    );
+    eprintln!(
+        "slow reader: paused after {paused_at} of {requests} requests; \
+         write-queue hwm {hwm} of {total_reply_bytes} reply bytes"
+    );
     handle.shutdown();
 }

@@ -87,7 +87,7 @@ fn connect_remote(args: &[String], addr: &str) -> Result<Client, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("versions") => cmd_versions(),
+        Some("versions") => cmd_versions(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("translate") => cmd_translate(&args[1..]),
         Some("synthesize") => cmd_synthesize(&args[1..]),
@@ -234,29 +234,6 @@ fn check_flags<'a>(
     Ok(positionals)
 }
 
-fn positional(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") && a != "--emit-code" && a != "--expect-failure" {
-            skip = true;
-            continue;
-        }
-        if a == "-o" {
-            skip = true;
-            continue;
-        }
-        if !a.starts_with('-') {
-            out.push(args[i].as_str());
-        }
-    }
-    out
-}
-
 fn load_module(path: &str) -> Result<Module, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let m = parse::parse_module(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -275,7 +252,8 @@ fn emit_module(m: &Module, out: Option<&str>) -> Result<(), String> {
     }
 }
 
-fn cmd_versions() -> Result<(), String> {
+fn cmd_versions(args: &[String]) -> Result<(), String> {
+    check_flags("versions", args, &[], &[], 0)?;
     println!("{:>8} | {:>8} | notes", "version", "#opcodes");
     println!("{}", "-".repeat(60));
     for v in IrVersion::CATALOG {
@@ -300,7 +278,7 @@ fn cmd_versions() -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let [path] = positional(args)[..] else {
+    let [path] = check_flags("run", args, &[], &[], 1)?[..] else {
         return Err("usage: siro run <file>".into());
     };
     let m = load_module(path)?;
@@ -470,6 +448,22 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use siro::loadgen::{corpus_payloads, sweep, EngineRun, LoadgenConfig};
     use std::net::ToSocketAddrs;
 
+    check_flags(
+        "loadgen",
+        args,
+        &[
+            "--remote",
+            "--threads",
+            "--rates",
+            "--slo-ms",
+            "--connections",
+            "--duration-ms",
+            "--pairs",
+            "-o",
+        ],
+        &["--synthesized"],
+        0,
+    )?;
     let pairs_spec = flag_value(args, "--pairs").unwrap_or("13.0:3.6");
     let mut pairs = Vec::new();
     for pair in pairs_spec.split(',') {
@@ -807,7 +801,11 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The flags of the remote-client commands that take no others.
+const REMOTE_FLAGS: [&str; 2] = ["--remote", "--timeout-ms"];
+
 fn cmd_stats(args: &[String]) -> Result<(), String> {
+    check_flags("stats", args, &REMOTE_FLAGS, &[], 0)?;
     let addr = flag_value(args, "--remote").ok_or("usage: siro stats --remote <addr>")?;
     let mut client = connect_remote(args, addr)?;
     let page = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
@@ -816,6 +814,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
+    check_flags("metrics", args, &REMOTE_FLAGS, &[], 0)?;
     let addr = flag_value(args, "--remote").ok_or("usage: siro metrics --remote <addr>")?;
     let mut client = connect_remote(args, addr)?;
     let page = client
@@ -826,11 +825,11 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace_report(args: &[String]) -> Result<(), String> {
-    let default = siro::trace::export::default_trace_path();
-    let path = positional(args)
+    let path = check_flags("trace-report", args, &[], &[], 1)?
         .first()
-        .map(std::path::PathBuf::from)
-        .unwrap_or(default);
+        .map_or_else(siro::trace::export::default_trace_path, |p| {
+            std::path::PathBuf::from(p)
+        });
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
             "reading {}: {e} (run with SIRO_TRACE=1 first)",
@@ -866,6 +865,7 @@ fn finish_trace() {
 }
 
 fn cmd_shutdown(args: &[String]) -> Result<(), String> {
+    check_flags("shutdown", args, &REMOTE_FLAGS, &[], 0)?;
     let addr = flag_value(args, "--remote").ok_or("usage: siro shutdown --remote <addr>")?;
     let mut client = connect_remote(args, addr)?;
     client
@@ -876,6 +876,7 @@ fn cmd_shutdown(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_synthesize(args: &[String]) -> Result<(), String> {
+    check_flags("synthesize", args, &["--from", "--to"], &["--emit-code"], 0)?;
     let from = parse_version(flag_value(args, "--from").ok_or("missing --from <version>")?)?;
     let to = parse_version(flag_value(args, "--to").ok_or("missing --to <version>")?)?;
     let tests = oracle_corpus(from, to);
@@ -937,6 +938,22 @@ fn pick_mid(src: IrVersion, tgt: IrVersion) -> IrVersion {
 fn cmd_difftest(args: &[String]) -> Result<(), String> {
     use siro::difftest::{DifftestConfig, RegressionArtifact};
 
+    check_flags(
+        "difftest",
+        args,
+        &[
+            "--pairs",
+            "--budget",
+            "--seed",
+            "--fault",
+            "--mid",
+            "--route-mids",
+            "--regressions",
+            "-o",
+        ],
+        &["--expect-failure"],
+        0,
+    )?;
     let pairs_spec = flag_value(args, "--pairs").unwrap_or("13.0:3.6");
     let budget: f64 = match flag_value(args, "--budget") {
         Some(s) => s.parse().map_err(|_| format!("bad --budget `{s}`"))?,
@@ -1051,7 +1068,7 @@ fn cmd_difftest(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_opt(args: &[String]) -> Result<(), String> {
-    let [path] = positional(args)[..] else {
+    let [path] = check_flags("opt", args, &["-o"], &[], 1)?[..] else {
         return Err("usage: siro opt <file> [-o <out>]".into());
     };
     let mut m = load_module(path)?;

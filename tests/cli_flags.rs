@@ -1,7 +1,7 @@
-//! `siro serve`, `siro route`, `siro store` and `siro translate` refuse
-//! flags they do not know: a misspelled or removed flag must fail with its
-//! name and a non-zero exit, never run the command without it. A local
-//! `siro translate` answers with the bytes the serving engine answers.
+//! Every `siro` command refuses flags it does not know: a misspelled or
+//! removed flag must fail with its name and a non-zero exit, never run the
+//! command without it. A local `siro translate` answers with the bytes the
+//! serving engine answers.
 
 use std::process::{Command, Output, Stdio};
 use std::sync::Arc;
@@ -155,6 +155,30 @@ fn translate_refuses_unknown_flags() {
     );
     assert_refused(&["translate", "--to", "3.6", "a.sir", "b.sir"], "b.sir");
     assert_refused(&["translate", "m.sir", "--to"], "--to");
+}
+
+#[test]
+fn every_other_command_refuses_unknown_flags() {
+    // Each is refused before it reads a file, boots a server or dials.
+    assert_refused(&["run", "smoke.sir", "--bogus"], "--bogus");
+    assert_refused(&["run", "a.sir", "b.sir"], "b.sir");
+    assert_refused(&["opt", "m.sir", "--O3"], "--O3");
+    // `--emit` is not `--emit-code`: synthesizing without printing the
+    // code would succeed silently.
+    assert_refused(
+        &["synthesize", "--from", "13.0", "--to", "3.6", "--emit"],
+        "--emit",
+    );
+    assert_refused(&["difftest", "--pair", "13.0:3.6"], "--pair");
+    assert_refused(
+        &["loadgen", "--ratez", "100", "--duration-ms", "10"],
+        "--ratez",
+    );
+    for cmd in ["stats", "metrics", "shutdown"] {
+        assert_refused(&[cmd, "--remote", "127.0.0.1:9", "--verbose"], "--verbose");
+    }
+    assert_refused(&["trace-report", "t.json", "--top"], "--top");
+    assert_refused(&["versions", "--all"], "--all");
 }
 
 #[test]
