@@ -15,24 +15,20 @@
 //!    every module), then repeat one full round trip warm (gate: bytes
 //!    identical to the cold pass; the certificate must be hot).
 //!
-//! Dumps `BENCH_cross_dialect.json` (`siro-bench/cross-dialect-v1`, path
-//! overridable via `SIRO_BENCH_CROSS_JSON`) and exits non-zero when a
-//! gate fails.
+//! Dumps `BENCH_cross_dialect.json` (`siro-bench/cross-dialect-v1`) and
+//! exits non-zero when a gate fails.
 
 use std::time::Instant;
 
-use siro_bench::perf;
+use siro_bench::micros;
 use siro_synth::{
     bridge_cached, bridge_is_hot, lower_module, raise_module, reset_bridge_cache, reset_wir_cache,
     siro_behaviour, wir_behaviour, wir_pair_is_hot, wir_translator_cached, BRIDGE_ANCHORS,
 };
+use siro_trace::json::{obj, Value};
 use siro_wir::{generate_straightline, write_module, WirVersion};
 
 const CORPUS: u64 = 24;
-
-fn micros(d: std::time::Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
 
 /// Universal-subset corpus: straight-line modules generated at the base
 /// version (no `select`/`local.tee`/`br_table`), re-stamped to `v` — the
@@ -129,15 +125,15 @@ fn main() {
                 corpus.len(),
                 if ok { "" } else { "  GATE FAILED" }
             );
-            wir_pairs.push(perf::WirPairRecord {
-                from: a.to_string(),
-                to: b.to_string(),
-                synth_cold_us,
-                warm_us,
-                corpus: corpus.len(),
-                roundtrip_identical,
-                warm_identical,
-            });
+            wir_pairs.push(obj([
+                ("from", a.to_string().into()),
+                ("to", b.to_string().into()),
+                ("synth_cold_us", synth_cold_us.into()),
+                ("warm_us", warm_us.into()),
+                ("corpus", corpus.len().into()),
+                ("roundtrip_identical", roundtrip_identical.into()),
+                ("warm_identical", warm_identical.into()),
+            ]));
         }
     }
 
@@ -188,29 +184,25 @@ fn main() {
             corpus_used,
             if ok { "" } else { "  GATE FAILED" }
         );
-        cross_pairs.push(perf::CrossPairRecord {
-            siro: siro.to_string(),
-            wir: wir.to_string(),
-            bridge_cold_us,
-            warm_us,
-            corpus: corpus_used,
-            buckets_preserved,
-            warm_identical,
-        });
+        cross_pairs.push(obj([
+            ("siro", siro.to_string().into()),
+            ("wir", wir.to_string().into()),
+            ("bridge_cold_us", bridge_cold_us.into()),
+            ("warm_us", warm_us.into()),
+            ("corpus", corpus_used.into()),
+            ("buckets_preserved", buckets_preserved.into()),
+            ("warm_identical", warm_identical.into()),
+        ]));
     }
 
-    let record = perf::CrossDialectRecord {
-        wir_pairs,
-        cross_pairs,
-        pass,
-    };
-    match perf::write_cross_dialect_json(&record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("writing BENCH_cross_dialect.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let doc = obj([
+        ("schema", "siro-bench/cross-dialect-v1".into()),
+        ("wir_pairs", Value::Arr(wir_pairs)),
+        ("cross_pairs", Value::Arr(cross_pairs)),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("cross_dialect", &doc).expect("writing the bench record");
+    println!("wrote {}", path.display());
     if !pass {
         eprintln!("cross_dialect gate FAILED");
         std::process::exit(1);

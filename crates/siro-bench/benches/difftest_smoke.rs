@@ -11,14 +11,13 @@
 //! It also enforces the validation-depth claim measured in
 //! `EXPERIMENTS.md`: coverage-guided mutation must reach at least 10
 //! opcode kinds the generated seed corpus alone never produces. Results
-//! go to `BENCH_difftest.json` (schema `siro-bench/difftest-v1`, path
-//! overridable via `SIRO_BENCH_DIFFTEST_JSON`).
+//! go to `BENCH_difftest_smoke.json` (schema `siro-bench/difftest-v1`).
 //!
 //! `SIRO_DIFFTEST_BUDGET_SECS` overrides the per-run budget (default 5).
 
 use std::time::Duration;
 
-use siro_difftest::{run, write_difftest_json, DifftestConfig, SHRINK_TARGET};
+use siro_difftest::{difftest_json, run, DifftestConfig, SHRINK_TARGET};
 use siro_ir::{IrVersion, Opcode};
 use siro_synth::SynthFault;
 
@@ -26,10 +25,7 @@ use siro_synth::SynthFault;
 const NEW_KIND_FLOOR: usize = 10;
 
 fn main() {
-    let budget: f64 = std::env::var("SIRO_DIFFTEST_BUDGET_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0);
+    let budget = siro_bench::env_f64("SIRO_DIFFTEST_BUDGET_SECS", 5.0);
     siro_bench::banner(&format!(
         "difftest_smoke: clean + seeded-fault runs, {budget}s budget each"
     ));
@@ -98,10 +94,9 @@ fn main() {
 
     reports.push(clean);
     reports.push(faulted);
-    match write_difftest_json(&reports) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_difftest.json: {e}"),
-    }
+    let path = siro_bench::write("difftest_smoke", &difftest_json(&reports))
+        .expect("writing the bench record");
+    println!("wrote {}", path.display());
 
     if !pass {
         std::process::exit(1);

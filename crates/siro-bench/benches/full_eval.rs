@@ -12,11 +12,11 @@
 //!    **zero re-synthesis**, which the cache miss counter proves.
 //!
 //! Per-pair stage timings and the final hit/miss counters land in
-//! `BENCH_synthesis.json`.
+//! `BENCH_full_eval.json` (`siro-bench/synthesis-v2`).
 
 use std::time::Instant;
 
-use siro_bench::{banner, synthesize_pairs};
+use siro_bench::{banner, synthesis_doc, synthesis_pair, synthesize_pairs};
 use siro_ir::IrVersion;
 use siro_synth::{SynthesisConfig, Synthesizer, TranslatorCache};
 
@@ -119,11 +119,14 @@ fn main() {
     assert_eq!(cves, 111);
     assert_eq!(campaign.total_bugs(), 80);
 
-    let records: Vec<_> = results.iter().map(|(_, r)| r.clone()).collect();
-    match siro_bench::perf::write_synthesis_json(&records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_synthesis.json: {e}"),
-    }
+    let entries = PAIRS
+        .iter()
+        .zip(&results)
+        .map(|(&pair, (lookup, wall))| synthesis_pair(pair, &lookup.outcome, *wall, !lookup.fresh))
+        .collect();
+    let path =
+        siro_bench::write("full_eval", &synthesis_doc(entries)).expect("writing the bench record");
+    println!("\nwrote {}", path.display());
     println!(
         "\nsummary: sequential {:.2}s -> fan-out {:.2}s on {threads} threads; warm",
         sequential.as_secs_f64(),

@@ -14,29 +14,33 @@
 //! reported so warm-up noise (thread-local slab priming, hashmap growth)
 //! is excluded — steady state is what serving cares about.
 //!
-//! Gate: `baseline_allocs / total_allocs >= SIRO_IR_ALLOC_MIN_RATIO`
-//! (default 2.0). The baseline is the pre-arena count measured on this
-//! exact workload at the commit that introduced the bench, overridable
-//! via `SIRO_IR_ALLOC_BASELINE`.
+//! Gate: `baseline_allocs / total_allocs >= 2.0` (`MIN_RATIO`), on every
+//! host. The baseline (`PRE_ARENA_BASELINE`) is the pre-arena count
+//! measured on this exact workload at the commit that introduced the
+//! bench.
 //!
-//! Dumps `BENCH_ir_alloc.json` (`siro-bench/ir-alloc-v1`, path
-//! overridable via `SIRO_BENCH_IR_ALLOC_JSON`); exits non-zero when the
-//! gate fails, so CI can run it directly.
+//! Dumps `BENCH_ir_alloc.json` (`siro-bench/ir-alloc-v1`); exits non-zero
+//! when the gate fails, so CI can run it directly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use siro_bench::perf::{write_ir_alloc_json, IrAllocRecord};
+use siro_bench::{median, version_pair};
 use siro_ir::{parse, write, IrVersion};
 use siro_synth::{
     oracle_corpus, StreamBackend, SynthesisConfig, TranslatorBackend, TranslatorCache,
 };
+use siro_trace::json::obj;
 
 /// Pre-arena allocator calls per request on this workload (tmux, 971
 /// insts, 13.0 → 3.6), measured at the commit that added this bench.
 /// Measured: parse 12,258 + translate 3 + serialize 7,770 = 20,031.
 const PRE_ARENA_BASELINE: u64 = 20_031;
+
+/// The gate: the arena core must cut allocator calls per request at
+/// least this much below [`PRE_ARENA_BASELINE`] (measured 6.9×).
+const MIN_RATIO: f64 = 2.0;
 
 struct CountingAlloc;
 
@@ -76,33 +80,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, after - before)
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
-
 const REPS: usize = 20;
 
 fn main() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
-    let baseline = env_u64("SIRO_IR_ALLOC_BASELINE", PRE_ARENA_BASELINE);
-    let min_ratio = env_f64("SIRO_IR_ALLOC_MIN_RATIO", 2.0);
     println!(
-        "ir_alloc: pair {src}->{tgt}, {REPS} reps, gate >= {min_ratio:.1}x fewer allocator calls"
+        "ir_alloc: pair {src}->{tgt}, {REPS} reps, gate >= {MIN_RATIO:.1}x fewer allocator calls"
     );
 
     let tests = oracle_corpus(src, tgt);
@@ -161,43 +144,45 @@ fn main() {
     let translate_allocs = *translate_counts.iter().min().unwrap();
     let serialize_allocs = *serialize_counts.iter().min().unwrap();
     let total = parse_allocs + translate_allocs + serialize_allocs;
-    let baseline = if baseline == 0 { total } else { baseline };
-    let reduction = baseline as f64 / total.max(1) as f64;
-    let pass = reduction >= min_ratio;
+    let reduction = PRE_ARENA_BASELINE as f64 / total.max(1) as f64;
+    let pass = reduction >= MIN_RATIO;
 
     println!(
         "  {mod_name} ({insts} insts): parse {parse_allocs} + translate {translate_allocs} + serialize {serialize_allocs} = {total} allocs/request"
     );
     println!(
-        "  baseline (pre-arena) {baseline} allocs/request -> reduction {reduction:.2}x (gate {min_ratio:.1}x)"
+        "  baseline (pre-arena) {PRE_ARENA_BASELINE} allocs/request -> reduction {reduction:.2}x \
+         (gate {MIN_RATIO:.1}x)"
     );
 
-    let record = IrAllocRecord {
-        source: src,
-        target: tgt,
-        module: mod_name,
-        insts,
-        iters: REPS as u64,
-        parse_allocs,
-        translate_allocs,
-        serialize_allocs,
-        total_allocs: total,
-        baseline_allocs: baseline,
-        reduction,
-        min_reduction: min_ratio,
-        request_p50_us: median(request_times),
-        translate_p50_us: median(translate_times),
-        pass,
-    };
-    match write_ir_alloc_json(&record) {
-        Ok(path) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("ir_alloc: FAIL could not write JSON: {e}");
-            std::process::exit(1);
-        }
-    }
+    let doc = obj([
+        ("schema", "siro-bench/ir-alloc-v1".into()),
+        ("pair", version_pair((src, tgt))),
+        (
+            "module",
+            obj([("name", mod_name.into()), ("insts", insts.into())]),
+        ),
+        ("iters", REPS.into()),
+        (
+            "allocs_per_request",
+            obj([
+                ("parse", parse_allocs.into()),
+                ("translate", translate_allocs.into()),
+                ("serialize", serialize_allocs.into()),
+                ("total", total.into()),
+            ]),
+        ),
+        ("baseline_allocs", PRE_ARENA_BASELINE.into()),
+        ("reduction", reduction.into()),
+        ("min_reduction", MIN_RATIO.into()),
+        ("request_p50_us", median(request_times).into()),
+        ("translate_p50_us", median(translate_times).into()),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("ir_alloc", &doc).expect("writing the bench record");
+    println!("  wrote {}", path.display());
     if !pass {
-        eprintln!("ir_alloc: FAIL (reduction {reduction:.2}x < {min_ratio:.1}x)");
+        eprintln!("ir_alloc: FAIL (reduction {reduction:.2}x < {MIN_RATIO:.1}x)");
         std::process::exit(1);
     }
     println!("ir_alloc: PASS");

@@ -22,29 +22,21 @@
 //!    legitimately differ and the interpreter verdicts must agree
 //!    instead (gate: zero mismatches of either kind).
 //!
-//! Dumps `BENCH_router.json` (`siro-bench/router-v1`, path overridable
-//! via `SIRO_BENCH_ROUTER_JSON`) and exits non-zero when a gate fails.
+//! Dumps `BENCH_router_matrix.json` (`siro-bench/router-v1`) and exits
+//! non-zero when a gate fails.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use siro_bench::perf;
+use siro_bench::{micros, percentile};
 use siro_core::Skeleton;
 use siro_ir::{write, IrVersion};
 use siro_synth::{
     set_active_store, RouteOutcome, Router, StoreConfig, SynthesisConfig, TranslatorCache,
     TranslatorStore,
 };
-
-fn micros(d: std::time::Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    let idx = (sorted.len().saturating_sub(1)) * pct / 100;
-    sorted[idx]
-}
+use siro_trace::json::{obj, Value};
 
 fn main() {
     let catalog = IrVersion::CATALOG;
@@ -217,23 +209,20 @@ fn main() {
         t_bytes.elapsed()
     );
 
-    let hop_latency: Vec<perf::HopBucket> = by_hops
-        .into_iter()
-        .map(|(hops, mut lat)| {
-            lat.sort_unstable();
-            perf::HopBucket {
-                hops,
-                count: lat.len(),
-                p50_us: percentile(&lat, 50),
-                p99_us: percentile(&lat, 99),
-            }
-        })
-        .collect();
-    for b in &hop_latency {
+    let mut hop_latency = Vec::new();
+    for (hops, mut lat) in by_hops {
+        lat.sort_unstable();
+        let (p50, p99) = (percentile(&lat, 50), percentile(&lat, 99));
         println!(
-            "  {} hop(s): {} pairs, p50 {}us, p99 {}us",
-            b.hops, b.count, b.p50_us, b.p99_us
+            "  {hops} hop(s): {} pairs, p50 {p50}us, p99 {p99}us",
+            lat.len()
         );
+        hop_latency.push(obj([
+            ("hops", hops.into()),
+            ("count", lat.len().into()),
+            ("p50", p50.into()),
+            ("p99", p99.into()),
+        ]));
     }
 
     let stats = siro_synth::router_stats();
@@ -243,27 +232,28 @@ fn main() {
     );
 
     let pass = unreachable == 0 && byte_mismatches == 0;
-    let record = perf::RouterRecord {
-        nodes: catalog.len(),
-        pairs: planned.len() + unreachable,
-        direct,
-        composed,
-        unreachable,
-        max_hops,
-        byte_checked,
-        byte_cases,
-        behavioral_cases,
-        byte_mismatches,
-        hop_latency,
-        pass,
-    };
-    match perf::write_router_json(&record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("writing BENCH_router.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let doc = obj([
+        ("schema", "siro-bench/router-v1".into()),
+        ("nodes", catalog.len().into()),
+        ("pairs", (planned.len() + unreachable).into()),
+        ("direct", direct.into()),
+        ("composed", composed.into()),
+        ("unreachable", unreachable.into()),
+        ("max_hops", max_hops.into()),
+        (
+            "byte_identity",
+            obj([
+                ("pairs_checked", byte_checked.into()),
+                ("byte_cases", byte_cases.into()),
+                ("behavioral_cases", behavioral_cases.into()),
+                ("mismatches", byte_mismatches.into()),
+            ]),
+        ),
+        ("hop_latency_us", Value::Arr(hop_latency)),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("router_matrix", &doc).expect("writing the bench record");
+    println!("wrote {}", path.display());
 
     set_active_store(None);
     let _ = std::fs::remove_dir_all(&dir);

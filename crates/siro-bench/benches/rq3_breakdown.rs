@@ -5,10 +5,12 @@
 //! 0.15 h refinement + completion; only 0.19 h of validation was spent
 //! executing test cases (translation/compilation rejects most wrong
 //! translators early).
+//!
+//! The run lands in `BENCH_rq3_breakdown.json` (`siro-bench/synthesis-v2`).
 
 use std::time::Instant;
 
-use siro_bench::{banner, perf::SynthRecord, synthesize_pair};
+use siro_bench::{banner, synthesis_doc, synthesis_pair, synthesize_pair};
 use siro_ir::IrVersion;
 
 fn main() {
@@ -61,11 +63,10 @@ fn main() {
             redundant.join(", ")
         }
     );
-    let record = SynthRecord::new(IrVersion::V13_0, IrVersion::V3_6, &outcome, wall, false);
-    match siro_bench::perf::write_synthesis_json(&[record]) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_synthesis.json: {e}"),
-    }
+    let entry = synthesis_pair((IrVersion::V13_0, IrVersion::V3_6), &outcome, wall, false);
+    let path = siro_bench::write("rq3_breakdown", &synthesis_doc(vec![entry]))
+        .expect("writing the bench record");
+    println!("\nwrote {}", path.display());
     println!("\npaper shape: validation dominates; execution is a small fraction of it");
     println!("because translation/compilation failures reject most candidates early.");
 }

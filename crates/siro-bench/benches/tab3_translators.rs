@@ -6,11 +6,12 @@
 //! reports the common/new instruction counts (exact reproduction) and the
 //! candidate / final translator sizes (our substrate's scale; the paper's
 //! numbers are C++ LOC over real LLVM), then dumps per-pair stage timings
-//! and cache counters to `BENCH_synthesis.json`.
+//! and cache counters to `BENCH_tab3_translators.json`
+//! (`siro-bench/synthesis-v2`).
 
 use std::time::Instant;
 
-use siro_bench::{banner, synthesize_pairs};
+use siro_bench::{banner, synthesis_doc, synthesis_pair, synthesize_pairs};
 use siro_ir::IrVersion;
 use siro_synth::TranslatorCache;
 
@@ -50,7 +51,8 @@ fn main() {
         "Time"
     );
     println!("{}", "-".repeat(110));
-    for (i, ((src, tgt), (outcome, record))) in pairs.iter().zip(&results).enumerate() {
+    for (i, ((src, tgt), (lookup, wall))) in pairs.iter().zip(&results).enumerate() {
+        let outcome = &lookup.outcome;
         let common = src.common_instructions(*tgt).len();
         let new = src.new_instructions_vs(*tgt).len();
         println!(
@@ -60,27 +62,30 @@ fn main() {
             tgt.to_string(),
             common,
             new,
-            record.tests_used,
+            outcome.report.tests_used,
             outcome.report.candidate_loc,
             outcome.report.translator_loc,
-            record.wall.as_secs_f64(),
+            wall.as_secs_f64(),
         );
     }
-    let records: Vec<_> = results.iter().map(|(_, r)| r.clone()).collect();
     let stats = TranslatorCache::stats();
     println!(
         "\nfan-out wall clock: {:.2}s for {} pairs (sum of per-pair walls: {:.2}s); \
          cache: {} hits / {} misses",
         fanout_wall.as_secs_f64(),
         pairs.len(),
-        records.iter().map(|r| r.wall.as_secs_f64()).sum::<f64>(),
+        results.iter().map(|(_, w)| w.as_secs_f64()).sum::<f64>(),
         stats.hits,
         stats.misses,
     );
-    match siro_bench::perf::write_synthesis_json(&records) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_synthesis.json: {e}"),
-    }
+    let entries = pairs
+        .iter()
+        .zip(&results)
+        .map(|(&pair, (lookup, wall))| synthesis_pair(pair, &lookup.outcome, *wall, !lookup.fresh))
+        .collect();
+    let path = siro_bench::write("tab3_translators", &synthesis_doc(entries))
+        .expect("writing the bench record");
+    println!("wrote {}", path.display());
     println!("\npaper columns reproduced exactly: #Common Inst, #New Inst (all ten rows).");
     println!("LOC columns measure this substrate's rendered translators; the paper's are C++.");
     println!("paper wall-clock: < 3 h per pair on real LLVM; here the substrate is in-process.");

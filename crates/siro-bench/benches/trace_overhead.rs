@@ -13,13 +13,14 @@
 //! The bench fails (exit 1) if the disabled overhead exceeds
 //! `SIRO_TRACE_OVERHEAD_MAX_PCT` percent (default 2.0) of baseline —
 //! unless the absolute delta is under a few ns/op, which is below what
-//! this harness can resolve from noise. Results go to `BENCH_trace.json`
-//! (`siro-bench/trace-v1`, path overridable via `SIRO_BENCH_TRACE_JSON`).
+//! this harness can resolve from noise. Results go to
+//! `BENCH_trace_overhead.json` (`siro-bench/trace-v1`).
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use siro_bench::perf;
+use siro_bench::{env_f64, median};
+use siro_trace::json::obj;
 
 const ITERS: u64 = 20_000;
 const REPS: usize = 7;
@@ -68,16 +69,8 @@ fn run_instrumented() -> f64 {
     ns_per_op(t0.elapsed().as_nanos())
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let threshold_pct: f64 = std::env::var("SIRO_TRACE_OVERHEAD_MAX_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let threshold_pct = env_f64("SIRO_TRACE_OVERHEAD_MAX_PCT", 2.0);
 
     siro_bench::banner(&format!(
         "trace_overhead: {ITERS} ops x {REPS} reps, gate {threshold_pct}% on the disabled path"
@@ -110,21 +103,30 @@ fn main() {
     println!("disabled  {disabled:>9.1} ns/op  ({disabled_pct:+.2}%)");
     println!("enabled   {enabled:>9.1} ns/op  ({enabled_pct:+.2}%)");
 
-    let record = perf::TraceOverheadRecord {
-        iters: ITERS,
-        reps: REPS as u64,
-        baseline_ns_per_op: baseline,
-        disabled_ns_per_op: disabled,
-        enabled_ns_per_op: enabled,
-        overhead_disabled_pct: disabled_pct,
-        overhead_enabled_pct: enabled_pct,
-        threshold_pct,
-        pass,
-    };
-    match perf::write_trace_json(&record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_trace.json: {e}"),
-    }
+    let doc = obj([
+        ("schema", "siro-bench/trace-v1".into()),
+        ("iters", ITERS.into()),
+        ("reps", REPS.into()),
+        (
+            "ns_per_op",
+            obj([
+                ("baseline", baseline.into()),
+                ("disabled", disabled.into()),
+                ("enabled", enabled.into()),
+            ]),
+        ),
+        (
+            "overhead_pct",
+            obj([
+                ("disabled", disabled_pct.into()),
+                ("enabled", enabled_pct.into()),
+            ]),
+        ),
+        ("threshold_pct", threshold_pct.into()),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("trace_overhead", &doc).expect("writing the bench record");
+    println!("wrote {}", path.display());
 
     if !pass {
         eprintln!(

@@ -16,32 +16,20 @@
 //! 3. the gate requires `interpreted_p50 / compiled_p50 >=`
 //!    `SIRO_TRANSLATE_HOT_MIN_SPEEDUP` (default 5.0) *and* byte identity.
 //!
-//! Dumps `BENCH_translate_hot.json` (`siro-bench/translate-hot-v1`, path
-//! overridable via `SIRO_BENCH_TRANSLATE_HOT_JSON`); exits non-zero when
-//! the gate fails, so CI can run it directly.
+//! Dumps `BENCH_translate_hot.json` (`siro-bench/translate-hot-v1`);
+//! exits non-zero when the gate fails, so CI can run it directly.
 
 use std::time::Instant;
 
-use siro_bench::perf::{write_translate_hot_json, TranslateHotRecord};
+use siro_bench::{env_f64, median, version_pair};
 use siro_core::Skeleton;
 use siro_ir::{IrVersion, Module};
 use siro_synth::{
     oracle_corpus, StreamBackend, SynthesisConfig, TranslatorBackend, TranslatorCache,
 };
+use siro_trace::json::obj;
 
 const REPS: usize = 30;
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
 
 fn time_translations(
     skeleton: &Skeleton,
@@ -133,43 +121,50 @@ fn main() {
     let compiled_p50_us = median(fast).max(1);
     let speedup = interpreted_p50_us as f64 / compiled_p50_us as f64;
 
-    let record = TranslateHotRecord {
-        source: src,
-        target: tgt,
-        module: mod_name,
-        insts,
-        iters: REPS as u64,
-        interpreted_p50_us,
-        compiled_p50_us,
-        interpreted_ns_per_inst: interpreted_p50_us as f64 * 1e3 / insts as f64,
-        compiled_ns_per_inst: compiled_p50_us as f64 * 1e3 / insts as f64,
-        lower_us,
-        speedup,
-        min_speedup,
-        byte_identical,
-        pass: byte_identical && speedup >= min_speedup,
-    };
+    let interpreted_ns_per_inst = interpreted_p50_us as f64 * 1e3 / insts as f64;
+    let compiled_ns_per_inst = compiled_p50_us as f64 * 1e3 / insts as f64;
+    let pass = byte_identical && speedup >= min_speedup;
     println!(
-        "\n  {} insts: interpreted p50 {} us ({:.1} ns/inst), compiled p50 {} us ({:.1} ns/inst)",
-        insts,
-        record.interpreted_p50_us,
-        record.interpreted_ns_per_inst,
-        record.compiled_p50_us,
-        record.compiled_ns_per_inst,
+        "\n  {insts} insts: interpreted p50 {interpreted_p50_us} us \
+         ({interpreted_ns_per_inst:.1} ns/inst), compiled p50 {compiled_p50_us} us \
+         ({compiled_ns_per_inst:.1} ns/inst)"
     );
     println!(
         "  lowering {} us (one-time), speedup {:.2}x (gate {:.1}x), byte-identical {}",
         lower_us, speedup, min_speedup, byte_identical
     );
 
-    match write_translate_hot_json(&record) {
-        Ok(path) => println!("  wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("translate_hot: FAIL could not write JSON: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !record.pass {
+    let doc = obj([
+        ("schema", "siro-bench/translate-hot-v1".into()),
+        ("pair", version_pair((src, tgt))),
+        (
+            "module",
+            obj([("name", mod_name.into()), ("insts", insts.into())]),
+        ),
+        ("iters", REPS.into()),
+        (
+            "translate_p50_us",
+            obj([
+                ("interpreted", interpreted_p50_us.into()),
+                ("compiled", compiled_p50_us.into()),
+            ]),
+        ),
+        (
+            "dispatch_ns_per_inst",
+            obj([
+                ("interpreted", interpreted_ns_per_inst.into()),
+                ("compiled", compiled_ns_per_inst.into()),
+            ]),
+        ),
+        ("lower_us", lower_us.into()),
+        ("speedup", speedup.into()),
+        ("min_speedup", min_speedup.into()),
+        ("byte_identical", byte_identical.into()),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("translate_hot", &doc).expect("writing the bench record");
+    println!("  wrote {}", path.display());
+    if !pass {
         eprintln!(
             "translate_hot: FAIL (speedup {:.2}x < {:.1}x or tier divergence)",
             speedup, min_speedup

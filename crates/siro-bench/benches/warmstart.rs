@@ -14,19 +14,19 @@
 //!    (floored at 500 µs against scheduler noise), with zero `synth.*`
 //!    spans recorded.
 //!
-//! Dumps `BENCH_warmstart.json` (`siro-bench/warmstart-v1`, path
-//! overridable via `SIRO_BENCH_WARMSTART_JSON`) and exits non-zero when
-//! the gate fails.
+//! Dumps `BENCH_warmstart.json` (`siro-bench/warmstart-v1`) and exits
+//! non-zero when the gate fails.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use siro_bench::perf;
+use siro_bench::{env_f64, median, micros, version_pair};
 use siro_ir::{write, IrVersion};
 use siro_serve::{Client, ServeConfig, TranslateMode};
 use siro_synth::{
     reset_store_stats, set_active_store, store_stats, StoreConfig, TranslatorCache, TranslatorStore,
 };
+use siro_trace::json::obj;
 
 const PAIR: (IrVersion, IrVersion) = (IrVersion::V13_0, IrVersion::V3_6);
 const REPS: usize = 30;
@@ -37,18 +37,6 @@ const REPS: usize = 30;
 /// 500 µs floor keeps >20x of margin against a real warm-start regression.
 const NOISE_FLOOR_US: u64 = 500;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v: &f64| *v > 0.0)
-        .unwrap_or(default)
-}
-
-fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
 /// One timed TRANSLATE over an existing connection, client-side wall.
 fn timed_translate(client: &mut Client, text: &str) -> (u64, bool, String) {
     let started = Instant::now();
@@ -56,11 +44,6 @@ fn timed_translate(client: &mut Client, text: &str) -> (u64, bool, String) {
         .translate(PAIR.0, PAIR.1, TranslateMode::Synthesized, text.to_string())
         .expect("benchmark translation");
     (micros(started.elapsed()), out.cache_hit, out.text)
-}
-
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
 }
 
 fn main() {
@@ -153,47 +136,47 @@ fn main() {
 
     let ratio = warm_first_us as f64 / warm_hit_p50_us.max(NOISE_FLOOR_US) as f64;
     let pass = ratio <= max_ratio && synth_spans == 0;
-    let record = perf::WarmstartRecord {
-        source: src,
-        target: tgt,
-        cold_first_us,
-        cold_hit_p50_us,
-        warm_boot_us,
-        warm_first_us,
-        warm_hit_p50_us,
-        warm_loaded,
-        store_bytes,
-        synth_spans,
-        max_ratio,
-        ratio,
-        pass,
-    };
-
     println!(
-        "cold: first request {} us (full synthesis), hit p50 {} us",
-        record.cold_first_us, record.cold_hit_p50_us
+        "cold: first request {cold_first_us} us (full synthesis), hit p50 {cold_hit_p50_us} us"
     );
     println!(
-        "warm: boot {} us ({} entr{} loaded, {} store bytes), first request {} us, hit p50 {} us",
-        record.warm_boot_us,
-        record.warm_loaded,
-        if record.warm_loaded == 1 { "y" } else { "ies" },
-        record.store_bytes,
-        record.warm_first_us,
-        record.warm_hit_p50_us
+        "warm: boot {warm_boot_us} us ({warm_loaded} entr{} loaded, {store_bytes} store bytes), \
+         first request {warm_first_us} us, hit p50 {warm_hit_p50_us} us",
+        if warm_loaded == 1 { "y" } else { "ies" },
     );
     println!(
-        "gate: warm first / hit p50 = {:.3} (max {:.1}), synth spans {}  ->  {}",
-        record.ratio,
-        record.max_ratio,
-        record.synth_spans,
-        if record.pass { "pass" } else { "FAIL" }
+        "gate: warm first / hit p50 = {ratio:.3} (max {max_ratio:.1}), synth spans {synth_spans}  \
+         ->  {}",
+        if pass { "pass" } else { "FAIL" }
     );
 
-    match perf::write_warmstart_json(&record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_warmstart.json: {e}"),
-    }
+    let doc = obj([
+        ("schema", "siro-bench/warmstart-v1".into()),
+        ("pair", version_pair((src, tgt))),
+        (
+            "cold_us",
+            obj([
+                ("first_request", cold_first_us.into()),
+                ("hit_p50", cold_hit_p50_us.into()),
+            ]),
+        ),
+        (
+            "warm_us",
+            obj([
+                ("boot", warm_boot_us.into()),
+                ("first_request", warm_first_us.into()),
+                ("hit_p50", warm_hit_p50_us.into()),
+            ]),
+        ),
+        ("warm_loaded", warm_loaded.into()),
+        ("store_bytes", store_bytes.into()),
+        ("synth_spans", synth_spans.into()),
+        ("max_ratio", max_ratio.into()),
+        ("ratio", ratio.into()),
+        ("pass", pass.into()),
+    ]);
+    let path = siro_bench::write("warmstart", &doc).expect("writing the bench record");
+    println!("wrote {}", path.display());
     let _ = std::fs::remove_dir_all(&dir);
     if !pass {
         eprintln!(

@@ -15,6 +15,7 @@
 use std::path::{Path, PathBuf};
 
 use siro_ir::{parse::parse_module, write::write_module, IrVersion, Module};
+use siro_synth::persist::fnv1a64;
 use siro_synth::SynthFault;
 
 use crate::fuzz::FailureRecord;
@@ -47,24 +48,14 @@ pub struct RegressionArtifact {
     pub module: Module,
 }
 
-fn one_line(s: &str) -> String {
+/// `s` with line breaks turned into spaces, for a one-line header field.
+pub(crate) fn one_line(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
 fn parse_version(s: &str) -> Option<IrVersion> {
     let (maj, min) = s.trim().split_once('.')?;
     Some(IrVersion::new(maj.parse().ok()?, min.parse().ok()?))
-}
-
-/// FNV-1a over the rendered module text; stable across runs and
-/// platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl RegressionArtifact {
@@ -121,7 +112,7 @@ impl RegressionArtifact {
             self.tgt,
             one_line(&self.oracle),
             self.family.name(),
-            fnv1a(write_module(&self.module).as_bytes()) as u32
+            fnv1a64(write_module(&self.module).as_bytes()) as u32
         )
     }
 

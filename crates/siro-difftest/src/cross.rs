@@ -20,12 +20,14 @@ use std::path::{Path, PathBuf};
 
 use siro_ir::IrVersion;
 use siro_rng::{SeedableRng, StdRng};
+use siro_synth::persist::fnv1a64;
 use siro_synth::{
     lower_module, raise_module, siro_behaviour, wir_behaviour, BridgeError, XBehaviour,
     BRIDGE_ANCHORS,
 };
 use siro_wir::{generate_straightline, parse_module, write_module, WirModule, WirVersion};
 
+use crate::artifact::one_line;
 use crate::oracle::FailureFamily;
 use crate::wir_mutate::raisable_wir_mutators;
 
@@ -242,19 +244,6 @@ pub struct CrossArtifact {
     pub module: WirModule,
 }
 
-fn one_line(s: &str) -> String {
-    s.replace(['\n', '\r'], " ")
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl CrossArtifact {
     /// Builds an artifact from a [`CrossFailure`] found at an anchor.
     pub fn from_failure(siro: IrVersion, wir: WirVersion, f: &CrossFailure) -> Self {
@@ -304,7 +293,7 @@ impl CrossArtifact {
             self.wir,
             one_line(&self.direction),
             self.family.name(),
-            fnv1a(write_module(&self.module).as_bytes()) as u32
+            fnv1a64(write_module(&self.module).as_bytes()) as u32
         )
     }
 

@@ -18,8 +18,7 @@
 //!   to a minimal reproduction before it is reported;
 //! * [`artifact`] — deterministic on-disk regression artifacts that are
 //!   simultaneously valid IR modules and self-describing bug reports;
-//! * [`report`] — the `BENCH_difftest.json` emitter
-//!   (schema `siro-bench/difftest-v1`);
+//! * [`report`] — the report document (schema `siro-bench/difftest-v1`);
 //! * [`wir_mutate`] + [`cross`] — the second dialect: stack-depth-
 //!   preserving WIR mutators and the cross-dialect interpreter-
 //!   differential oracle over the SIRO↔WIR bridge anchors, with `.sirw`
@@ -51,5 +50,5 @@ pub use oracle::{
     behaviour, routed_mids, Behaviour, ChainSet, Failure, FailureFamily, Verdict, ORACLE_FUEL,
 };
 pub use reduce::{compact, placed_inst_count, reduce, ReduceOutcome};
-pub use report::{render_difftest_json, write_difftest_json};
+pub use report::difftest_json;
 pub use wir_mutate::{applicable_wir_mutators, raisable_wir_mutators, WirMutator};

@@ -1,123 +1,49 @@
-//! `BENCH_difftest.json` emission (schema `siro-bench/difftest-v1`).
-//!
-//! The workspace is registry-free, so the JSON is rendered by hand with
-//! the same conventions as the other bench documents: schema tag first,
-//! two-space indent, stable key order, deterministic content (times
-//! excepted).
+//! The `siro-bench/difftest-v1` document: one entry per fuzzed pair,
+//! built as a [`Value`] for `siro_trace::json::render` (`siro difftest
+//! -o`, default `BENCH_difftest.json`) and for the `difftest_smoke`
+//! bench's record. The content is deterministic, times excepted.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use siro_trace::json::{obj, Value};
 
 use crate::fuzz::DifftestReport;
 
-/// Where the JSON goes: `SIRO_BENCH_DIFFTEST_JSON` if set, else
-/// `BENCH_difftest.json` in the current directory.
-pub fn json_path() -> PathBuf {
-    std::env::var_os("SIRO_BENCH_DIFFTEST_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_difftest.json"))
+fn strings<T: ToString>(items: impl IntoIterator<Item = T>) -> Value {
+    items.into_iter().map(|v| v.to_string().into()).collect()
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn kind_list(kinds: &[siro_ir::Opcode]) -> String {
-    let items: Vec<String> = kinds.iter().map(|k| json_string(&k.to_string())).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Renders one fuzzing run per pair as the `siro-bench/difftest-v1`
-/// document.
-pub fn render_difftest_json(reports: &[DifftestReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"siro-bench/difftest-v1\",");
-    out.push_str("  \"pairs\": [\n");
-    for (i, r) in reports.iter().enumerate() {
+/// One fuzzing run per pair as the `siro-bench/difftest-v1` document.
+pub fn difftest_json(reports: &[DifftestReport]) -> Value {
+    let pairs = reports.iter().map(|r| {
         let new = r.new_kinds();
-        out.push_str("    {\n");
-        let _ = writeln!(
-            out,
-            "      \"source\": {},",
-            json_string(&r.src.to_string())
-        );
-        let _ = writeln!(out, "      \"mid\": {},", json_string(&r.mid.to_string()));
-        let mids: Vec<String> = r.mids.iter().map(|m| json_string(&m.to_string())).collect();
-        let _ = writeln!(out, "      \"mids\": [{}],", mids.join(", "));
-        let _ = writeln!(
-            out,
-            "      \"target\": {},",
-            json_string(&r.tgt.to_string())
-        );
-        let _ = writeln!(out, "      \"execs\": {},", r.execs);
-        let _ = writeln!(out, "      \"wall_secs\": {:.6},", r.wall.as_secs_f64());
-        let _ = writeln!(out, "      \"execs_per_sec\": {:.3},", r.execs_per_sec());
-        let _ = writeln!(out, "      \"seed_corpus_size\": {},", r.seed_corpus_size);
-        let _ = writeln!(out, "      \"corpus_size\": {},", r.corpus_size);
-        let _ = writeln!(out, "      \"features\": {},", r.features);
-        let _ = writeln!(out, "      \"skips\": {},", r.skips);
-        let _ = writeln!(
-            out,
-            "      \"generated_kind_count\": {},",
-            r.generated_kinds.len()
-        );
-        let _ = writeln!(
-            out,
-            "      \"corpus_kind_count\": {},",
-            r.corpus_kinds.len()
-        );
-        let _ = writeln!(out, "      \"new_kind_count\": {},", new.len());
-        let _ = writeln!(out, "      \"new_kinds\": {},", kind_list(&new));
-        let _ = writeln!(out, "      \"failures\": {},", r.failures.len());
-        let _ = writeln!(
-            out,
-            "      \"duplicate_failures\": {},",
-            r.duplicate_failures
-        );
-        let _ = writeln!(
-            out,
-            "      \"distinct_failures\": {},",
-            r.distinct_failures()
-        );
-        let _ = writeln!(
-            out,
-            "      \"unshrunk_failures\": {}",
-            r.failures.iter().filter(|f| !f.shrunk).count()
-        );
-        out.push_str(if i + 1 == reports.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes `BENCH_difftest.json` and returns the path written.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_difftest_json(reports: &[DifftestReport]) -> std::io::Result<PathBuf> {
-    let path = json_path();
-    std::fs::write(&path, render_difftest_json(reports))?;
-    Ok(path)
+        obj([
+            ("source", r.src.to_string().into()),
+            ("mid", r.mid.to_string().into()),
+            ("mids", strings(&r.mids)),
+            ("target", r.tgt.to_string().into()),
+            ("execs", r.execs.into()),
+            ("wall_secs", r.wall.as_secs_f64().into()),
+            ("execs_per_sec", r.execs_per_sec().into()),
+            ("seed_corpus_size", r.seed_corpus_size.into()),
+            ("corpus_size", r.corpus_size.into()),
+            ("features", r.features.into()),
+            ("skips", r.skips.into()),
+            ("generated_kind_count", r.generated_kinds.len().into()),
+            ("corpus_kind_count", r.corpus_kinds.len().into()),
+            ("new_kind_count", new.len().into()),
+            ("new_kinds", strings(&new)),
+            ("failures", r.failures.len().into()),
+            ("duplicate_failures", r.duplicate_failures.into()),
+            ("distinct_failures", r.distinct_failures().into()),
+            (
+                "unshrunk_failures",
+                r.failures.iter().filter(|f| !f.shrunk).count().into(),
+            ),
+        ])
+    });
+    obj([
+        ("schema", "siro-bench/difftest-v1".into()),
+        ("pairs", pairs.collect()),
+    ])
 }
 
 #[cfg(test)]
@@ -145,7 +71,7 @@ mod tests {
             duplicate_failures: 0,
             skips: 1,
         };
-        let json = render_difftest_json(&[report]);
+        let json = siro_trace::json::render(&difftest_json(&[report]));
         let schema_at = json.find("\"schema\": \"siro-bench/difftest-v1\"").unwrap();
         assert!(schema_at < json.find("\"pairs\"").unwrap());
         assert!(json.contains("\"new_kind_count\": 1,"));

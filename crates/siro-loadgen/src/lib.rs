@@ -17,8 +17,8 @@
 //! "Sustained" is prefix-monotone — sweep rates in ascending order; a
 //! server that collapses at a low rate and happens to recover for one
 //! higher step has not sustained the higher rate. `siro loadgen` (the
-//! CLI) and the `loadtest` bench in `siro-bench` are thin wrappers over
-//! this; the methodology is documented in `docs/SERVING.md`
+//! CLI) is a thin wrapper over this, and CI's sustained-load gate runs
+//! it; the methodology is documented in `docs/SERVING.md`
 //! § "siro-loadgen — open-loop load generation".
 //!
 //! The schedule is partitioned round-robin across N connections, each
@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use siro_ir::{write, IrVersion};
 use siro_serve::protocol::{read_frame, FrameRead, Request, Response};
 use siro_serve::TranslateMode;
+use siro_trace::json::{self, obj};
 
 /// One request body in the workload mix.
 #[derive(Debug, Clone)]
@@ -449,59 +450,37 @@ pub struct EngineRun {
 }
 
 /// Renders the `siro-bench/loadtest-v1` JSON document for a set of
-/// sweeps (hand-rolled like the rest of `siro-bench`: flat, stable key
-/// order, no JSON dependency).
+/// sweeps.
 pub fn render_loadtest_json(runs: &[EngineRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"siro-bench/loadtest-v1\",");
-    out.push_str("  \"engines\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"engine\": \"{}\",", run.engine);
-        let _ = writeln!(out, "      \"workers\": {},", run.workers);
-        let _ = writeln!(out, "      \"connections\": {},", run.connections);
-        let _ = writeln!(out, "      \"slo_p99_ms\": {:.3},", run.report.slo_p99_ms);
-        let _ = writeln!(
-            out,
-            "      \"max_sustained_rps\": {:.3},",
-            run.report.max_sustained_rps
-        );
-        out.push_str("      \"rates\": [\n");
-        for (j, r) in run.report.rates.iter().enumerate() {
-            out.push_str("        { ");
-            let _ = write!(
-                out,
-                "\"target_rps\": {:.3}, \"offered\": {}, \"completed\": {}, \
-                 \"errors\": {}, \"throttled\": {}, \"achieved_rps\": {:.3}, \
-                 \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \
-                 \"max_ms\": {:.3}, \"slo_met\": {}",
-                r.target_rps,
-                r.offered,
-                r.completed,
-                r.errors,
-                r.throttled,
-                r.achieved_rps,
-                r.p50_ms,
-                r.p99_ms,
-                r.p999_ms,
-                r.max_ms,
-                r.slo_met
-            );
-            out.push_str(" }");
-            out.push_str(if j + 1 < run.report.rates.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str("    }");
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let engines = runs.iter().map(|run| {
+        let rates = run.report.rates.iter().map(|r| {
+            obj([
+                ("target_rps", r.target_rps.into()),
+                ("offered", r.offered.into()),
+                ("completed", r.completed.into()),
+                ("errors", r.errors.into()),
+                ("throttled", r.throttled.into()),
+                ("achieved_rps", r.achieved_rps.into()),
+                ("p50_ms", r.p50_ms.into()),
+                ("p99_ms", r.p99_ms.into()),
+                ("p999_ms", r.p999_ms.into()),
+                ("max_ms", r.max_ms.into()),
+                ("slo_met", r.slo_met.into()),
+            ])
+        });
+        obj([
+            ("engine", run.engine.as_str().into()),
+            ("workers", run.workers.into()),
+            ("connections", run.connections.into()),
+            ("slo_p99_ms", run.report.slo_p99_ms.into()),
+            ("max_sustained_rps", run.report.max_sustained_rps.into()),
+            ("rates", rates.collect()),
+        ])
+    });
+    json::render(&obj([
+        ("schema", "siro-bench/loadtest-v1".into()),
+        ("engines", engines.collect()),
+    ]))
 }
 
 /// Renders the human-readable sweep table printed by `siro loadgen`.

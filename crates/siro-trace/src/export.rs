@@ -16,22 +16,6 @@ use std::path::{Path, PathBuf};
 use crate::json::{self, Value};
 use crate::{SpanRecord, TraceSnapshot};
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
@@ -49,22 +33,22 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
             .map_or_else(|| "null".to_string(), |p| p.to_string());
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"cat\": \"siro\", \"ph\": \"X\", \"pid\": 1, \
+            "    {{\"name\": {}, \"cat\": \"siro\", \"ph\": \"X\", \"pid\": 1, \
              \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"span_id\": {}, \
-             \"parent\": {}, \"detail\": \"{}\"}}}}",
-            escape(&s.name),
+             \"parent\": {}, \"detail\": {}}}}}",
+            json::quote(&s.name),
             s.tid,
             us(s.start_ns),
             us(s.dur_ns),
             s.id,
             parent,
-            escape(&s.detail),
+            json::quote(&s.detail),
         );
         out.push_str(if i + 1 == spans.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ],\n  \"siroCounters\": {\n");
     for (i, (k, v)) in snapshot.counters.iter().enumerate() {
-        let _ = write!(out, "    \"{}\": {}", escape(k), v);
+        let _ = write!(out, "    {}: {}", json::quote(k), v);
         out.push_str(if i + 1 == snapshot.counters.len() {
             "\n"
         } else {

@@ -1,35 +1,97 @@
-//! A minimal JSON reader for the Chrome trace files this crate writes.
+//! The workspace's one JSON module: a [`Value`] tree, one writer
+//! ([`render`]) and one strict reader ([`parse`]).
 //!
-//! The workspace is registry-free (no serde), and `siro trace-report` must
-//! read back the `trace_event` JSON that [`crate::export`] produces — so
-//! this module implements just enough of RFC 8259 to round-trip it:
-//! objects, arrays, strings with the common escapes, numbers, booleans,
-//! and null. It is a strict recursive-descent parser, not a streaming one;
-//! trace files are bounded by what one process records.
+//! The workspace is registry-free (no serde). Every machine-readable
+//! document it writes — the `siro-bench` records, the `difftest-v1` report
+//! of `siro difftest -o` and the `loadtest-v1` report of `siro loadgen -o`
+//! — is built as a [`Value`] and written by [`render`]. `siro
+//! trace-report` reads Chrome trace files back with [`parse`], and the
+//! Chrome exporter ([`crate::export`]) quotes its strings with [`quote`].
+//!
+//! Objects keep their keys in insertion order, and integers are held
+//! exactly (every `u64` and `i64`), so a rendered document parses back
+//! equal. The reader implements just enough of RFC 8259 for that: objects,
+//! arrays, strings with the common escapes, numbers, booleans and null. It
+//! is a recursive-descent parser, not a streaming one; the documents are
+//! bounded by what one process writes.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`; trace fields fit).
+    /// An integer, held exactly: every `u64` and every `i64` fits.
+    Int(i128),
+    /// A number with a fraction. [`render`] writes it with three
+    /// decimals, and a non-finite one as `null`.
     Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object. Key order is not preserved (trace consumers key by
-    /// name, never by position).
-    Obj(BTreeMap<String, Value>),
+    /// An object; its keys keep their insertion order.
+    Obj(Vec<(String, Value)>),
+}
+
+/// Builds an object from `(key, value)` members, in the order given.
+pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Int(n.into())
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Int(n as i128)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Self {
+        Value::Num(x)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+impl FromIterator<Value> for Value {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> Self {
+        Value::Arr(items.into_iter().collect())
+    }
 }
 
 impl Value {
-    /// The object map, if this value is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
+    /// The object members in order, if this value is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(m) => Some(m),
             _ => None,
@@ -55,14 +117,17 @@ impl Value {
     /// The number, if this value is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The number as `u64`, if this value is a non-negative number.
+    /// The number as `u64`, if this value is an integer in range or a
+    /// non-negative fractional number (truncated).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::Int(n) => u64::try_from(*n).ok(),
             Value::Num(n) if *n >= 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -70,8 +135,88 @@ impl Value {
 
     /// Member lookup on an object (`None` on anything else).
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_obj().and_then(|m| m.get(key))
+        self.as_obj()?
+            .iter()
+            .find_map(|(k, v)| (k == key).then_some(v))
     }
+}
+
+/// `s` as a quoted JSON string: `"`, `\` and newline are escaped, other
+/// control characters become `\u00XX`.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Writes `value` as a JSON document: two-space indent, one member or
+/// item per line (so every member but the last of its object ends in a
+/// comma), a trailing newline.
+pub fn render(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0);
+    out.push('\n');
+    out
+}
+
+fn write_value(out: &mut String, value: &Value, depth: usize) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Num(x) if x.is_finite() => {
+            let _ = write!(out, "{x:.3}");
+        }
+        Value::Num(_) => out.push_str("null"),
+        Value::Str(s) => out.push_str(&quote(s)),
+        Value::Arr(items) => write_members(out, ('[', ']'), depth, items.iter().map(|v| (None, v))),
+        Value::Obj(members) => write_members(
+            out,
+            ('{', '}'),
+            depth,
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+        ),
+    }
+}
+
+fn write_members<'a>(
+    out: &mut String,
+    (open, close): (char, char),
+    depth: usize,
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Value)>,
+) {
+    out.push(open);
+    let len = members.len();
+    if len > 0 {
+        out.push('\n');
+        for (i, (key, value)) in members.enumerate() {
+            out.push_str(&"  ".repeat(depth + 1));
+            if let Some(key) = key {
+                out.push_str(&quote(key));
+                out.push_str(": ");
+            }
+            write_value(out, value, depth + 1);
+            out.push_str(if i + 1 < len { ",\n" } else { "\n" });
+        }
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
 }
 
 /// Parses one JSON document.
@@ -146,11 +291,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(Value::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -159,13 +304,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            map.insert(key, val);
+            members.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(map));
+                    return Ok(Value::Obj(members));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -259,9 +404,14 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+        let int = !text.contains(['.', 'e', 'E']);
+        match text.parse::<i128>() {
+            Ok(n) if int => Ok(Value::Int(n)),
+            _ => text
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| format!("bad number `{text}` at byte {start}")),
+        }
     }
 }
 
@@ -293,5 +443,82 @@ mod tests {
         assert_eq!(v.as_str(), Some("Aé"));
         let raw = parse(r#""Aé""#).unwrap();
         assert_eq!(raw.as_str(), Some("Aé"));
+    }
+
+    fn round_trip(v: &Value) -> String {
+        let text = render(v);
+        assert_eq!(&parse(&text).unwrap(), v, "rendered:\n{text}");
+        text
+    }
+
+    #[test]
+    fn rendered_objects_keep_key_order() {
+        let v = obj([
+            ("zeta", 1u64.into()),
+            ("alpha", true.into()),
+            ("mid", Value::Null),
+            ("empty", obj([])),
+        ]);
+        let text = round_trip(&v);
+        let back = parse(&text).unwrap();
+        let keys: Vec<&str> = back
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["zeta", "alpha", "mid", "empty"]);
+        assert_eq!(
+            text,
+            "{\n  \"zeta\": 1,\n  \"alpha\": true,\n  \"mid\": null,\n  \"empty\": {}\n}\n"
+        );
+    }
+
+    #[test]
+    fn arrays_of_objects_round_trip() {
+        let v = obj([
+            ("schema", "demo-v1".into()),
+            (
+                "rows",
+                (0..3u64)
+                    .map(|i| obj([("hops", i.into()), ("p50", 2.5.into())]))
+                    .collect(),
+            ),
+            ("none", Value::Arr(Vec::new())),
+        ]);
+        let text = round_trip(&v);
+        assert!(text.contains("\"p50\": 2.500\n"), "{text}");
+        assert!(text.contains("\"none\": []\n"), "{text}");
+    }
+
+    #[test]
+    fn awkward_strings_round_trip() {
+        let s = "quote \" backslash \\ newline \n tab \t cr \r bell \u{7} nul \u{0} é";
+        let text = round_trip(&obj([(s, s.into())]));
+        assert!(
+            text.contains("\\u0007") && text.contains("\\u0000"),
+            "{text}"
+        );
+        assert!(!text.contains('\t'), "control characters are escaped");
+    }
+
+    #[test]
+    fn integers_above_two_to_the_53_stay_exact() {
+        let big = (1u64 << 53) + 1;
+        let v = obj([("big", big.into()), ("max", u64::MAX.into())]);
+        let text = round_trip(&v);
+        assert!(text.contains("\"big\": 9007199254740993,"), "{text}");
+        assert!(text.contains("\"max\": 18446744073709551615\n"), "{text}");
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("big").and_then(Value::as_u64), Some(big));
+        assert_eq!(back.get("max").and_then(Value::as_u64), Some(u64::MAX));
+        assert_eq!(parse("-7").unwrap(), Value::Int(-7));
+    }
+
+    #[test]
+    fn fractions_use_three_decimals_and_non_finite_is_null() {
+        let v = obj([("x", (1.0 / 3.0).into()), ("inf", f64::INFINITY.into())]);
+        assert_eq!(render(&v), "{\n  \"x\": 0.333,\n  \"inf\": null\n}\n");
+        assert_eq!(parse("100.000").unwrap(), Value::Num(100.0));
     }
 }

@@ -1043,13 +1043,10 @@ fn cmd_difftest(args: &[String]) -> Result<(), String> {
         reports.push(report);
     }
 
-    let json = siro::difftest::render_difftest_json(&reports);
-    let json_path = flag_value(args, "-o")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(siro::difftest::report::json_path);
-    std::fs::write(&json_path, json)
-        .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
-    eprintln!("report written to {}", json_path.display());
+    let json = siro::trace::json::render(&siro::difftest::difftest_json(&reports));
+    let json_path = flag_value(args, "-o").unwrap_or("BENCH_difftest.json");
+    std::fs::write(json_path, json).map_err(|e| format!("writing {json_path}: {e}"))?;
+    eprintln!("report written to {json_path}");
 
     if expect_failure {
         if any_failure && any_shrunk {
