@@ -64,7 +64,7 @@ fn main() {
         fanout.as_secs_f64(),
         sequential.as_secs_f64() / fanout.as_secs_f64().max(1e-9),
     );
-    let after_cold = TranslatorCache::stats();
+    let after_cold = TranslatorCache::snapshot();
     assert_eq!(
         after_cold.misses,
         PAIRS.len() as u64,
@@ -101,7 +101,7 @@ fn main() {
     .unwrap_or_else(|e| panic!("{e}"));
     let warm = t0.elapsed();
 
-    let stats = TranslatorCache::stats();
+    let stats = TranslatorCache::snapshot();
     let warm_misses = stats.misses - after_cold.misses;
     println!(
         "phase 3  warm Tab.4+Tab.5+kernel: {:>6.2}s, re-synthesis: {warm_misses} \

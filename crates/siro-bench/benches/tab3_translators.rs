@@ -68,7 +68,7 @@ fn main() {
             wall.as_secs_f64(),
         );
     }
-    let stats = TranslatorCache::stats();
+    let stats = TranslatorCache::snapshot();
     println!(
         "\nfan-out wall clock: {:.2}s for {} pairs (sum of per-pair walls: {:.2}s); \
          cache: {} hits / {} misses",

@@ -193,7 +193,7 @@ pub fn version_pair((source, target): (IrVersion, IrVersion)) -> Value {
 /// The `siro-bench/synthesis-v2` document: the [`synthesis_pair`]
 /// entries plus the process-wide translator-cache counters.
 pub fn synthesis_doc(pairs: Vec<Value>) -> Value {
-    let stats = TranslatorCache::stats();
+    let stats = TranslatorCache::snapshot();
     obj([
         ("schema", "siro-bench/synthesis-v2".into()),
         ("threads", siro_synth::resolve_threads().into()),

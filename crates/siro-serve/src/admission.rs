@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 use std::net::IpAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -48,13 +47,13 @@ pub enum Admission {
     },
 }
 
-/// Per-peer token buckets plus the throttle counter.
+/// Per-peer token buckets. The server counts each throttled request in
+/// its `requests_throttled` metric.
 #[derive(Debug)]
 pub struct AdmissionControl {
     rate: f64,
     burst: f64,
     buckets: Mutex<HashMap<IpAddr, Bucket>>,
-    throttled: AtomicU64,
 }
 
 impl AdmissionControl {
@@ -67,7 +66,6 @@ impl AdmissionControl {
             rate,
             burst,
             buckets: Mutex::new(HashMap::new()),
-            throttled: AtomicU64::new(0),
         })
     }
 
@@ -90,16 +88,9 @@ impl AdmissionControl {
         }
         let deficit = 1.0 - bucket.tokens;
         let retry_after_ms = ((deficit / self.rate) * 1000.0).ceil().min(60_000.0) as u32;
-        self.throttled.fetch_add(1, Ordering::Relaxed);
-        siro_trace::counter("serve.throttled", 1);
         Admission::Throttle {
             retry_after_ms: retry_after_ms.max(1),
         }
-    }
-
-    /// Requests rejected so far (the `throttled` counter).
-    pub fn throttled_total(&self) -> u64 {
-        self.throttled.load(Ordering::Relaxed)
     }
 
     /// Sustained per-peer rate this control enforces.
@@ -147,7 +138,6 @@ mod tests {
             (1..=100).contains(&retry_after_ms),
             "retry_after_ms = {retry_after_ms}"
         );
-        assert_eq!(ctl.throttled_total(), 1);
     }
 
     #[test]
@@ -177,6 +167,5 @@ mod tests {
         assert!(matches!(ctl.admit(ip(1), t0), Admission::Throttle { .. }));
         // A different peer is unaffected by peer 1's exhaustion.
         assert_eq!(ctl.admit(ip(2), t0), Admission::Admit);
-        assert_eq!(ctl.throttled_total(), 1);
     }
 }

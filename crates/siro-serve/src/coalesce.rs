@@ -14,15 +14,10 @@
 //! corpus and fingerprint from [`siro_synth::corpus`], the copy the
 //! routers hand their resolvers too.
 //!
-//! The pair map is **sharded** [`COALESCE_SHARDS`] ways by pair hash,
-//! mirroring the sharded `TranslatorCache`: concurrent requests for
-//! different pairs never contend on one lock, and [`PairCoalescer::totals`]
-//! takes every shard lock at once so its cross-shard view is from a single
-//! epoch.
+//! The pair map sits under one lock, held only to find a pair's counters:
+//! the synthesis runs after it is dropped, in the cache's per-key slot.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,22 +36,12 @@ struct PairCounters {
     coalesced: AtomicU64,
 }
 
-/// Number of independent pair-map shards (power of two).
-pub const COALESCE_SHARDS: usize = 8;
-
 type PairMap = HashMap<(IrVersion, IrVersion), Arc<PairCounters>>;
 
 /// Coalesces translator acquisition per `(source, target)` pair.
+#[derive(Default)]
 pub struct PairCoalescer {
-    shards: [Mutex<PairMap>; COALESCE_SHARDS],
-}
-
-impl Default for PairCoalescer {
-    fn default() -> Self {
-        PairCoalescer {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
+    pairs: Mutex<PairMap>,
 }
 
 /// What [`PairCoalescer::translator_for`] reports alongside the outcome.
@@ -85,24 +70,8 @@ impl PairCoalescer {
         Self::default()
     }
 
-    fn shard(&self, pair: (IrVersion, IrVersion)) -> &Mutex<PairMap> {
-        let mut h = DefaultHasher::new();
-        pair.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (COALESCE_SHARDS - 1)]
-    }
-
-    /// Locks every shard in index order; holding all guards makes the
-    /// cross-shard reads in [`PairCoalescer::totals`] atomic.
-    fn lock_all(&self) -> Vec<MutexGuard<'_, PairMap>> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("coalescer poisoned"))
-            .collect()
-    }
-
-    fn counters(&self, pair: (IrVersion, IrVersion)) -> Arc<PairCounters> {
-        let mut map = self.shard(pair).lock().expect("coalescer poisoned");
-        Arc::clone(map.entry(pair).or_default())
+    fn pairs(&self) -> MutexGuard<'_, PairMap> {
+        self.pairs.lock().expect("coalescer poisoned")
     }
 
     /// Returns the (memoized) synthesized translator for `source -> target`,
@@ -117,19 +86,18 @@ impl PairCoalescer {
         source: IrVersion,
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
-        let counters = self.counters((source, target));
+        let counters = Arc::clone(self.pairs().entry((source, target)).or_default());
         let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
             SynthesisConfig::new(source, target),
             &pair_corpus(source, target),
             pair_fingerprint(source, target),
         )?;
         if lookup.fresh {
-            counters.syntheses.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("serve.coalesce_fresh", 1);
+            &counters.syntheses
         } else {
-            counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("serve.coalesce_joined", 1);
+            &counters.coalesced
         }
+        .fetch_add(1, Ordering::Relaxed);
         Ok(CoalescedLookup {
             outcome: lookup.outcome,
             fresh: lookup.fresh,
@@ -138,9 +106,8 @@ impl PairCoalescer {
 
     /// Counters for one pair: `(syntheses, coalesced)`.
     pub fn pair_counters(&self, source: IrVersion, target: IrVersion) -> (u64, u64) {
-        let pair = (source, target);
-        let map = self.shard(pair).lock().expect("coalescer poisoned");
-        map.get(&pair)
+        self.pairs()
+            .get(&(source, target))
             .map(|c| {
                 (
                     c.syntheses.load(Ordering::Relaxed),
@@ -150,17 +117,16 @@ impl PairCoalescer {
             .unwrap_or((0, 0))
     }
 
-    /// Totals across every pair seen so far, read with all shard locks
-    /// held so the view is from one epoch.
+    /// Totals across every pair seen so far, read under the map lock.
     pub fn totals(&self) -> CoalesceTotals {
-        let guards = self.lock_all();
-        let mut t = CoalesceTotals::default();
-        for map in &guards {
-            t.pairs += map.len() as u64;
-            for c in map.values() {
-                t.syntheses += c.syntheses.load(Ordering::Relaxed);
-                t.coalesced += c.coalesced.load(Ordering::Relaxed);
-            }
+        let pairs = self.pairs();
+        let mut t = CoalesceTotals {
+            pairs: pairs.len() as u64,
+            ..CoalesceTotals::default()
+        };
+        for c in pairs.values() {
+            t.syntheses += c.syntheses.load(Ordering::Relaxed);
+            t.coalesced += c.coalesced.load(Ordering::Relaxed);
         }
         t
     }
@@ -207,14 +173,13 @@ mod tests {
         assert_eq!(c.totals(), CoalesceTotals::default());
     }
 
-    /// A stampede that spans *multiple shards at once* (several distinct
-    /// cold pairs, racers on each) must still synthesize exactly once per
-    /// pair, and the cross-shard totals must account for every request.
+    /// A stampede over several distinct cold pairs at once, racers on
+    /// each, must still synthesize exactly once per pair, and the totals
+    /// must account for every request.
     #[test]
-    fn cross_shard_stampede_synthesizes_once_per_pair() {
+    fn multi_pair_stampede_synthesizes_once_per_pair() {
         // Pairs reserved for this test (no other test in this binary
-        // synthesizes them), chosen to land in different shards with high
-        // probability; correctness does not depend on the spread.
+        // synthesizes them).
         let pairs = [
             (IrVersion::V17_0, IrVersion::V3_6),
             (IrVersion::V17_0, IrVersion::V3_0),

@@ -117,7 +117,6 @@ impl Engine {
             (ErrorCode::Synthesis, "synthesizing")
         } else {
             self.metrics.cross_dialect.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("serve.cross_dialect", 1);
             if mode == TranslateMode::Reference {
                 return err(
                     ErrorCode::Unsupported,

@@ -26,8 +26,9 @@
 //!   per-connection backpressure (see `docs/SERVING.md`);
 //! * [`admission`] — per-peer token-bucket fairness; over-budget
 //!   requests get a structured `Throttled` with retry-after;
-//! * [`stats`] — lock-free metrics, the plaintext `STATS` page, and the
-//!   Prometheus-style `METRICS` page (see `docs/OBSERVABILITY.md`);
+//! * [`stats`] — lock-free metrics and the one row table that both the
+//!   plaintext `STATS` page and the Prometheus-style `METRICS` page
+//!   render (see `docs/OBSERVABILITY.md`);
 //! * [`server`] — startup, graceful drain-on-shutdown, and warm start
 //!   from the persistent translator store (`docs/PERSISTENCE.md`);
 //! * [`client`] — a blocking client (used by `siro translate --remote`,
@@ -74,7 +75,6 @@ pub use coalesce::{CoalesceTotals, PairCoalescer};
 pub use engine::Engine;
 pub use protocol::{ErrorCode, Request, Response, StageNanos, TranslateMode};
 pub use queue::{BoundedQueue, PushError};
-pub use reactor::ReactorStats;
 pub use server::{start, ServeConfig, ServerHandle};
 pub use siro_synth::ValidationMode;
-pub use stats::{metrics_value, stats_value, Metrics, MetricsSnapshot, ServeGauges};
+pub use stats::{metrics_value, stats_value, Metrics};

@@ -39,7 +39,7 @@
 //! The accept loop backs off on failure (EMFILE/ENFILE and other
 //! transient errors): the listener is *deregistered* for an exponentially
 //! growing pause instead of hot-spinning on a level-triggered readiness
-//! that cannot be serviced, and `serve.accept_errors` counts each one.
+//! that cannot be serviced, and `accept_errors` counts each one.
 //!
 //! Shutdown drains: the listener is deregistered, the queue closes (new
 //! data-plane requests answer `ShuttingDown`), workers finish what was
@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -88,18 +88,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 const DRAIN_POLL: Duration = Duration::from_millis(10);
 /// Ready connections the reactor takes per wake while saturated.
 const SATURATED_BATCH: usize = 64;
-
-/// Engine-side counters surfaced on the `STATS` / `METRICS` pages.
-#[derive(Debug, Default)]
-pub struct ReactorStats {
-    /// Reactor loop iterations (each poll wait counts once): accepts,
-    /// saturated reads, and the shutdown drain.
-    pub loop_iterations: AtomicU64,
-    /// Largest per-connection write-queue depth seen, in bytes.
-    pub write_queue_hwm_bytes: AtomicU64,
-    /// Currently open connections (gauge).
-    pub open_connections: AtomicU64,
-}
 
 /// One client connection, shared by every thread that serves it.
 pub(crate) struct Conn {
@@ -230,14 +218,13 @@ impl Conn {
     pub(crate) fn reply(
         &self,
         metrics: &Metrics,
-        stats: &ReactorStats,
         id: u64,
         response: &Response,
         received: Option<Instant>,
     ) {
         let (frame, fits) = encode_reply(id, response);
         count_reply(metrics, response, fits, received);
-        self.lock().push(stats, frame);
+        self.lock().push(metrics, frame);
     }
 
     /// Writes what the socket takes, then re-derives the registration
@@ -257,7 +244,7 @@ impl Conn {
         let closed = {
             let mut st = self.lock();
             st.in_flight = st.in_flight.saturating_sub(1);
-            st.push(shared.reactor_stats(), frame);
+            st.push(shared.metrics(), frame);
             st.flush(&self.stream);
             st.settle(&shared.ready, self, false)
         };
@@ -268,13 +255,13 @@ impl Conn {
 }
 
 impl ConnState {
-    fn push(&mut self, stats: &ReactorStats, frame: Vec<u8>) {
+    fn push(&mut self, metrics: &Metrics, frame: Vec<u8>) {
         if self.closed {
             return;
         }
         self.queued_bytes += frame.len();
         self.write_queue.push_back(frame);
-        stats
+        metrics
             .write_queue_hwm_bytes
             .fetch_max(self.queued_bytes as u64, Ordering::Relaxed);
     }
@@ -432,7 +419,7 @@ pub(crate) fn serve(
                 ErrorCode::Malformed,
                 ProtocolError::FrameTooLarge(len).to_string(),
             );
-            st.push(shared.reactor_stats(), encode_reply(0, &malformed).0);
+            st.push(shared.metrics(), encode_reply(0, &malformed).0);
         }
         st.peer_closed |= read.eof;
         st.kill |= read.error || read.oversized.is_some();
@@ -457,7 +444,6 @@ pub(crate) fn serve(
 /// admitted data-plane requests join `jobs`.
 fn admit(shared: &Shared, conn: &Arc<Conn>, payload: &[u8], jobs: &mut Vec<Job>) {
     let metrics = shared.metrics();
-    let stats = shared.reactor_stats();
     metrics.on_request();
     let (id, request) = match Request::decode(payload) {
         Ok(ok) => ok,
@@ -465,7 +451,7 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, payload: &[u8], jobs: &mut Vec<Job>)
         // so answer and keep the connection.
         Err(e) => {
             let answer = error(ErrorCode::Malformed, e.to_string());
-            return conn.reply(metrics, stats, 0, &answer, None);
+            return conn.reply(metrics, 0, &answer, None);
         }
     };
     let answer = match request {
@@ -478,7 +464,7 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, payload: &[u8], jobs: &mut Vec<Job>)
             text: shared.metrics_page(),
         },
         Request::Shutdown => {
-            conn.reply(metrics, stats, id, &Response::ShutdownOk, None);
+            conn.reply(metrics, id, &Response::ShutdownOk, None);
             shared.signal_shutdown();
             return;
         }
@@ -507,7 +493,7 @@ fn admit(shared: &Shared, conn: &Arc<Conn>, payload: &[u8], jobs: &mut Vec<Job>)
             }
         }
     };
-    conn.reply(metrics, stats, id, &answer, None);
+    conn.reply(metrics, id, &answer, None);
 }
 
 /// Pushes an admitted request onto the bounded queue, or answers it
@@ -531,13 +517,7 @@ fn enqueue(shared: &Shared, job: Job) -> bool {
         }
         Err(PushError::Closed(job)) => (job, error(ErrorCode::ShuttingDown, "server is draining")),
     };
-    job.conn.reply(
-        shared.metrics(),
-        shared.reactor_stats(),
-        job.id,
-        &answer,
-        None,
-    );
+    job.conn.reply(shared.metrics(), job.id, &answer, None);
     let mut st = job.conn.lock();
     st.in_flight = st.in_flight.saturating_sub(1);
     false
@@ -574,8 +554,8 @@ impl Reactor {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             self.shared
-                .reactor_stats()
-                .loop_iterations
+                .metrics()
+                .reactor_loops
                 .fetch_add(1, Ordering::Relaxed);
             let timeout = self.wait_timeout();
             if self
@@ -620,7 +600,7 @@ impl Reactor {
             }
         }
         self.shared
-            .reactor_stats()
+            .metrics()
             .open_connections
             .store(0, Ordering::Relaxed);
     }
@@ -831,7 +811,6 @@ mod tests {
             .register_oneshot(conn.stream.as_raw_fd(), 1, Interest::READ)
             .expect("register");
         let metrics = Metrics::default();
-        let stats = ReactorStats::default();
 
         let huge = Response::TranslateOk {
             cache_hit: true,
@@ -839,7 +818,7 @@ mod tests {
             text: "x".repeat(MAX_FRAME + 1),
         };
         let reply_len = huge.encode(7).len();
-        conn.reply(&metrics, &stats, 7, &huge, Some(Instant::now()));
+        conn.reply(&metrics, 7, &huge, Some(Instant::now()));
         assert!(!conn.settle(&ready, true), "the connection stays");
         match next_response(&mut client) {
             (
@@ -858,7 +837,7 @@ mod tests {
         assert_eq!(metrics.requests_ok.load(Ordering::Relaxed), 0);
 
         // The stream is still in sync: the next reply arrives intact.
-        conn.reply(&metrics, &stats, 8, &Response::Pong, Some(Instant::now()));
+        conn.reply(&metrics, 8, &Response::Pong, Some(Instant::now()));
         assert!(!conn.settle(&ready, false));
         assert_eq!(next_response(&mut client), (8, Response::Pong));
         assert_eq!(metrics.requests_ok.load(Ordering::Relaxed), 1);
@@ -872,9 +851,9 @@ mod tests {
         ready
             .register_oneshot(conn.stream.as_raw_fd(), 1, Interest::READ)
             .expect("register");
-        let stats = ReactorStats::default();
+        let metrics = Metrics::default();
         let mut st = conn.lock();
-        st.push(&stats, vec![0; WRITE_HIGH_WATER]);
+        st.push(&metrics, vec![0; WRITE_HIGH_WATER]);
         assert!(!st.settle(&ready, &conn, true));
         assert_eq!(st.armed, Some(Interest::WRITE), "paused: write only");
         st.write_queue.clear();
@@ -885,7 +864,7 @@ mod tests {
         st.settle(&ready, &conn, false);
         assert_eq!(st.armed, Some(Interest::READ), "resumed below low water");
         assert_eq!(
-            stats.write_queue_hwm_bytes.load(Ordering::Relaxed),
+            metrics.write_queue_hwm_bytes.load(Ordering::Relaxed),
             WRITE_HIGH_WATER as u64
         );
         drop(client);

@@ -8,7 +8,7 @@
 //! threads, and open connections are decoupled from thread count. The
 //! reactor's accept loop *backs off* on failure (EMFILE/ENFILE and other
 //! transient errors) instead of hot-spinning, counting each failure in
-//! `accept_errors` / the `serve.accept_errors` trace counter.
+//! `accept_errors`.
 //!
 //! Shutdown (via [`ServerHandle::request_shutdown`] or a wire `Shutdown`
 //! frame) stops accepting, closes the queue for new work, lets workers
@@ -34,8 +34,8 @@ use crate::engine::Engine;
 use crate::poller::{Interest, Poller, Waker};
 use crate::pool::{Job, WorkerPool};
 use crate::queue::BoundedQueue;
-use crate::reactor::{Conn, Reactor, ReactorStats, TOKEN_QUEUE, TOKEN_READY, TOKEN_WAKE};
-use crate::stats::{render_metrics, render_stats, Metrics, ServeGauges};
+use crate::reactor::{Conn, Reactor, TOKEN_QUEUE, TOKEN_READY, TOKEN_WAKE};
+use crate::stats::{render_metrics, render_stats, rows, Metrics};
 
 /// Server configuration. `Default` is suitable for tests and local use.
 #[derive(Debug, Clone)]
@@ -81,7 +81,6 @@ pub(crate) struct Shared {
     metrics: Arc<Metrics>,
     workers: usize,
     admission: Option<AdmissionControl>,
-    reactor_stats: Arc<ReactorStats>,
     /// Requests no thread could run at once.
     pub(crate) queue: BoundedQueue<Job>,
     /// Every open connection, by token.
@@ -134,10 +133,6 @@ impl Shared {
         self.admission.as_ref()
     }
 
-    pub(crate) fn reactor_stats(&self) -> &Arc<ReactorStats> {
-        &self.reactor_stats
-    }
-
     fn table(&self) -> MutexGuard<'_, HashMap<u64, Arc<Conn>>> {
         self.conns.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -148,7 +143,7 @@ impl Shared {
 
     pub(crate) fn insert_conn(&self, token: u64, conn: Arc<Conn>) {
         self.table().insert(token, conn);
-        self.reactor_stats
+        self.metrics
             .open_connections
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -156,7 +151,7 @@ impl Shared {
     /// Drops a closed connection from the table.
     pub(crate) fn forget(&self, token: u64) {
         if self.table().remove(&token).is_some() {
-            self.reactor_stats
+            self.metrics
                 .open_connections
                 .fetch_sub(1, Ordering::Relaxed);
         }
@@ -259,28 +254,12 @@ impl Shared {
         self.queue_wake.wake();
     }
 
-    fn gauges(&self) -> ServeGauges {
-        let totals = self.engine.coalescer().totals();
-        let r = &self.reactor_stats;
-        ServeGauges {
-            queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
-            workers: self.workers,
-            pairs_synthesized: totals.syntheses,
-            coalesced_waiters: totals.coalesced,
-            reactor_loops: r.loop_iterations.load(Ordering::Relaxed),
-            registered_fds: (self.ready.registered() + self.reactor_poller.registered()) as u64,
-            write_queue_hwm_bytes: r.write_queue_hwm_bytes.load(Ordering::Relaxed),
-            open_connections: r.open_connections.load(Ordering::Relaxed),
-        }
-    }
-
     pub(crate) fn stats_page(&self) -> String {
-        render_stats(&self.metrics, &self.gauges())
+        render_stats(&rows(self))
     }
 
     pub(crate) fn metrics_page(&self) -> String {
-        render_metrics(&self.metrics, &self.gauges())
+        render_metrics(&rows(self))
     }
 }
 
@@ -317,11 +296,6 @@ impl ServerHandle {
     /// The engine, exposing the per-pair coalescing counters.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.shared.engine
-    }
-
-    /// Reactor-side counters.
-    pub fn reactor_stats(&self) -> &Arc<ReactorStats> {
-        &self.shared.reactor_stats
     }
 
     /// The plaintext stats page, rendered in-process (same code path as
@@ -405,7 +379,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         metrics,
         workers,
         admission: AdmissionControl::from_config(config.admission),
-        reactor_stats: Arc::new(ReactorStats::default()),
         queue: BoundedQueue::new(config.queue_capacity),
         conns: Mutex::new(HashMap::new()),
         ready,
@@ -440,23 +413,16 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// first request. Last, the router builds the graph of the current
 /// route epoch (every pair's corpus fingerprint, every edge classified),
 /// so the first request plans over a memoized graph instead of paying
-/// that build.
-///
-/// Returns the number of entries successfully seeded.
-fn warm_start(engine: &Arc<Engine>) -> u64 {
+/// that build. The store counts each entry seeded (`store_warm_loaded`).
+fn warm_start(engine: &Arc<Engine>) {
     let Some(store) = siro_synth::active_store() else {
-        return 0;
+        return;
     };
-    let mut loaded = 0u64;
     for entry in store.entries().unwrap_or_default() {
         let Some(key) = entry.key else { continue };
         let tests = pair_corpus(key.source, key.target);
         let fingerprint = pair_fingerprint(key.source, key.target);
-        if TranslatorCache::warm_from_store(&key.config(), &tests, fingerprint) {
-            loaded += 1;
-        }
+        TranslatorCache::warm_from_store(&key.config(), &tests, fingerprint);
     }
     engine.router().graph();
-    siro_trace::counter("serve.warm_loaded", loaded);
-    loaded
 }

@@ -1,4 +1,14 @@
-//! Server metrics and the plaintext `STATS` page.
+//! Server metrics and the two pages that show them: the plaintext
+//! `STATS` page and the Prometheus-style `METRICS` page.
+//!
+//! Both pages render one table (`rows`): an ordered list of
+//! `(key, kind, value)` rows read from the server's [`Metrics`], its queue
+//! and pollers, and the always-on counters of the translator cache, the
+//! coalescer, the store, the compiled tier and the router. `STATS` prints
+//! `key value`; `METRICS` prints each row under a name derived from its
+//! key by one rule (`metric_name`). Each event is counted once, by one
+//! of those always-on counters; the `siro-trace` counters, rendered after
+//! the table, count only what no row shows.
 //!
 //! All counters are lock-free atomics so the hot path never contends on
 //! the stats. Latency goes into a power-of-two bucketed histogram
@@ -11,6 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use siro_synth::TranslatorCache;
+
+use crate::server::Shared;
 
 const BUCKETS: usize = 40;
 
@@ -99,6 +111,13 @@ pub struct Metrics {
     /// `accept(2)` failures (EMFILE/ENFILE and other transient errors);
     /// each one also backs the accept loop off.
     pub accept_errors: AtomicU64,
+    /// Reactor loop iterations (each poll wait counts once): accepts,
+    /// saturated reads, and the shutdown drain.
+    pub reactor_loops: AtomicU64,
+    /// Largest per-connection write-queue depth seen, in bytes.
+    pub write_queue_hwm_bytes: AtomicU64,
+    /// Currently open connections (gauge).
+    pub open_connections: AtomicU64,
     /// Worker-side latency of completed requests.
     pub latency: Histogram,
 }
@@ -134,288 +153,148 @@ impl Metrics {
         Self::add(&self.requests_throttled, 1);
     }
 
-    /// Counts an accept-loop failure (also traced as
-    /// `serve.accept_errors`).
+    /// Counts an accept-loop failure.
     pub fn on_accept_error(&self) {
         Self::add(&self.accept_errors, 1);
-        siro_trace::counter("serve.accept_errors", 1);
-    }
-
-    /// Immutable copy of the counters, for JSON dumps and assertions.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            requests_ok: self.requests_ok.load(Ordering::Relaxed),
-            requests_busy: self.requests_busy.load(Ordering::Relaxed),
-            requests_error: self.requests_error.load(Ordering::Relaxed),
-            requests_throttled: self.requests_throttled.load(Ordering::Relaxed),
-            requests_queued: self.requests_queued.load(Ordering::Relaxed),
-            translations: self.translations.load(Ordering::Relaxed),
-            cross_dialect: self.cross_dialect.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            latency_p50_us: self.latency.quantile_us(0.50),
-            latency_p99_us: self.latency.quantile_us(0.99),
-        }
     }
 }
 
-/// Point-in-time copy of [`Metrics`].
+/// How a scraper reads a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// See [`Metrics::requests_total`].
-    pub requests_total: u64,
-    /// See [`Metrics::requests_ok`].
-    pub requests_ok: u64,
-    /// See [`Metrics::requests_busy`].
-    pub requests_busy: u64,
-    /// See [`Metrics::requests_error`].
-    pub requests_error: u64,
-    /// See [`Metrics::requests_throttled`].
-    pub requests_throttled: u64,
-    /// See [`Metrics::requests_queued`].
-    pub requests_queued: u64,
-    /// See [`Metrics::translations`].
-    pub translations: u64,
-    /// See [`Metrics::cross_dialect`].
-    pub cross_dialect: u64,
-    /// See [`Metrics::connections`].
-    pub connections: u64,
-    /// See [`Metrics::accept_errors`].
-    pub accept_errors: u64,
-    /// p50 latency in µs (bucket upper bound), if any sample exists.
-    pub latency_p50_us: Option<u64>,
-    /// p99 latency in µs (bucket upper bound), if any sample exists.
-    pub latency_p99_us: Option<u64>,
+pub(crate) enum Kind {
+    /// Counts events since the process (or the source's last reset)
+    /// started.
+    Counter,
+    /// Reads a current level.
+    Gauge,
 }
 
-/// Point-in-time server gauges that accompany [`Metrics`] on the stats
-/// pages: queue and pool shape, coalescer totals, and the reactor funnel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeGauges {
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Bounded queue capacity.
-    pub queue_capacity: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Coalescer: syntheses actually run.
-    pub pairs_synthesized: u64,
-    /// Coalescer: requests that reused another request's synthesis.
-    pub coalesced_waiters: u64,
-    /// Reactor loop iterations so far (accepts, saturated reads, drain).
-    pub reactor_loops: u64,
-    /// Fds registered right now: the shared connection set plus the
-    /// reactor's own poller.
-    pub registered_fds: u64,
-    /// Largest per-connection write queue seen, in bytes.
-    pub write_queue_hwm_bytes: u64,
-    /// Connections currently open.
-    pub open_connections: u64,
-}
+/// One row of both pages: its `STATS` key, its kind and its value.
+pub(crate) type Row = (&'static str, Kind, u64);
 
-/// Renders the plaintext `STATS` page: one `key value` per line, stable
-/// keys, so it is trivially greppable from CI and shell scripts.
-pub fn render_stats(metrics: &Metrics, g: &ServeGauges) -> String {
-    let m = metrics.snapshot();
+/// The one table both pages render, in page order.
+pub(crate) fn rows(s: &Shared) -> Vec<Row> {
+    use Kind::{Counter, Gauge};
+    let m = s.metrics();
+    let n = |a: &AtomicU64| a.load(Ordering::Relaxed);
     let cache = TranslatorCache::snapshot();
-    let mut out = String::with_capacity(1024);
-    let mut line = |k: &str, v: u64| {
-        let _ = writeln!(out, "{k} {v}");
-    };
-    line("requests_total", m.requests_total);
-    line("requests_ok", m.requests_ok);
-    line("requests_busy", m.requests_busy);
-    line("requests_error", m.requests_error);
-    line("requests_throttled", m.requests_throttled);
-    line("requests_queued", m.requests_queued);
-    line("translations", m.translations);
-    line("cross_dialect_translations", m.cross_dialect);
-    line("connections", m.connections);
-    line("accept_errors", m.accept_errors);
-    line("queue_depth", g.queue_depth as u64);
-    line("queue_capacity", g.queue_capacity as u64);
-    line("workers", g.workers as u64);
-    line("reactor_loops", g.reactor_loops);
-    line("reactor_registered_fds", g.registered_fds);
-    line("reactor_write_queue_hwm_bytes", g.write_queue_hwm_bytes);
-    line("open_connections", g.open_connections);
-    line("latency_p50_us", m.latency_p50_us.unwrap_or(0));
-    line("latency_p99_us", m.latency_p99_us.unwrap_or(0));
-    line("cache_hits", cache.hits);
-    line("cache_misses", cache.misses);
-    line("cache_entries", cache.entries as u64);
-    line("cache_failures", cache.failures as u64);
-    for shard in TranslatorCache::shard_snapshots() {
-        let _ = writeln!(out, "cache_shard{}_hits {}", shard.index, shard.hits);
-        let _ = writeln!(out, "cache_shard{}_misses {}", shard.index, shard.misses);
-    }
-    let mut line = |k: &str, v: u64| {
-        let _ = writeln!(out, "{k} {v}");
-    };
-    line("pairs_synthesized", g.pairs_synthesized);
-    line("coalesced_waiters", g.coalesced_waiters);
+    let coalesce = s.engine().coalescer().totals();
     let store = siro_synth::store_stats();
-    line("store_attached", u64::from(store.attached));
-    line("store_warm_loaded", store.warm_loaded);
-    line("store_hits", store.hits);
-    line("store_misses", store.misses);
-    line("store_corrupt", store.corrupt);
-    line("store_writes", store.writes);
     let compile = siro_synth::compile_stats();
-    line("compile_lowered", compile.lowered);
-    line("compile_lower_failures", compile.lower_failures);
-    line(
-        "compile_translations_compiled",
-        compile.translations_compiled,
-    );
-    line(
-        "compile_translations_interpreted",
-        compile.translations_interpreted,
-    );
-    line("compile_runtime_fallbacks", compile.runtime_fallbacks);
     let router = siro_synth::router_stats();
-    line("router_plans", router.plans);
-    line("router_direct", router.direct);
-    line("router_composed", router.composed);
-    line("router_composed_cached", router.composed_cached);
-    line("router_fallbacks", router.fallbacks);
-    line("router_max_hops", router.max_hops);
-    line("router_graph_builds", router.graph_builds);
-    line("router_store_probes", router.store_probes);
-    line("trace_enabled", u64::from(siro_trace::enabled()));
+    let fds = s.ready.registered() + s.reactor_poller.registered();
+    vec![
+        ("requests_total", Counter, n(&m.requests_total)),
+        ("requests_ok", Counter, n(&m.requests_ok)),
+        ("requests_busy", Counter, n(&m.requests_busy)),
+        ("requests_error", Counter, n(&m.requests_error)),
+        ("requests_throttled", Counter, n(&m.requests_throttled)),
+        ("requests_queued", Counter, n(&m.requests_queued)),
+        ("translations", Counter, n(&m.translations)),
+        ("cross_dialect_translations", Counter, n(&m.cross_dialect)),
+        ("connections", Counter, n(&m.connections)),
+        ("accept_errors", Counter, n(&m.accept_errors)),
+        ("queue_depth", Gauge, s.queue.len() as u64),
+        ("queue_capacity", Gauge, s.queue.capacity() as u64),
+        ("workers", Gauge, s.workers() as u64),
+        ("reactor_loops", Counter, n(&m.reactor_loops)),
+        ("reactor_registered_fds", Gauge, fds as u64),
+        (
+            "reactor_write_queue_hwm_bytes",
+            Gauge,
+            n(&m.write_queue_hwm_bytes),
+        ),
+        ("open_connections", Gauge, n(&m.open_connections)),
+        (
+            "latency_p50_us",
+            Gauge,
+            m.latency.quantile_us(0.50).unwrap_or(0),
+        ),
+        (
+            "latency_p99_us",
+            Gauge,
+            m.latency.quantile_us(0.99).unwrap_or(0),
+        ),
+        ("cache_hits", Counter, cache.hits),
+        ("cache_misses", Counter, cache.misses),
+        ("cache_entries", Gauge, cache.entries as u64),
+        ("cache_failures", Gauge, cache.failures as u64),
+        ("pairs_synthesized", Counter, coalesce.syntheses),
+        ("coalesced_waiters", Counter, coalesce.coalesced),
+        ("store_attached", Gauge, u64::from(store.attached)),
+        ("store_warm_loaded", Counter, store.warm_loaded),
+        ("store_hits", Counter, store.hits),
+        ("store_misses", Counter, store.misses),
+        ("store_corrupt", Counter, store.corrupt),
+        ("store_writes", Counter, store.writes),
+        ("compile_lowered", Counter, compile.lowered),
+        ("compile_lower_failures", Counter, compile.lower_failures),
+        (
+            "compile_translations_compiled",
+            Counter,
+            compile.translations_compiled,
+        ),
+        (
+            "compile_translations_interpreted",
+            Counter,
+            compile.translations_interpreted,
+        ),
+        (
+            "compile_runtime_fallbacks",
+            Counter,
+            compile.runtime_fallbacks,
+        ),
+        ("router_plans", Counter, router.plans),
+        ("router_direct", Counter, router.direct),
+        ("router_composed", Counter, router.composed),
+        ("router_composed_cached", Counter, router.composed_cached),
+        ("router_fallbacks", Counter, router.fallbacks),
+        ("router_max_hops", Gauge, router.max_hops),
+        ("router_graph_builds", Counter, router.graph_builds),
+        ("router_store_probes", Counter, router.store_probes),
+    ]
+}
+
+/// Renders the plaintext `STATS` page: one `key value` per row, then
+/// `trace_enabled`. Stable keys, so it is trivially greppable from CI and
+/// shell scripts.
+pub(crate) fn render_stats(rows: &[Row]) -> String {
+    let mut out = String::with_capacity(1024);
+    for (key, _, value) in rows {
+        let _ = writeln!(out, "{key} {value}");
+    }
+    let _ = writeln!(out, "trace_enabled {}", u64::from(siro_trace::enabled()));
     out
 }
 
-/// Renders the Prometheus-style plaintext `METRICS` page: the serving
-/// counters, latency quantiles, translator-cache and coalescer totals,
-/// plus the `siro_trace_enabled` gauge and every `siro-trace` counter
-/// (the trace section is rendered by
-/// [`siro_trace::export::render_prometheus_counters`], so the two
-/// surfaces can never disagree).
-pub fn render_metrics(metrics: &Metrics, g: &ServeGauges) -> String {
-    let m = metrics.snapshot();
-    let cache = TranslatorCache::snapshot();
-    let mut out = String::with_capacity(2048);
-    let mut sample = |name: &str, kind: &str, v: u64| {
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {v}");
+/// The `METRICS` name of a row: `siro_` + key, a trailing `_us` becomes
+/// `_microseconds`, and a counter gains `_total` unless it already ends
+/// in it.
+fn metric_name(key: &str, kind: Kind) -> String {
+    let mut name = match key.strip_suffix("_us") {
+        Some(stem) => format!("siro_{stem}_microseconds"),
+        None => format!("siro_{key}"),
     };
-    sample("siro_requests_total", "counter", m.requests_total);
-    sample("siro_requests_ok_total", "counter", m.requests_ok);
-    sample("siro_requests_busy_total", "counter", m.requests_busy);
-    sample("siro_requests_error_total", "counter", m.requests_error);
-    sample(
-        "siro_requests_throttled_total",
-        "counter",
-        m.requests_throttled,
-    );
-    sample("siro_requests_queued_total", "counter", m.requests_queued);
-    sample("siro_translations_total", "counter", m.translations);
-    sample(
-        "siro_cross_dialect_translations_total",
-        "counter",
-        m.cross_dialect,
-    );
-    sample("siro_connections_total", "counter", m.connections);
-    sample("siro_accept_errors_total", "counter", m.accept_errors);
-    sample("siro_queue_depth", "gauge", g.queue_depth as u64);
-    sample("siro_queue_capacity", "gauge", g.queue_capacity as u64);
-    sample("siro_workers", "gauge", g.workers as u64);
-    sample("siro_reactor_loops_total", "counter", g.reactor_loops);
-    sample("siro_reactor_registered_fds", "gauge", g.registered_fds);
-    sample(
-        "siro_reactor_write_queue_hwm_bytes",
-        "gauge",
-        g.write_queue_hwm_bytes,
-    );
-    sample("siro_open_connections", "gauge", g.open_connections);
-    sample(
-        "siro_latency_p50_microseconds",
-        "gauge",
-        m.latency_p50_us.unwrap_or(0),
-    );
-    sample(
-        "siro_latency_p99_microseconds",
-        "gauge",
-        m.latency_p99_us.unwrap_or(0),
-    );
-    sample("siro_cache_hits_total", "counter", cache.hits);
-    sample("siro_cache_misses_total", "counter", cache.misses);
-    sample("siro_cache_entries", "gauge", cache.entries as u64);
-    sample("siro_cache_failures", "gauge", cache.failures as u64);
-    for shard in TranslatorCache::shard_snapshots() {
-        sample(
-            &format!("siro_cache_shard{}_hits_total", shard.index),
-            "counter",
-            shard.hits,
-        );
-        sample(
-            &format!("siro_cache_shard{}_misses_total", shard.index),
-            "counter",
-            shard.misses,
-        );
+    if kind == Kind::Counter && !name.ends_with("_total") {
+        name.push_str("_total");
     }
-    sample(
-        "siro_pairs_synthesized_total",
-        "counter",
-        g.pairs_synthesized,
-    );
-    sample(
-        "siro_coalesced_waiters_total",
-        "counter",
-        g.coalesced_waiters,
-    );
-    let store = siro_synth::store_stats();
-    sample("siro_store_attached", "gauge", u64::from(store.attached));
-    sample("siro_store_warm_loaded_total", "counter", store.warm_loaded);
-    sample("siro_store_hits_total", "counter", store.hits);
-    sample("siro_store_misses_total", "counter", store.misses);
-    sample("siro_store_corrupt_total", "counter", store.corrupt);
-    sample("siro_store_writes_total", "counter", store.writes);
-    let compile = siro_synth::compile_stats();
-    sample("siro_compile_lowered_total", "counter", compile.lowered);
-    sample(
-        "siro_compile_lower_failures_total",
-        "counter",
-        compile.lower_failures,
-    );
-    sample(
-        "siro_compile_translations_compiled_total",
-        "counter",
-        compile.translations_compiled,
-    );
-    sample(
-        "siro_compile_translations_interpreted_total",
-        "counter",
-        compile.translations_interpreted,
-    );
-    sample(
-        "siro_compile_runtime_fallbacks_total",
-        "counter",
-        compile.runtime_fallbacks,
-    );
-    let router = siro_synth::router_stats();
-    sample("siro_router_plans_total", "counter", router.plans);
-    sample("siro_router_direct_total", "counter", router.direct);
-    sample("siro_router_composed_total", "counter", router.composed);
-    sample(
-        "siro_router_composed_cached_total",
-        "counter",
-        router.composed_cached,
-    );
-    sample("siro_router_fallbacks_total", "counter", router.fallbacks);
-    sample("siro_router_max_hops", "gauge", router.max_hops);
-    sample(
-        "siro_router_graph_builds_total",
-        "counter",
-        router.graph_builds,
-    );
-    sample(
-        "siro_router_store_probes_total",
-        "counter",
-        router.store_probes,
-    );
+    name
+}
+
+/// Renders the Prometheus-style plaintext `METRICS` page: each row as a
+/// `# TYPE` comment and its sample, then the `siro_trace_enabled` gauge
+/// and every `siro-trace` counter (rendered by
+/// [`siro_trace::export::render_prometheus_counters`]).
+pub(crate) fn render_metrics(rows: &[Row]) -> String {
+    let mut out = String::with_capacity(4096);
+    for &(key, kind, value) in rows {
+        let name = metric_name(key, kind);
+        let kind = match kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        };
+        let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
+    }
     out.push_str(&siro_trace::export::render_prometheus_counters(
         &siro_trace::snapshot(),
     ));
@@ -473,57 +352,166 @@ mod tests {
         assert_eq!(h.quantile_us(0.5), Some(1u64 << (BUCKETS - 1)));
     }
 
-    fn gauges() -> ServeGauges {
-        ServeGauges {
-            queue_depth: 3,
-            queue_capacity: 64,
-            workers: 8,
-            pairs_synthesized: 2,
-            coalesced_waiters: 5,
-            reactor_loops: 11,
-            registered_fds: 4,
-            write_queue_hwm_bytes: 1024,
-            open_connections: 2,
+    /// A live server: the table reads its queue, pollers and coalescer.
+    fn server() -> crate::ServerHandle {
+        crate::start(crate::ServeConfig {
+            threads: Some(2),
+            ..crate::ServeConfig::default()
+        })
+        .expect("start server")
+    }
+
+    /// Every row of the table in page order: its `STATS` key and the
+    /// `# TYPE` line `METRICS` gives it.
+    const TABLE: [(&str, &str); 44] = [
+        ("requests_total", "siro_requests_total counter"),
+        ("requests_ok", "siro_requests_ok_total counter"),
+        ("requests_busy", "siro_requests_busy_total counter"),
+        ("requests_error", "siro_requests_error_total counter"),
+        (
+            "requests_throttled",
+            "siro_requests_throttled_total counter",
+        ),
+        ("requests_queued", "siro_requests_queued_total counter"),
+        ("translations", "siro_translations_total counter"),
+        (
+            "cross_dialect_translations",
+            "siro_cross_dialect_translations_total counter",
+        ),
+        ("connections", "siro_connections_total counter"),
+        ("accept_errors", "siro_accept_errors_total counter"),
+        ("queue_depth", "siro_queue_depth gauge"),
+        ("queue_capacity", "siro_queue_capacity gauge"),
+        ("workers", "siro_workers gauge"),
+        ("reactor_loops", "siro_reactor_loops_total counter"),
+        (
+            "reactor_registered_fds",
+            "siro_reactor_registered_fds gauge",
+        ),
+        (
+            "reactor_write_queue_hwm_bytes",
+            "siro_reactor_write_queue_hwm_bytes gauge",
+        ),
+        ("open_connections", "siro_open_connections gauge"),
+        ("latency_p50_us", "siro_latency_p50_microseconds gauge"),
+        ("latency_p99_us", "siro_latency_p99_microseconds gauge"),
+        ("cache_hits", "siro_cache_hits_total counter"),
+        ("cache_misses", "siro_cache_misses_total counter"),
+        ("cache_entries", "siro_cache_entries gauge"),
+        ("cache_failures", "siro_cache_failures gauge"),
+        ("pairs_synthesized", "siro_pairs_synthesized_total counter"),
+        ("coalesced_waiters", "siro_coalesced_waiters_total counter"),
+        ("store_attached", "siro_store_attached gauge"),
+        ("store_warm_loaded", "siro_store_warm_loaded_total counter"),
+        ("store_hits", "siro_store_hits_total counter"),
+        ("store_misses", "siro_store_misses_total counter"),
+        ("store_corrupt", "siro_store_corrupt_total counter"),
+        ("store_writes", "siro_store_writes_total counter"),
+        ("compile_lowered", "siro_compile_lowered_total counter"),
+        (
+            "compile_lower_failures",
+            "siro_compile_lower_failures_total counter",
+        ),
+        (
+            "compile_translations_compiled",
+            "siro_compile_translations_compiled_total counter",
+        ),
+        (
+            "compile_translations_interpreted",
+            "siro_compile_translations_interpreted_total counter",
+        ),
+        (
+            "compile_runtime_fallbacks",
+            "siro_compile_runtime_fallbacks_total counter",
+        ),
+        ("router_plans", "siro_router_plans_total counter"),
+        ("router_direct", "siro_router_direct_total counter"),
+        ("router_composed", "siro_router_composed_total counter"),
+        (
+            "router_composed_cached",
+            "siro_router_composed_cached_total counter",
+        ),
+        ("router_fallbacks", "siro_router_fallbacks_total counter"),
+        ("router_max_hops", "siro_router_max_hops gauge"),
+        (
+            "router_graph_builds",
+            "siro_router_graph_builds_total counter",
+        ),
+        (
+            "router_store_probes",
+            "siro_router_store_probes_total counter",
+        ),
+    ];
+
+    #[test]
+    fn both_pages_render_one_table_in_order() {
+        let handle = server();
+        let stats = handle.stats_page();
+        let keys: Vec<&str> = stats
+            .lines()
+            .map(|l| l.split_once(' ').expect("`key value` line").0)
+            .collect();
+        let mut expected: Vec<&str> = TABLE.iter().map(|(key, _)| *key).collect();
+        expected.push("trace_enabled");
+        assert_eq!(keys, expected, "the 45 STATS keys, in order");
+
+        let metrics = handle.metrics_page();
+        let lines: Vec<&str> = metrics.lines().collect();
+        for (i, (key, typed)) in TABLE.iter().enumerate() {
+            assert_eq!(lines[2 * i], format!("# TYPE {typed}"), "row {key}");
+            let (name, kind) = typed.split_once(' ').expect("name kind");
+            let kind = if kind == "counter" {
+                Kind::Counter
+            } else {
+                Kind::Gauge
+            };
+            assert_eq!(metric_name(key, kind), name, "the rule names {key}");
+            assert!(
+                lines[2 * i + 1].starts_with(&format!("{name} ")),
+                "sample of {key}: `{}`",
+                lines[2 * i + 1]
+            );
         }
+        // The trace section follows the table, with one trace gauge.
+        assert_eq!(lines[2 * TABLE.len()], "# TYPE siro_trace_enabled gauge");
+        assert_eq!(
+            lines
+                .iter()
+                .filter(|l| l.starts_with("siro_trace_enabled "))
+                .count(),
+            1
+        );
+        handle.shutdown();
     }
 
     #[test]
     fn stats_page_is_greppable() {
-        let m = Metrics::default();
+        let handle = server();
+        let m = handle.metrics();
         m.on_request();
         m.on_ok(Duration::from_micros(300));
         m.on_throttled();
         m.requests_queued.fetch_add(2, Ordering::Relaxed);
-        let page = render_stats(&m, &gauges());
+        m.write_queue_hwm_bytes.fetch_max(1024, Ordering::Relaxed);
+        let page = handle.stats_page();
         assert_eq!(stats_value(&page, "requests_total"), Some(1));
         assert_eq!(stats_value(&page, "requests_throttled"), Some(1));
         assert_eq!(stats_value(&page, "requests_queued"), Some(2));
-        assert_eq!(stats_value(&page, "queue_depth"), Some(3));
+        assert_eq!(stats_value(&page, "queue_depth"), Some(0));
         assert_eq!(stats_value(&page, "queue_capacity"), Some(64));
-        assert_eq!(stats_value(&page, "workers"), Some(8));
-        assert_eq!(stats_value(&page, "pairs_synthesized"), Some(2));
-        assert_eq!(stats_value(&page, "coalesced_waiters"), Some(5));
+        assert_eq!(stats_value(&page, "workers"), Some(2));
+        assert_eq!(stats_value(&page, "pairs_synthesized"), Some(0));
+        assert_eq!(stats_value(&page, "coalesced_waiters"), Some(0));
         assert_eq!(stats_value(&page, "no_such_key"), None);
         // The reactor funnel is always present.
-        assert_eq!(stats_value(&page, "reactor_loops"), Some(11));
-        assert_eq!(stats_value(&page, "reactor_registered_fds"), Some(4));
+        assert!(stats_value(&page, "reactor_loops").is_some());
+        assert!(stats_value(&page, "reactor_registered_fds").is_some_and(|n| n > 0));
         assert_eq!(
             stats_value(&page, "reactor_write_queue_hwm_bytes"),
             Some(1024)
         );
-        assert_eq!(stats_value(&page, "open_connections"), Some(2));
-        assert!(stats_value(&page, "accept_errors").is_some());
-        // Every cache shard reports its own hit/miss pair.
-        for i in 0..siro_synth::CACHE_SHARDS {
-            assert!(
-                stats_value(&page, &format!("cache_shard{i}_hits")).is_some(),
-                "missing shard {i} hits"
-            );
-            assert!(
-                stats_value(&page, &format!("cache_shard{i}_misses")).is_some(),
-                "missing shard {i} misses"
-            );
-        }
+        assert_eq!(stats_value(&page, "open_connections"), Some(0));
+        assert_eq!(stats_value(&page, "accept_errors"), Some(0));
         // Operators can tell traced runs apart from the page itself.
         assert!(stats_value(&page, "trace_enabled").is_some());
         // The second-dialect funnel is always present.
@@ -543,22 +531,27 @@ mod tests {
         assert!(stats_value(&page, "compile_translations_compiled").is_some());
         assert!(stats_value(&page, "compile_translations_interpreted").is_some());
         assert!(stats_value(&page, "compile_runtime_fallbacks").is_some());
+        handle.shutdown();
     }
 
     #[test]
     fn metrics_page_is_prometheus_shaped() {
-        let m = Metrics::default();
+        let handle = server();
+        let m = handle.metrics();
         m.on_request();
         m.on_ok(Duration::from_micros(300));
         m.requests_queued.fetch_add(3, Ordering::Relaxed);
-        let page = render_metrics(&m, &gauges());
+        let page = handle.metrics_page();
         assert_eq!(metrics_value(&page, "siro_requests_total"), Some(1));
         assert_eq!(metrics_value(&page, "siro_requests_queued_total"), Some(3));
         assert_eq!(metrics_value(&page, "siro_queue_capacity"), Some(64));
-        assert_eq!(metrics_value(&page, "siro_reactor_loops_total"), Some(11));
+        assert_eq!(
+            metrics_value(&page, "siro_latency_p50_microseconds"),
+            Some(512)
+        );
+        assert!(metrics_value(&page, "siro_reactor_loops_total").is_some());
         assert!(metrics_value(&page, "siro_requests_throttled_total").is_some());
         assert!(metrics_value(&page, "siro_accept_errors_total").is_some());
-        assert!(metrics_value(&page, "siro_cache_shard0_hits_total").is_some());
         assert!(metrics_value(&page, "siro_trace_enabled").is_some());
         assert!(metrics_value(&page, "siro_compile_lowered_total").is_some());
         assert!(metrics_value(&page, "siro_compile_translations_compiled_total").is_some());
@@ -582,5 +575,6 @@ mod tests {
             }
             prev = line;
         }
+        handle.shutdown();
     }
 }

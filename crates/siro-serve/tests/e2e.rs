@@ -368,7 +368,7 @@ fn event_engine_holds_more_connections_than_workers() {
     }
 
     let open = handle
-        .reactor_stats()
+        .metrics()
         .open_connections
         .load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(
@@ -551,12 +551,7 @@ fn connection_churn_serves_every_connection_and_closes_them_all() {
         "churn took {:?}",
         started.elapsed()
     );
-    let open = || {
-        handle
-            .reactor_stats()
-            .open_connections
-            .load(Ordering::Relaxed)
-    };
+    let open = || handle.metrics().open_connections.load(Ordering::Relaxed);
     let deadline = Instant::now() + Duration::from_secs(10);
     while open() != 0 {
         assert!(
@@ -566,10 +561,13 @@ fn connection_churn_serves_every_connection_and_closes_them_all() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let m = handle.metrics().snapshot();
-    assert_eq!(m.connections, 400);
-    assert_eq!(m.translations, 400);
-    assert_eq!(m.requests_error + m.requests_busy, 0);
+    let m = handle.metrics();
+    assert_eq!(m.connections.load(Ordering::Relaxed), 400);
+    assert_eq!(m.translations.load(Ordering::Relaxed), 400);
+    assert_eq!(
+        m.requests_error.load(Ordering::Relaxed) + m.requests_busy.load(Ordering::Relaxed),
+        0
+    );
     handle.shutdown();
 }
 
@@ -623,7 +621,7 @@ fn slow_reader_pauses_its_own_reads_and_gets_every_reply() {
             for i in 0..requests {
                 // At most a few requests wait on the server at a time, so
                 // none is refused `Busy`.
-                while i as u64 >= metrics.snapshot().translations + 8 {
+                while i as u64 >= metrics.translations.load(Ordering::Relaxed) + 8 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 let request = Request::Translate {
@@ -642,7 +640,7 @@ fn slow_reader_pauses_its_own_reads_and_gets_every_reply() {
     // replies reach the high-water mark and then nothing more is read.
     let hwm = || {
         handle
-            .reactor_stats()
+            .metrics()
             .write_queue_hwm_bytes
             .load(Ordering::Relaxed) as usize
     };
@@ -654,10 +652,11 @@ fn slow_reader_pauses_its_own_reads_and_gets_every_reply() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let mut before = handle.metrics().snapshot().translations;
+    let translations = || handle.metrics().translations.load(Ordering::Relaxed);
+    let mut before = translations();
     loop {
         std::thread::sleep(Duration::from_millis(300));
-        let now = handle.metrics().snapshot().translations;
+        let now = translations();
         if now == before {
             break;
         }

@@ -9,13 +9,11 @@
 //! pair is synthesized exactly once per process and every later consumer
 //! gets the shared [`Arc`] back.
 //!
-//! The storage is **sharded** [`CACHE_SHARDS`] ways by key hash: each
-//! shard has its own map lock and its own hit/miss counters, so hot-path
-//! lookups for different pairs proceed in parallel instead of serializing
-//! on one process-wide mutex (the serving event loop hits this from every
-//! worker core at once). [`TranslatorCache::snapshot`] and
-//! [`TranslatorCache::reset`] take every shard lock together, so
-//! cross-shard reads stay atomic.
+//! The storage is one map under one lock, held only to find or insert a
+//! key's slot: the synthesis itself runs in the slot's `OnceLock` after
+//! the lock is dropped, so a cold pair never blocks lookups of other
+//! pairs. [`TranslatorCache::snapshot`] and [`TranslatorCache::reset`]
+//! take that one lock.
 //!
 //! The `threads` knob is deliberately **excluded** from the key:
 //! refinement takes set unions over the passing assignments and both the
@@ -42,7 +40,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use siro_ir::IrVersion;
 
@@ -101,57 +99,17 @@ pub fn corpus_fingerprint(tests: &[OracleTest]) -> u64 {
 /// with the loser reusing the winner's result.
 type Slot = Arc<OnceLock<Result<Arc<SynthesisOutcome>, SynthError>>>;
 
-/// Number of independent cache shards. Keys spread by hash, so hot-path
-/// lookups for different pairs almost never contend on the same lock.
-/// Power of two so the modulo compiles to a mask.
-pub const CACHE_SHARDS: usize = 16;
+static CACHE: OnceLock<Mutex<HashMap<CacheKey, Slot>>> = OnceLock::new();
+/// Lookups answered from the cache, store adoptions included.
+static HITS: AtomicU64 = AtomicU64::new(0);
+/// Lookups that ran a synthesis.
+static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// One shard: its own map lock plus its own hit/miss counters, so a
-/// lookup touches exactly one lock and two shard-local atomics.
-struct CacheShard {
-    map: Mutex<HashMap<CacheKey, Slot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-static CACHE: OnceLock<[CacheShard; CACHE_SHARDS]> = OnceLock::new();
-
-fn shards() -> &'static [CacheShard; CACHE_SHARDS] {
-    CACHE.get_or_init(|| {
-        std::array::from_fn(|_| CacheShard {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    })
-}
-
-fn shard_of(key: &CacheKey) -> &'static CacheShard {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    &shards()[(h.finish() as usize) & (CACHE_SHARDS - 1)]
-}
-
-/// Locks every shard in index order and returns the guards. Holding all
-/// guards at once is what makes [`TranslatorCache::snapshot`] and
-/// [`TranslatorCache::reset`] mutually atomic across shards: a snapshot
-/// racing a reset sees either the whole pre-reset state or the whole
-/// post-reset state, never a mix of shards from different epochs.
-fn lock_all() -> Vec<std::sync::MutexGuard<'static, HashMap<CacheKey, Slot>>> {
-    shards()
-        .iter()
-        .map(|s| s.map.lock().expect("translator cache poisoned"))
-        .collect()
-}
-
-/// Hit/miss counters since process start (or the last [`TranslatorCache::reset`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (including waiting on an in-flight
-    /// synthesis of the same key).
-    pub hits: u64,
-    /// Lookups that ran a synthesis.
-    pub misses: u64,
+fn lock() -> MutexGuard<'static, HashMap<CacheKey, Slot>> {
+    CACHE
+        .get_or_init(Default::default)
+        .lock()
+        .expect("translator cache poisoned")
 }
 
 /// Point-in-time view of the whole cache: the hit/miss counters plus the
@@ -169,20 +127,6 @@ pub struct CacheSnapshot {
     pub entries: usize,
     /// Stored keys whose memoized outcome is a [`SynthError`].
     pub failures: usize,
-}
-
-/// Point-in-time view of one cache shard, for the per-shard serving
-/// funnel (`STATS` / `METRICS` in `siro-serve`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheShardStats {
-    /// Shard index in `0..CACHE_SHARDS`.
-    pub index: usize,
-    /// Lookups this shard answered from its map.
-    pub hits: u64,
-    /// Lookups that ran a synthesis in this shard.
-    pub misses: u64,
-    /// Distinct keys currently stored in this shard.
-    pub entries: usize,
 }
 
 /// Result of a cache lookup: the shared outcome plus whether this call is
@@ -248,11 +192,7 @@ impl TranslatorCache {
         fingerprint: u64,
     ) -> Result<CacheLookup, SynthError> {
         let key = CacheKey::with_fingerprint(&config, fingerprint);
-        let shard = shard_of(&key);
-        let slot = {
-            let mut map = shard.map.lock().expect("translator cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
+        let slot = Arc::clone(lock().entry(key).or_default());
         // Fault-injected configs never touch the persistent store: a
         // deliberately broken translator must not outlive this process.
         let store = if config.fault.is_none() {
@@ -301,15 +241,9 @@ impl TranslatorCache {
                 outcome.compiled();
             }
         }
-        if fresh {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("cache.misses", 1);
-        } else {
-            // Store loads count as hits: the lookup was answered by a
-            // previous synthesis, just one from another process.
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("cache.hits", 1);
-        }
+        // Store loads count as hits: the lookup was answered by a
+        // previous synthesis, just one from another process.
+        if fresh { &MISSES } else { &HITS }.fetch_add(1, Ordering::Relaxed);
         result.clone().map(|outcome| CacheLookup {
             outcome,
             fresh,
@@ -336,12 +270,8 @@ impl TranslatorCache {
             return false;
         };
         let key = CacheKey::with_fingerprint(config, fingerprint);
-        let shard = shard_of(&key);
-        {
-            let map = shard.map.lock().expect("translator cache poisoned");
-            if map.get(&key).is_some_and(|slot| slot.get().is_some()) {
-                return true;
-            }
+        if lock().get(&key).is_some_and(|slot| slot.get().is_some()) {
+            return true;
         }
         let skey = crate::store::StoreKey::new(config, key.corpus_fingerprint);
         let sp = siro_trace::span!("store.load", "{}->{} (warm)", config.source, config.target);
@@ -351,10 +281,7 @@ impl TranslatorCache {
             return false;
         };
         outcome.compiled();
-        let slot = {
-            let mut map = shard.map.lock().expect("translator cache poisoned");
-            Arc::clone(map.entry(key).or_default())
-        };
+        let slot = Arc::clone(lock().entry(key).or_default());
         // A concurrent lookup may have raced us into the slot; either way
         // the slot is populated now.
         if slot.set(Ok(outcome)).is_ok() {
@@ -371,92 +298,52 @@ impl TranslatorCache {
     /// speed) without perturbing the edge.
     pub fn is_warm_fingerprint(config: &SynthesisConfig, corpus_fingerprint: u64) -> bool {
         let key = CacheKey::with_fingerprint(config, corpus_fingerprint);
-        let map = shard_of(&key)
-            .map
-            .lock()
-            .expect("translator cache poisoned");
-        map.get(&key)
+        lock()
+            .get(&key)
             .is_some_and(|slot| matches!(slot.get(), Some(Ok(_))))
     }
 
-    /// Current hit/miss counters, summed over every shard.
-    pub fn stats() -> CacheStats {
-        let mut stats = CacheStats { hits: 0, misses: 0 };
-        for s in shards() {
-            stats.hits += s.hits.load(Ordering::Relaxed);
-            stats.misses += s.misses.load(Ordering::Relaxed);
-        }
-        stats
-    }
-
-    /// Per-shard counters and entry counts, for the serving funnel. Each
-    /// shard is read under its own lock; use [`TranslatorCache::snapshot`]
-    /// when you need all shards from one atomic epoch.
-    pub fn shard_snapshots() -> Vec<CacheShardStats> {
-        shards()
-            .iter()
-            .enumerate()
-            .map(|(index, s)| {
-                let map = s.map.lock().expect("translator cache poisoned");
-                CacheShardStats {
-                    index,
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    entries: map.len(),
-                }
-            })
-            .collect()
-    }
-
-    /// Full snapshot: counters plus stored-entry shape. Every shard lock
-    /// is held while the counters and maps are read, so a snapshot racing
-    /// a [`TranslatorCache::reset`] sees either the whole pre-reset state
-    /// or the whole post-reset state — never non-zero counters over an
-    /// empty map, and never a mix of reset and un-reset shards.
-    /// (Snapshotting before the lock was a real bug: a reader could
-    /// observe `hits + misses > 0` with `entries == 0`.)
+    /// Counters plus stored-entry shape, read under the map lock, so a
+    /// snapshot racing a [`TranslatorCache::reset`] sees either the whole
+    /// pre-reset state or the whole post-reset state, never non-zero
+    /// counters over an empty map. (Reading the counters before taking the
+    /// lock was a real bug: a reader could observe `hits + misses > 0`
+    /// with `entries == 0`.)
     ///
     /// ```
-    /// use siro_synth::TranslatorCache;
+    /// use siro_synth::{SynthesisConfig, TranslatorCache};
+    /// use siro_ir::IrVersion;
+    /// let config = SynthesisConfig::new(IrVersion::V13_0, IrVersion::V3_6);
+    /// TranslatorCache::get_or_synthesize(config.clone(), &[]).unwrap();
+    /// TranslatorCache::get_or_synthesize(config, &[]).unwrap();
     /// let snap = TranslatorCache::snapshot();
-    /// // Failures are a subset of the stored entries, and every lookup is
-    /// // either a hit or a miss.
-    /// assert!(snap.failures <= snap.entries);
-    /// assert_eq!(snap.hits + snap.misses, TranslatorCache::stats().hits
-    ///     + TranslatorCache::stats().misses);
+    /// // One key: missed once, then hit once.
+    /// assert_eq!((snap.entries, snap.misses, snap.hits), (1, 1, 1));
+    /// assert_eq!(snap.failures, 0);
     /// ```
     pub fn snapshot() -> CacheSnapshot {
-        let guards = lock_all();
-        let mut snap = CacheSnapshot {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            failures: 0,
-        };
-        for (shard, map) in shards().iter().zip(&guards) {
-            snap.hits += shard.hits.load(Ordering::Relaxed);
-            snap.misses += shard.misses.load(Ordering::Relaxed);
-            snap.entries += map.len();
-            snap.failures += map
+        let map = lock();
+        CacheSnapshot {
+            hits: HITS.load(Ordering::Relaxed),
+            misses: MISSES.load(Ordering::Relaxed),
+            entries: map.len(),
+            failures: map
                 .values()
                 .filter(|slot| matches!(slot.get(), Some(Err(_))))
-                .count();
+                .count(),
         }
-        snap
     }
 
-    /// Drops every cached outcome and zeroes the counters — all shard
-    /// locks are held at once, so concurrent [`TranslatorCache::snapshot`]s
-    /// never observe cleared entries with stale counters (or a half-reset
-    /// subset of shards). Meant for benchmarks that measure cold runs;
-    /// in-flight lookups keep their `Arc`s alive, so this is always safe.
+    /// Drops every cached outcome and zeroes the counters under the map
+    /// lock, so concurrent [`TranslatorCache::snapshot`]s never observe
+    /// cleared entries with stale counters. Meant for benchmarks that
+    /// measure cold runs; in-flight lookups keep their `Arc`s alive, so
+    /// this is always safe.
     pub fn reset() {
-        let mut guards = lock_all();
-        for (shard, map) in shards().iter().zip(guards.iter_mut()) {
-            map.clear();
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
-        }
+        let mut map = lock();
+        map.clear();
+        HITS.store(0, Ordering::Relaxed);
+        MISSES.store(0, Ordering::Relaxed);
         crate::router::bump_route_epoch();
     }
 }
@@ -542,8 +429,8 @@ mod tests {
         // And the memoized outcome equals a from-scratch synthesis.
         let scratch = Synthesizer::for_pair(src, tgt).synthesize(&tests).unwrap();
         assert_eq!(cold.outcome.rendered, scratch.rendered);
-        let stats = TranslatorCache::stats();
-        assert!(stats.hits >= 1 && stats.misses >= 1);
+        let snap = TranslatorCache::snapshot();
+        assert!(snap.hits >= 1 && snap.misses >= 1);
     }
 
     #[test]

@@ -40,9 +40,8 @@
 //! **Fallback contract:** compilation is an optimization, never a
 //! requirement. Any lowering failure ([`CompileError`]) and any runtime
 //! error of the compiled tier fall back to the interpreter — observable
-//! through [`compile_stats`] and the `translate.compiled` /
-//! `translate.interpreted` / `translate.compiled_fallback` trace counters,
-//! never through a changed result. See `docs/COMPILED.md`.
+//! through [`compile_stats`] (the `compile_*` rows of `STATS` and
+//! `METRICS`), never through a changed result. See `docs/COMPILED.md`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -3157,12 +3156,10 @@ impl SynthesisOutcome {
                 match lowered {
                     Ok(c) => {
                         LOWERED.fetch_add(1, Ordering::Relaxed);
-                        siro_trace::counter("compile.lowered", 1);
                         Some(Arc::new(c))
                     }
                     Err(_) => {
                         LOWER_FAILURES.fetch_add(1, Ordering::Relaxed);
-                        siro_trace::counter("compile.lower_failures", 1);
                         None
                     }
                 }
@@ -3180,7 +3177,7 @@ impl SynthesisOutcome {
 /// falling back — still with zero clones, because the mirror driver
 /// mutates only on success — first to the compiled push driver and then
 /// to the interpreter on the pristine input (a runtime fallback counted
-/// as `translate.compiled_fallback`; both tiers implement identical
+/// in [`CompileStats::runtime_fallbacks`]; both tiers implement identical
 /// semantics, so the interpreter reproduces the same result or error).
 ///
 /// # Errors
@@ -3196,7 +3193,6 @@ pub fn translate_module_owned_tiered(
         if compiled.mirror_in_place(&mut m) {
             siro_trace::counter("core.modules_translated", 1);
             TRANSLATE_COMPILED.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("translate.compiled", 1);
             return Ok(m);
         }
         // The mirror pass left `m` pristine (see
@@ -3205,20 +3201,16 @@ pub fn translate_module_owned_tiered(
         match compiled.translate_module(&m) {
             Ok(out) => {
                 TRANSLATE_COMPILED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled", 1);
                 return Ok(out);
             }
             Err(_) => {
                 RUNTIME_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("translate.compiled_fallback", 1);
             }
         }
         TRANSLATE_INTERPRETED.fetch_add(1, Ordering::Relaxed);
-        siro_trace::counter("translate.interpreted", 1);
         return Skeleton::new(target).translate_module(&m, &outcome.translator);
     }
     TRANSLATE_INTERPRETED.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("translate.interpreted", 1);
     Skeleton::new(target).translate_module(&module, &outcome.translator)
 }
 

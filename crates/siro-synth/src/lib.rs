@@ -76,10 +76,7 @@ pub use bridge::{
     reset_bridge_cache, siro_behaviour, validate_bridge, wir_behaviour, BridgeError, BridgeOutcome,
     BridgeStats, XBehaviour, BRIDGE_ANCHORS, BRIDGE_FUEL, BRIDGE_SEEDS,
 };
-pub use cache::{
-    corpus_fingerprint, synthesize_all, CacheLookup, CacheShardStats, CacheSnapshot, CacheStats,
-    TranslatorCache, CACHE_SHARDS,
-};
+pub use cache::{corpus_fingerprint, synthesize_all, CacheLookup, CacheSnapshot, TranslatorCache};
 pub use candgen::{generate_all, generate_for_kind, GenLimits};
 pub use compile::{
     compile_stats, reset_compile_stats, translate_module_owned_tiered, CompileError, CompileStats,

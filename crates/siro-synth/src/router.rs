@@ -780,7 +780,6 @@ impl Router {
     ) -> Option<RoutePlan> {
         let (from, to) = (from.into(), to.into());
         PLANS.fetch_add(1, Ordering::Relaxed);
-        siro_trace::counter("route.plans", 1);
         // Off-node endpoints are answered without the memo, so requests
         // naming arbitrary versions cannot grow it.
         if !self.nodes.contains(&from) || !self.nodes.contains(&to) {
@@ -888,7 +887,6 @@ impl Router {
             );
             let (outcome, fresh) = resolve(sf, st, &pair_corpus(sf, st))?;
             DIRECT.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("route.direct", 1);
             return Ok(Acquired {
                 outcome: RouteOutcome::Direct(outcome),
                 plan,
@@ -908,7 +906,6 @@ impl Router {
         {
             COMPOSED.fetch_add(1, Ordering::Relaxed);
             COMPOSED_CACHED.fetch_add(1, Ordering::Relaxed);
-            siro_trace::counter("route.composed_cached", 1);
             return Ok(Acquired {
                 outcome: RouteOutcome::Composed(Arc::clone(chain)),
                 plan: chain.plan.clone(),
@@ -920,7 +917,6 @@ impl Router {
         match self.compose(&plan, resolve) {
             Ok((chain, fresh)) => {
                 COMPOSED.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("route.composed", 1);
                 Ok(Acquired {
                     outcome: RouteOutcome::Composed(chain),
                     plan,
@@ -933,7 +929,6 @@ impl Router {
                 // pair directly.
                 let _ = e;
                 FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("route.fallbacks", 1);
                 let (sf, st) = (
                     from.as_siro().expect("checked siro"),
                     to.as_siro().expect("checked siro"),

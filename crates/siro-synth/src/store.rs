@@ -734,7 +734,6 @@ impl TranslatorStore {
             Ok(b) => b,
             Err(_) => {
                 MISSES.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("store.misses", 1);
                 return None;
             }
         };
@@ -745,12 +744,10 @@ impl TranslatorStore {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 HITS.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("store.hits", 1);
                 Some(Arc::new(outcome))
             }
             Err(EntryError::Corrupt(_)) => {
                 CORRUPT.fetch_add(1, Ordering::Relaxed);
-                siro_trace::counter("store.corrupt", 1);
                 None
             }
         }
@@ -766,7 +763,6 @@ impl TranslatorStore {
     pub fn save(&self, key: &StoreKey, outcome: &SynthesisOutcome) -> io::Result<()> {
         self.write_atomic(&key.file_name(), &encode_entry(key, outcome))?;
         WRITES.fetch_add(1, Ordering::Relaxed);
-        siro_trace::counter("store.writes", 1);
         if let Some(cap) = self.config.max_bytes {
             let _ = self.gc(cap);
         }
@@ -1009,7 +1005,6 @@ pub fn active_store() -> Option<Arc<TranslatorStore>> {
 /// [`crate::cache::TranslatorCache::warm_from_store`]).
 pub(crate) fn note_warm_loaded() {
     WARM_LOADED.fetch_add(1, Ordering::Relaxed);
-    siro_trace::counter("store.warm_loaded", 1);
 }
 
 /// Point-in-time store counters (process-global, across every store this

@@ -5,34 +5,15 @@
 //! `entries == 0` — an impossible state (every miss inserts its slot
 //! under the lock before the counter moves, and reset clears both under
 //! the same lock).
-//!
-//! The cache is now **sharded** ([`siro_synth::CACHE_SHARDS`] ways), which
-//! re-opens the same class of bug with a new shape: `snapshot()` and
-//! `reset()` must hold *every* shard lock at once, or a reader could see
-//! shard A post-reset and shard B pre-reset. The tests here exercise the
-//! sharded form: the key sets are sized and spread to populate many
-//! shards (asserted), so a single-shard-at-a-time snapshot/reset would
-//! trip the invariant within a few rounds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use siro_ir::IrVersion;
-use siro_synth::{SynthesisConfig, TranslatorCache, CACHE_SHARDS};
-
-/// The process-wide cache is shared by every test in this binary; they
-/// must not interleave resets.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: OnceLock<Mutex<()>> = OnceLock::new();
-    match SERIAL.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use siro_synth::{SynthesisConfig, TranslatorCache};
 
 /// Populates `n` distinct cache keys (same pair, varying limits) with an
-/// empty corpus — milliseconds per key, real inserts/hits through the
-/// sharded maps.
+/// empty corpus — milliseconds per key, real inserts and hits.
 fn populate_keys(src: IrVersion, tgt: IrVersion, n: usize, salt: usize) {
     for i in 0..n {
         let mut config = SynthesisConfig::new(src, tgt);
@@ -49,7 +30,6 @@ fn snapshot_is_consistent_under_concurrent_reset() {
     const ROUNDS: usize = 20;
     const KEYS_PER_ROUND: usize = 24;
 
-    let _guard = serial();
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -75,23 +55,15 @@ fn snapshot_is_consistent_under_concurrent_reset() {
 
     // Keep the per-key work tiny: an empty corpus synthesizes only the
     // warning shells, so each round is milliseconds while still driving
-    // real insertions, hits, and misses through the sharded maps.
+    // real insertions, hits, and misses through the map.
     for round in 0..ROUNDS {
         TranslatorCache::reset();
         populate_keys(src, tgt, KEYS_PER_ROUND, round * KEYS_PER_ROUND);
+        // Every key missed once and hit once.
         let s = TranslatorCache::snapshot();
         assert_eq!(s.entries, KEYS_PER_ROUND, "round {round}");
-        assert!(s.hits >= KEYS_PER_ROUND as u64, "round {round}");
-        // The round's keys must span shards, or this test would not
-        // exercise the cross-shard atomicity of snapshot()/reset().
-        let populated = TranslatorCache::shard_snapshots()
-            .iter()
-            .filter(|s| s.entries > 0)
-            .count();
-        assert!(
-            populated > 1,
-            "round {round}: all {KEYS_PER_ROUND} keys landed in one shard"
-        );
+        assert_eq!(s.misses, KEYS_PER_ROUND as u64, "round {round}");
+        assert_eq!(s.hits, KEYS_PER_ROUND as u64, "round {round}");
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -99,38 +71,5 @@ fn snapshot_is_consistent_under_concurrent_reset() {
         .join()
         .expect("spinner panicked (invariant violated)");
     assert!(observed > 0, "the spinner never got to observe a snapshot");
-    TranslatorCache::reset();
-}
-
-#[test]
-fn cross_shard_snapshot_sums_the_per_shard_views() {
-    const KEYS: usize = CACHE_SHARDS * 3;
-
-    let _guard = serial();
-    TranslatorCache::reset();
-    populate_keys(IrVersion::V13_0, IrVersion::V3_0, KEYS, 7);
-
-    let shards = TranslatorCache::shard_snapshots();
-    assert_eq!(shards.len(), CACHE_SHARDS);
-    let populated = shards.iter().filter(|s| s.entries > 0).count();
-    assert!(
-        populated > CACHE_SHARDS / 4,
-        "{KEYS} distinct keys populated only {populated} shard(s) — \
-         the shard hash is not spreading"
-    );
-
-    // With no concurrent mutation, the all-locks snapshot must equal the
-    // sum of the per-shard views, and the totals must match what the
-    // workload did: every key missed once and hit once.
-    let s = TranslatorCache::snapshot();
-    let hits: u64 = shards.iter().map(|s| s.hits).sum();
-    let misses: u64 = shards.iter().map(|s| s.misses).sum();
-    let entries: usize = shards.iter().map(|s| s.entries).sum();
-    assert_eq!(s.hits, hits);
-    assert_eq!(s.misses, misses);
-    assert_eq!(s.entries, entries);
-    assert_eq!(s.entries, KEYS);
-    assert_eq!(s.misses, KEYS as u64);
-    assert_eq!(s.hits, KEYS as u64);
     TranslatorCache::reset();
 }

@@ -443,7 +443,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// `siro loadgen`: open-loop rate sweep against a daemon. By default it
 /// boots an in-process server so one command answers "what does this box
 /// sustain"; `--remote` points the sweep at an already-running daemon
-/// instead.
+/// instead. Fails, after printing and writing its report, when the sweep
+/// did not sustain its top rate, naming the first rate that missed.
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     use siro::loadgen::{corpus_payloads, sweep, EngineRun, LoadgenConfig};
     use std::net::ToSocketAddrs;
@@ -549,6 +550,19 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     );
     let report = sweep(&config)?;
     print!("{}", siro::loadgen::render_table(&report));
+    // A sweep that did not sustain its top rate fails the command, once
+    // its report is printed and written.
+    let top = report
+        .rates
+        .iter()
+        .map(|r| r.target_rps)
+        .fold(0.0, f64::max);
+    let missed = report
+        .rates
+        .iter()
+        .find(|r| !r.slo_met)
+        .filter(|_| report.max_sustained_rps < top)
+        .map(|r| r.target_rps);
 
     if let Some(out) = flag_value(args, "-o") {
         let run = EngineRun {
@@ -564,7 +578,12 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     if let Some(h) = handle {
         h.shutdown();
     }
-    Ok(())
+    match missed {
+        Some(rate) => Err(format!(
+            "{rate:.1} req/s missed the SLO (p99 <= {slo_ms} ms, every request answered)"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// `siro store <warm|ls|gc|verify>`: manage a persistent translator

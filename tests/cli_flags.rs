@@ -182,6 +182,46 @@ fn every_other_command_refuses_unknown_flags() {
 }
 
 #[test]
+fn loadgen_fails_when_a_rate_misses_its_slo() {
+    let sweep = |slo_ms: &str| {
+        siro(
+            &[
+                "loadgen",
+                "--rates",
+                "20",
+                "--connections",
+                "1",
+                "--duration-ms",
+                "300",
+                "--slo-ms",
+                slo_ms,
+            ],
+            Duration::from_secs(120),
+        )
+    };
+    let missed = sweep("0.000001");
+    let stdout = String::from_utf8_lossy(&missed.stdout);
+    let stderr = String::from_utf8_lossy(&missed.stderr);
+    assert!(
+        !missed.status.success(),
+        "a missed SLO must fail: {stdout}{stderr}"
+    );
+    assert!(
+        stdout.lines().any(|l| l.ends_with(" MISS")),
+        "a MISS row: {stdout}"
+    );
+    assert!(stderr.contains("20.0 req/s missed"), "{stderr}");
+
+    let met = sweep("10000");
+    assert!(
+        met.status.success(),
+        "every rate met its SLO: {}{}",
+        String::from_utf8_lossy(&met.stdout),
+        String::from_utf8_lossy(&met.stderr)
+    );
+}
+
+#[test]
 fn local_translate_answers_what_the_engine_serves() {
     let dir = std::env::temp_dir().join(format!("siro-cli-translate-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
