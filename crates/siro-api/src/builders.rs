@@ -7,7 +7,7 @@
 //! explicit type argument from 9.0 on — the exact API change Fig. 13 of the
 //! paper shows for `CreateInvoke`.
 
-use siro_ir::{Instruction, Opcode, Type, TypeId, ValueRef};
+use siro_ir::{infer, Instruction, Opcode, Type, TypeId, ValueRef};
 
 use crate::ctx::TranslationCtx;
 use crate::error::{ApiError, ApiResult};
@@ -44,37 +44,6 @@ fn tyref() -> ApiType {
     ApiType::TypeRef(T)
 }
 
-/// The function type (ret, params) behind a target callee value.
-fn callee_fn_type(ctx: &TranslationCtx<'_>, callee: ValueRef) -> ApiResult<(TypeId, Vec<TypeId>)> {
-    match callee {
-        ValueRef::Func(fid) => {
-            let f = ctx.tgt.func(fid);
-            Ok((f.ret_ty, f.params.iter().map(|p| p.ty).collect()))
-        }
-        ValueRef::InlineAsm(a) => {
-            let ty = ctx.tgt.asm(a).ty;
-            fn_parts(ctx, ty)
-        }
-        other => {
-            let ty = ctx
-                .tgt_value_type(other)
-                .ok_or_else(|| ApiError::Type("untyped callee".into()))?;
-            match ctx.tgt.types.get(ty) {
-                Type::Ptr { pointee, .. } => fn_parts(ctx, *pointee),
-                Type::Func { .. } => fn_parts(ctx, ty),
-                _ => Err(ApiError::Type("callee is not callable".into())),
-            }
-        }
-    }
-}
-
-fn fn_parts(ctx: &TranslationCtx<'_>, ty: TypeId) -> ApiResult<(TypeId, Vec<TypeId>)> {
-    match ctx.tgt.types.get(ty) {
-        Type::Func { ret, params, .. } => Ok((*ret, params.clone())),
-        _ => Err(ApiError::Type("expected function type".into())),
-    }
-}
-
 fn values_arg(args: &[ApiValue], i: usize) -> ApiResult<Vec<ValueRef>> {
     match args.get(i) {
         Some(ApiValue::Values(Side::Target, vs)) => Ok(vs.clone()),
@@ -102,19 +71,6 @@ fn indices_arg(args: &[ApiValue], i: usize) -> ApiResult<Vec<u64>> {
     }
 }
 
-/// The static type of a target value, required (error when unknown).
-fn want_type(ctx: &TranslationCtx<'_>, v: ValueRef) -> ApiResult<TypeId> {
-    // Globals and functions are *addresses*: their value type is a pointer.
-    match v {
-        ValueRef::Global(_) | ValueRef::Func(_) => {
-            Err(ApiError::Type("address value needs explicit type".into()))
-        }
-        _ => ctx
-            .tgt_value_type(v)
-            .ok_or_else(|| ApiError::Type("operand type unknown".into())),
-    }
-}
-
 fn walk_agg_path(ctx: &mut TranslationCtx<'_>, mut ty: TypeId, path: &[u64]) -> ApiResult<TypeId> {
     for &i in path {
         ty = match ctx.tgt.types.get(ty).clone() {
@@ -126,30 +82,6 @@ fn walk_agg_path(ctx: &mut TranslationCtx<'_>, mut ty: TypeId, path: &[u64]) -> 
         };
     }
     Ok(ty)
-}
-
-fn gep_result(
-    ctx: &mut TranslationCtx<'_>,
-    src_ty: TypeId,
-    indices: &[ValueRef],
-) -> ApiResult<TypeId> {
-    let mut cur = src_ty;
-    for idx in indices.iter().skip(1) {
-        cur = match ctx.tgt.types.get(cur).clone() {
-            Type::Array { elem, .. } | Type::Vector { elem, .. } => elem,
-            Type::Struct { fields } => {
-                let i = idx
-                    .as_int()
-                    .ok_or_else(|| ApiError::Type("struct gep index must be constant".into()))?
-                    as usize;
-                *fields
-                    .get(i)
-                    .ok_or_else(|| ApiError::OutOfRange("struct field".into()))?
-            }
-            _ => return Err(ApiError::Type("gep through scalar".into())),
-        };
-    }
-    Ok(ctx.tgt.types.ptr(cur))
 }
 
 #[allow(clippy::too_many_lines)]
@@ -269,7 +201,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                         let fnty = tgt_type_arg(args, 0)?;
                         let callee = tgt_value_arg(args, 1)?;
                         let call_args = values_arg(args, 2)?;
-                        let (ret, _) = fn_parts(ctx, fnty)?;
+                        let ret = infer::fn_ret(&ctx.tgt.types, fnty)?;
                         build_call(ctx, Call, ret, callee, call_args, Some(fnty))
                     },
                 );
@@ -283,7 +215,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     |ctx, args| {
                         let callee = tgt_value_arg(args, 0)?;
                         let call_args = values_arg(args, 1)?;
-                        let (ret, _) = callee_fn_type(ctx, callee)?;
+                        let ret = infer::callee_ret(&ctx.tgt_scope(), callee)?;
                         build_call(ctx, Call, ret, callee, call_args, None)
                     },
                 );
@@ -303,7 +235,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                         let call_args = values_arg(args, 2)?;
                         let n = tgt_block_arg(args, 3)?;
                         let u = tgt_block_arg(args, 4)?;
-                        let (ret, _) = fn_parts(ctx, fnty)?;
+                        let ret = infer::fn_ret(&ctx.tgt.types, fnty)?;
                         build_invoke(ctx, ret, callee, call_args, n, u, Some(fnty))
                     },
                 );
@@ -319,7 +251,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                         let call_args = values_arg(args, 1)?;
                         let n = tgt_block_arg(args, 2)?;
                         let u = tgt_block_arg(args, 3)?;
-                        let (ret, _) = callee_fn_type(ctx, callee)?;
+                        let ret = infer::callee_ret(&ctx.tgt_scope(), callee)?;
                         build_invoke(ctx, ret, callee, call_args, n, u, None)
                     },
                 );
@@ -344,7 +276,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let call_args = values_arg(args, 2)?;
                     let ft = tgt_block_arg(args, 3)?;
                     let ind = blocks_arg(args, 4)?;
-                    let (ret, _) = fn_parts(ctx, fnty)?;
+                    let ret = infer::fn_ret(&ctx.tgt.types, fnty)?;
                     let mut ops = vec![callee];
                     let n = call_args.len() as u32;
                     ops.extend(call_args);
@@ -397,7 +329,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                 move |ctx, args| {
                     let a = tgt_value_arg(args, 0)?;
                     let b = tgt_value_arg(args, 1)?;
-                    let ty = want_type(ctx, a).or_else(|_| want_type(ctx, b))?;
+                    let ty = infer::shared_operand_type(&ctx.tgt_scope(), a, b)?;
                     ctx.build(Instruction::new(op, ty, vec![a, b])).map(as_inst)
                 },
             );
@@ -411,7 +343,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                 false,
                 |ctx, args| {
                     let a = tgt_value_arg(args, 0)?;
-                    let ty = want_type(ctx, a)?;
+                    let ty = infer::operand_type(&ctx.tgt_scope(), a)?;
                     ctx.build(Instruction::new(FNeg, ty, vec![a])).map(as_inst)
                 },
             );
@@ -457,18 +389,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     false,
                     |ctx, args| {
                         let p = tgt_value_arg(args, 0)?;
-                        let pty = match p {
-                            ValueRef::Global(g) => {
-                                let t = ctx.tgt.global(g).ty;
-                                ctx.tgt.types.ptr(t)
-                            }
-                            _ => want_type(ctx, p)?,
-                        };
-                        let ty = ctx
-                            .tgt
-                            .types
-                            .pointee(pty)
-                            .ok_or_else(|| ApiError::Type("load from non-pointer".into()))?;
+                        let ty = infer::load_type(&mut ctx.tgt_scope(), p)?;
                         let mut inst = Instruction::new(Load, ty, vec![p]);
                         inst.attrs.gep_source_ty = Some(ty);
                         ctx.build(inst).map(as_inst)
@@ -504,7 +425,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                         let src_ty = tgt_type_arg(args, 0)?;
                         let base = tgt_value_arg(args, 1)?;
                         let idx = values_arg(args, 2)?;
-                        let rty = gep_result(ctx, src_ty, &idx)?;
+                        let rty = infer::gep_result(&mut ctx.tgt.types, src_ty, &idx)?;
                         let mut ops = vec![base];
                         ops.extend(idx);
                         let mut inst = Instruction::new(GetElementPtr, rty, ops);
@@ -522,19 +443,8 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     |ctx, args| {
                         let base = tgt_value_arg(args, 0)?;
                         let idx = values_arg(args, 1)?;
-                        let pty = match base {
-                            ValueRef::Global(g) => {
-                                let t = ctx.tgt.global(g).ty;
-                                ctx.tgt.types.ptr(t)
-                            }
-                            _ => want_type(ctx, base)?,
-                        };
-                        let src_ty = ctx
-                            .tgt
-                            .types
-                            .pointee(pty)
-                            .ok_or_else(|| ApiError::Type("gep on non-pointer".into()))?;
-                        let rty = gep_result(ctx, src_ty, &idx)?;
+                        let src_ty = infer::gep_source_type(&mut ctx.tgt_scope(), base)?;
+                        let rty = infer::gep_result(&mut ctx.tgt.types, src_ty, &idx)?;
                         let mut ops = vec![base];
                         ops.extend(idx);
                         let mut inst = Instruction::new(GetElementPtr, rty, ops);
@@ -574,7 +484,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let p = tgt_value_arg(args, 0)?;
                     let e = tgt_value_arg(args, 1)?;
                     let n = tgt_value_arg(args, 2)?;
-                    let vty = want_type(ctx, e)?;
+                    let vty = infer::operand_type(&ctx.tgt_scope(), e)?;
                     let i1 = ctx.tgt.types.i1();
                     let rty = ctx.tgt.types.struct_(vec![vty, i1]);
                     let mut inst = Instruction::new(CmpXchg, rty, vec![p, e, n]);
@@ -597,7 +507,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     };
                     let p = tgt_value_arg(args, 1)?;
                     let v = tgt_value_arg(args, 2)?;
-                    let vty = want_type(ctx, v)?;
+                    let vty = infer::operand_type(&ctx.tgt_scope(), v)?;
                     let mut inst = Instruction::new(AtomicRmw, vty, vec![p, v]);
                     inst.attrs.rmw_op = Some(rmw);
                     inst.attrs.ordering = Some(siro_ir::AtomicOrdering::SeqCst);
@@ -634,7 +544,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     };
                     let a = tgt_value_arg(args, 1)?;
                     let b = tgt_value_arg(args, 2)?;
-                    let rty = cmp_result_ty(ctx, a, b)?;
+                    let rty = infer::cmp_type(&mut ctx.tgt_scope(), a, b)?;
                     let mut inst = Instruction::new(ICmp, rty, vec![a, b]);
                     inst.attrs.int_pred = Some(pred);
                     ctx.build(inst).map(as_inst)
@@ -655,7 +565,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     };
                     let a = tgt_value_arg(args, 1)?;
                     let b = tgt_value_arg(args, 2)?;
-                    let rty = cmp_result_ty(ctx, a, b)?;
+                    let rty = infer::cmp_type(&mut ctx.tgt_scope(), a, b)?;
                     let mut inst = Instruction::new(FCmp, rty, vec![a, b]);
                     inst.attrs.float_pred = Some(pred);
                     ctx.build(inst).map(as_inst)
@@ -695,7 +605,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let c = tgt_value_arg(args, 0)?;
                     let t = tgt_value_arg(args, 1)?;
                     let f = tgt_value_arg(args, 2)?;
-                    let ty = want_type(ctx, t).or_else(|_| want_type(ctx, f))?;
+                    let ty = infer::shared_operand_type(&ctx.tgt_scope(), t, f)?;
                     ctx.build(Instruction::new(Select, ty, vec![c, t, f]))
                         .map(as_inst)
                 },
@@ -725,7 +635,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                 |ctx, args| {
                     let v = tgt_value_arg(args, 0)?;
                     let i = tgt_value_arg(args, 1)?;
-                    let vty = want_type(ctx, v)?;
+                    let vty = infer::operand_type(&ctx.tgt_scope(), v)?;
                     let ety = match ctx.tgt.types.get(vty) {
                         Type::Vector { elem, .. } => *elem,
                         _ => return Err(ApiError::Type("not a vector".into())),
@@ -746,7 +656,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let v = tgt_value_arg(args, 0)?;
                     let e = tgt_value_arg(args, 1)?;
                     let i = tgt_value_arg(args, 2)?;
-                    let vty = want_type(ctx, v)?;
+                    let vty = infer::operand_type(&ctx.tgt_scope(), v)?;
                     ctx.build(Instruction::new(InsertElement, vty, vec![v, e, i]))
                         .map(as_inst)
                 },
@@ -763,7 +673,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let a = tgt_value_arg(args, 0)?;
                     let b = tgt_value_arg(args, 1)?;
                     let mask = indices_arg(args, 2)?;
-                    let aty = want_type(ctx, a)?;
+                    let aty = infer::operand_type(&ctx.tgt_scope(), a)?;
                     let ety = match ctx.tgt.types.get(aty) {
                         Type::Vector { elem, .. } => *elem,
                         _ => return Err(ApiError::Type("not a vector".into())),
@@ -785,7 +695,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                 |ctx, args| {
                     let agg = tgt_value_arg(args, 0)?;
                     let path = indices_arg(args, 1)?;
-                    let aty = want_type(ctx, agg)?;
+                    let aty = infer::operand_type(&ctx.tgt_scope(), agg)?;
                     let rty = walk_agg_path(ctx, aty, &path)?;
                     let mut inst = Instruction::new(ExtractValue, rty, vec![agg]);
                     inst.attrs.indices = path;
@@ -804,7 +714,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                     let agg = tgt_value_arg(args, 0)?;
                     let v = tgt_value_arg(args, 1)?;
                     let path = indices_arg(args, 2)?;
-                    let aty = want_type(ctx, agg)?;
+                    let aty = infer::operand_type(&ctx.tgt_scope(), agg)?;
                     let mut inst = Instruction::new(InsertValue, aty, vec![agg, v]);
                     inst.attrs.indices = path;
                     ctx.build(inst).map(as_inst)
@@ -836,7 +746,7 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
                 false,
                 |ctx, args| {
                     let v = tgt_value_arg(args, 0)?;
-                    let ty = want_type(ctx, v)?;
+                    let ty = infer::operand_type(&ctx.tgt_scope(), v)?;
                     ctx.build(Instruction::new(Freeze, ty, vec![v]))
                         .map(as_inst)
                 },
@@ -887,17 +797,6 @@ fn register_one(reg: &mut ApiRegistry, op: Opcode, explicit: bool) {
             );
         }
     }
-}
-
-fn cmp_result_ty(ctx: &mut TranslationCtx<'_>, a: ValueRef, b: ValueRef) -> ApiResult<TypeId> {
-    let ty = want_type(ctx, a).or_else(|_| want_type(ctx, b))?;
-    Ok(match ctx.tgt.types.get(ty).clone() {
-        Type::Vector { len, .. } => {
-            let i1 = ctx.tgt.types.i1();
-            ctx.tgt.types.vector(i1, len)
-        }
-        _ => ctx.tgt.types.i1(),
-    })
 }
 
 fn build_call(

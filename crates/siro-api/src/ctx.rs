@@ -9,9 +9,10 @@
 
 use std::collections::HashMap;
 
+use siro_ir::infer::Scope;
 use siro_ir::{
-    BlockId, FuncId, Function, Global, GlobalId, InlineAsm, InstId, Instruction, IrVersion, Module,
-    Param, Type, TypeId, TypeTable, ValueRef,
+    AsmId, BlockId, FuncId, Function, Global, GlobalId, InlineAsm, InstId, Instruction, IrVersion,
+    Module, Param, Type, TypeId, TypeTable, ValueRef,
 };
 
 use crate::error::{ApiError, ApiResult};
@@ -454,6 +455,21 @@ impl<'s> TranslationCtx<'s> {
         }
     }
 
+    /// The target side as the result-type rules ([`siro_ir::infer`]) read
+    /// it: [`TranslationCtx::tgt_value_type`] over the target module.
+    #[inline]
+    pub fn tgt_scope(&mut self) -> TgtScope<'_, 's> {
+        TgtScope(self)
+    }
+
+    /// The source side as the result-type rules read it:
+    /// [`TranslationCtx::src_value_type`], interning into
+    /// [`TranslationCtx::src_types`].
+    #[inline]
+    pub fn src_scope(&mut self) -> SrcScope<'_, 's> {
+        SrcScope(self)
+    }
+
     /// Convenience: create a skeleton-compatible target function shell for a
     /// source function (same name/signature, translated types).
     pub fn clone_signature(&mut self, src_fid: FuncId) -> FuncId {
@@ -479,6 +495,62 @@ impl<'s> TranslationCtx<'s> {
         let id = self.tgt.add_func(nf);
         self.map_func(src_fid, id);
         id
+    }
+}
+
+/// The target side of a [`TranslationCtx`] (see
+/// [`TranslationCtx::tgt_scope`]).
+#[derive(Debug)]
+pub struct TgtScope<'a, 's>(&'a mut TranslationCtx<'s>);
+
+impl Scope for TgtScope<'_, '_> {
+    #[inline]
+    fn value_type(&self, v: ValueRef) -> Option<TypeId> {
+        self.0.tgt_value_type(v)
+    }
+    #[inline]
+    fn func(&self, f: FuncId) -> &Function {
+        self.0.tgt.func(f)
+    }
+    #[inline]
+    fn asm_ty(&self, a: AsmId) -> TypeId {
+        self.0.tgt.asm(a).ty
+    }
+    #[inline]
+    fn types(&self) -> &TypeTable {
+        &self.0.tgt.types
+    }
+    #[inline]
+    fn types_mut(&mut self) -> &mut TypeTable {
+        &mut self.0.tgt.types
+    }
+}
+
+/// The source side of a [`TranslationCtx`] (see
+/// [`TranslationCtx::src_scope`]).
+#[derive(Debug)]
+pub struct SrcScope<'a, 's>(&'a mut TranslationCtx<'s>);
+
+impl Scope for SrcScope<'_, '_> {
+    #[inline]
+    fn value_type(&self, v: ValueRef) -> Option<TypeId> {
+        self.0.src_value_type(v)
+    }
+    #[inline]
+    fn func(&self, f: FuncId) -> &Function {
+        self.0.src.func(f)
+    }
+    #[inline]
+    fn asm_ty(&self, a: AsmId) -> TypeId {
+        self.0.src.asm(a).ty
+    }
+    #[inline]
+    fn types(&self) -> &TypeTable {
+        &self.0.src_types
+    }
+    #[inline]
+    fn types_mut(&mut self) -> &mut TypeTable {
+        &mut self.0.src_types
     }
 }
 

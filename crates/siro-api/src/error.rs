@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use siro_ir::infer::RuleError;
+
 /// Failure during execution of an API component or translator program.
 ///
 /// A failing component aborts the enclosing candidate translator for the
@@ -38,6 +40,18 @@ impl fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+/// A result-type rule that does not apply is a type mismatch, except a
+/// struct index past the last field, which is out of range.
+impl From<RuleError> for ApiError {
+    fn from(e: RuleError) -> Self {
+        let msg = e.message().to_owned();
+        match e {
+            RuleError::StructFieldOutOfRange => ApiError::OutOfRange(msg),
+            _ => ApiError::Type(msg),
+        }
+    }
+}
+
 /// Result alias for API component execution.
 pub type ApiResult<T> = Result<T, ApiError>;
 
@@ -53,5 +67,42 @@ mod tests {
         assert!(ApiError::Missing("f".into())
             .to_string()
             .contains("missing"));
+    }
+
+    /// Every rule error keeps the kind and text the builders and getters
+    /// reported before the rules moved into `siro_ir::infer`.
+    #[test]
+    fn rule_errors_keep_their_kind_and_text() {
+        use RuleError::*;
+        let ty = |m: &str| ApiError::Type(m.into());
+        let table = [
+            (
+                AddressNeedsExplicitType,
+                ty("address value needs explicit type"),
+            ),
+            (OperandTypeUnknown, ty("operand type unknown")),
+            (ExpectedFunctionType, ty("expected function type")),
+            (UntypedCallee, ty("untyped callee")),
+            (CalleeNotCallable, ty("callee is not callable")),
+            (
+                CalleeNotFunctionPointer,
+                ty("callee is not a function pointer"),
+            ),
+            (UntypedCallArgument, ty("untyped call argument")),
+            (
+                StructGepIndexNotConstant,
+                ty("struct gep index must be constant"),
+            ),
+            (
+                StructFieldOutOfRange,
+                ApiError::OutOfRange("struct field".into()),
+            ),
+            (GepThroughScalar, ty("gep through scalar")),
+            (LoadFromNonPointer, ty("load from non-pointer")),
+            (GepOnNonPointer, ty("gep on non-pointer")),
+        ];
+        for (rule, want) in table {
+            assert_eq!(ApiError::from(rule), want, "{rule:?}");
+        }
     }
 }

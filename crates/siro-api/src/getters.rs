@@ -12,11 +12,11 @@
 //! equivalent-implementation candidates of Fig. 11 and the wrong-but-well-
 //! typed candidates of Fig. 9 that refinement must prune.
 
-use siro_ir::{Opcode, Type, ValueRef};
+use siro_ir::{infer, Opcode, ValueRef};
 
 use crate::registry::{inst_arg, u32_arg, ApiKind, ApiRegistry};
 use crate::value::{ApiType, ApiValue, Side};
-use crate::{ApiError, ApiResult};
+use crate::ApiError;
 
 const S: Side = Side::Source;
 
@@ -647,54 +647,11 @@ fn register_call_family(reg: &mut ApiRegistry, op: Opcode) {
         false,
         |ctx, args| {
             let inst = inst_arg(ctx, args, 0)?;
-            match inst.callee() {
-                Some(ValueRef::Func(fid)) => {
-                    let f = ctx.src.func(fid);
-                    let (ret, params, varargs) = (
-                        f.ret_ty,
-                        f.params.iter().map(|p| p.ty).collect::<Vec<_>>(),
-                        f.varargs,
-                    );
-                    let ty = if varargs {
-                        ctx.src_types.func_varargs(ret, params)
-                    } else {
-                        ctx.src_types.func(ret, params)
-                    };
-                    Ok(ApiValue::SrcType(ty))
-                }
-                Some(ValueRef::InlineAsm(a)) => Ok(ApiValue::SrcType(ctx.src.asm(a).ty)),
-                Some(v) => {
-                    let ty = ctx
-                        .src_value_type(v)
-                        .ok_or_else(|| ApiError::Type("untyped callee".into()))?;
-                    match ctx.src_types.get(ty) {
-                        Type::Ptr { pointee, .. }
-                            if matches!(ctx.src_types.get(*pointee), Type::Func { .. }) =>
-                        {
-                            Ok(ApiValue::SrcType(*pointee))
-                        }
-                        Type::Func { .. } => Ok(ApiValue::SrcType(ty)),
-                        // Opaque-pointer dialects erase the pointee, so an
-                        // indirect call's function type must be rebuilt from
-                        // the call site (return type + argument types) —
-                        // exactly what LLVM's opaque-pointer migration does.
-                        Type::Ptr { .. } => {
-                            let params = inst
-                                .call_args()
-                                .iter()
-                                .map(|&a| {
-                                    ctx.src_value_type(a).ok_or_else(|| {
-                                        ApiError::Type("untyped call argument".into())
-                                    })
-                                })
-                                .collect::<ApiResult<Vec<_>>>()?;
-                            Ok(ApiValue::SrcType(ctx.src_types.func(inst.ty, params)))
-                        }
-                        _ => Err(ApiError::Type("callee is not a function pointer".into())),
-                    }
-                }
-                None => Err(ApiError::Type("no callee".into())),
-            }
+            let callee = inst
+                .callee()
+                .ok_or_else(|| ApiError::Type("no callee".into()))?;
+            let ty = infer::callee_type(&mut ctx.src_scope(), callee, inst.ty, inst.call_args())?;
+            Ok(ApiValue::SrcType(ty))
         },
     );
 }
@@ -703,7 +660,7 @@ fn register_call_family(reg: &mut ApiRegistry, op: Opcode) {
 mod tests {
     use super::*;
     use crate::ctx::TranslationCtx;
-    use siro_ir::{FuncBuilder, IntPredicate, IrVersion, Module};
+    use siro_ir::{FuncBuilder, IntPredicate, IrVersion, Module, Type};
 
     fn branchy_module() -> Module {
         let mut m = Module::new("m", IrVersion::V13_0);

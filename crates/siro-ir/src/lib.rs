@@ -7,7 +7,9 @@
 //! * an in-memory IR data model ([`Module`], [`Function`], [`BasicBlock`],
 //!   [`Instruction`], [`ValueRef`], [`TypeTable`]) following the
 //!   formulation of Fig. 3,
-//! * an **IR Builder** ([`FuncBuilder`]),
+//! * an **IR Builder** ([`FuncBuilder`]), and the result-type rules of
+//!   the implicit-type builders ([`infer`]), shared by the reader and
+//!   every translator tier,
 //! * an **IR Verifier** ([`verify::verify_module`]),
 //! * an **IR Writer** and **IR Reader** ([`write::write_module`],
 //!   [`parse::parse_module`]) whose text formats differ across versions, and
@@ -44,6 +46,7 @@ pub mod builder;
 pub mod ctx;
 pub mod dialect;
 pub mod error;
+pub mod infer;
 pub mod inst;
 pub mod interp;
 pub mod module;

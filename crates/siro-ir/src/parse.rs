@@ -37,6 +37,7 @@ use std::sync::OnceLock;
 
 use crate::ctx::{OpVec, Ptr};
 use crate::error::{IrError, IrResult};
+use crate::infer;
 use crate::inst::{AtomicOrdering, FloatPredicate, InstAttrs, Instruction, IntPredicate, RmwOp};
 use crate::module::{Function, Global, GlobalInit, InlineAsm, Module, Param};
 use crate::opcode::Opcode;
@@ -1097,8 +1098,9 @@ impl<'t> Reader<'t> {
                     let (_, v) = self.tval(c)?;
                     ops.push(v);
                 }
-                let result = gep_result(&mut self.types(), src_ty, &ops[1..])
-                    .ok_or_else(|| c.err("cannot compute gep result type"))?;
+                let elem = infer::gep_elem(&self.m.types, src_ty, &ops[1..])
+                    .map_err(|_| c.err("cannot compute gep result type"))?;
+                let result = self.types().ptr(elem);
                 let mut i = Instruction::new(Opcode::GetElementPtr, result, ops);
                 i.attrs.gep_source_ty = Some(src_ty);
                 i.attrs.inbounds = inbounds;
@@ -1163,7 +1165,7 @@ impl<'t> Reader<'t> {
                 let (ty, a) = self.tval(c)?;
                 c.expect(b',')?;
                 let b = self.value(c, ty)?;
-                let rty = cmp_result_ty(&mut self.m.types, ty);
+                let rty = infer::cmp_result(&mut self.m.types, ty);
                 let mut i = Instruction::new(Opcode::ICmp, rty, [a, b]);
                 i.attrs.int_pred = Some(pred);
                 i
@@ -1176,7 +1178,7 @@ impl<'t> Reader<'t> {
                 let (ty, a) = self.tval(c)?;
                 c.expect(b',')?;
                 let b = self.value(c, ty)?;
-                let rty = cmp_result_ty(&mut self.m.types, ty);
+                let rty = infer::cmp_result(&mut self.m.types, ty);
                 let mut i = Instruction::new(Opcode::FCmp, rty, [a, b]);
                 i.attrs.float_pred = Some(pred);
                 i
@@ -1326,28 +1328,6 @@ impl<'t> Reader<'t> {
         inst.attrs.tail_call |= tail;
         Ok(self.m.funcs[fid].push_inst(block, inst))
     }
-}
-
-fn cmp_result_ty(types: &mut TypeTable, operand_ty: TypeId) -> TypeId {
-    match *types.get(operand_ty) {
-        Type::Vector { len, .. } => {
-            let i1 = types.i1();
-            types.vector(i1, len)
-        }
-        _ => types.i1(),
-    }
-}
-
-fn gep_result(types: &mut Types<'_>, src: TypeId, indices: &[ValueRef]) -> Option<TypeId> {
-    let mut cur = src;
-    for idx in indices.iter().skip(1) {
-        cur = match types.table.get(cur) {
-            Type::Array { elem, .. } | Type::Vector { elem, .. } => *elem,
-            Type::Struct { fields } => *fields.get(idx.as_int()? as usize)?,
-            _ => return None,
-        };
-    }
-    Some(types.ptr(cur))
 }
 
 fn label_to_name(label: &str) -> String {

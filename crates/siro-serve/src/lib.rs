@@ -18,8 +18,8 @@
 //! * [`coalesce`] — per-version-pair request coalescing: N concurrent
 //!   requests for the same cold pair run exactly one synthesis;
 //! * [`poller`] — std-only readiness, level-triggered or one-shot, with
-//!   one poller nested in another (epoll on Linux via an `extern "C"`
-//!   shim, `poll(2)` elsewhere — no new dependencies);
+//!   one poller nested in another (epoll via an `extern "C"` shim — no
+//!   new dependencies; the daemon is Linux-only);
 //! * [`reactor`] — the nonblocking event engine: every connection sits
 //!   in one shared one-shot set the workers poll, the reactor thread
 //!   accepts and reads only while every worker is busy, write queues give

@@ -1,29 +1,31 @@
-//! Readiness polling for the event engine — std-only, no new deps.
+//! Readiness polling for the event engine: epoll, std-only, no new deps.
 //!
 //! The engine needs one thing from the OS: "block until any registered
-//! socket is readable/writable, and tell me which". On Linux that is
-//! `epoll`; everywhere else on unix it is `poll(2)`. Neither is exposed
-//! by std, so this module declares the handful of symbols directly with
-//! `extern "C"` — they live in the C runtime std already links, so no
-//! `libc` crate (or any other dependency) is required.
+//! socket is readable/writable, and tell me which". That is `epoll`. std
+//! does not expose it, so this module declares the handful of symbols
+//! directly with `extern "C"` — they live in the C runtime std already
+//! links, so no `libc` crate (or any other dependency) is required. The
+//! daemon is Linux-only: on any other target this module is a compile
+//! error.
 //!
 //! A registration is one of two kinds:
 //!
 //! * **level-triggered** ([`Poller::register`]): an fd with unread bytes
 //!   reports readable on every wait until drained. The reactor's
 //!   listener and wake pipe use it.
-//! * **one-shot** ([`Poller::register_oneshot`]): the registration
-//!   reports at most one event, to one waiting thread, and is then
-//!   disarmed until [`Poller::rearm`]. Every connection sits in one
-//!   shared one-shot set that all pool threads wait on, so the thread
+//! * **one-shot** ([`Poller::register_oneshot`], `EPOLLONESHOT`): the
+//!   registration reports at most one event, to one waiting thread, and
+//!   is then disarmed until [`Poller::rearm`]. Every connection sits in
+//!   one shared one-shot set that all pool threads wait on, so the thread
 //!   that receives a connection's event owns it until it re-arms it: no
 //!   two threads are woken for the same readiness.
 //!
 //! A poller can also watch another poller ([`Poller::nest`]): the nested
 //! registration is one-shot, disarmed until [`Poller::arm_nested`], and
 //! reports its token when any armed registration of the inner poller is
-//! ready. The reactor watches the shared connection set this way, and
-//! only while every worker is executing.
+//! ready (an epoll fd polls readable while its set has a ready event).
+//! The reactor watches the shared connection set this way, and only while
+//! every worker is executing.
 //!
 //! Events carry one `u64` token per registration; interest is replaced
 //! wholesale, not OR-ed. Errors and hangups fold into
@@ -33,11 +35,57 @@
 //! Every method takes `&self` and may be called from any thread: pool
 //! threads re-arm connections while others wait on the same set.
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("siro-serve polls with epoll and builds only on Linux");
+
+use std::ffi::c_int;
 use std::io::{self, Read as _, Write as _};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
+
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLLONESHOT: u32 = 1 << 30;
+
+/// Mirror of the kernel's `struct epoll_event`. Packed on x86-64, where
+/// the kernel ABI leaves the u64 unaligned.
+#[repr(C)]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
+
+extern "C" {
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn close(fd: c_int) -> c_int;
+}
+
+/// The event mask for `interest`. Peer half-close (`EPOLLRDHUP`) is asked
+/// for only with read interest: a level-triggered half-close would
+/// otherwise re-fire forever on a connection that has stopped reading.
+fn mask(interest: Interest, oneshot: bool) -> u32 {
+    let mut m = if oneshot { EPOLLONESHOT } else { 0 };
+    if interest.readable {
+        m |= EPOLLIN | EPOLLRDHUP;
+    }
+    if interest.writable {
+        m |= EPOLLOUT;
+    }
+    m
+}
 
 /// What readiness a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,10 +130,10 @@ pub struct PollEvent {
     pub writable: bool,
 }
 
-/// A readiness poller over raw fds (epoll on Linux, `poll(2)` elsewhere).
+/// A readiness poller over raw fds: one epoll instance.
 #[derive(Debug)]
 pub struct Poller {
-    backend: backend::Backend,
+    epfd: RawFd,
     registered: AtomicUsize,
 }
 
@@ -94,12 +142,38 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates `epoll_create1` failure (Linux); infallible elsewhere.
+    /// Propagates `epoll_create1` failure.
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall wrapper, no pointers involved.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
         Ok(Poller {
-            backend: backend::Backend::new()?,
+            epfd,
             registered: AtomicUsize::new(0),
         })
+    }
+
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call; the kernel copies it. (Kernels
+        // before 2.6.9 demanded a non-null event even for DEL.)
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Adds `fd` and counts it in the `registered_fds` gauge.
+    fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, events)?;
+        self.registered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Registers `fd` under `token`, level-triggered.
@@ -108,9 +182,7 @@ impl Poller {
     ///
     /// Propagates the OS error (e.g. the fd is already registered).
     pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.register(fd, token, interest, false)?;
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.add(fd, token, mask(interest, false))
     }
 
     /// Registers `fd` under `token`, one-shot and armed with `interest`:
@@ -120,9 +192,7 @@ impl Poller {
     ///
     /// Propagates the OS error (e.g. the fd is already registered).
     pub fn register_oneshot(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.register(fd, token, interest, true)?;
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.add(fd, token, mask(interest, true))
     }
 
     /// Re-arms a one-shot registration with `interest`, whether or not
@@ -133,7 +203,7 @@ impl Poller {
     ///
     /// Propagates the OS error (e.g. the fd is not registered).
     pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.backend.rearm(fd, token, interest)
+        self.ctl(EPOLL_CTL_MOD, fd, token, mask(interest, true))
     }
 
     /// Removes an fd from the poller.
@@ -142,7 +212,7 @@ impl Poller {
     ///
     /// Propagates the OS error (e.g. the fd is not registered).
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.backend.deregister(fd)?;
+        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)?;
         self.registered.fetch_sub(1, Ordering::Relaxed);
         Ok(())
     }
@@ -157,9 +227,7 @@ impl Poller {
     ///
     /// Propagates the OS error.
     pub fn nest(&self, inner: &Poller, token: u64) -> io::Result<()> {
-        self.backend.nest(&inner.backend, token)?;
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.add(inner.epfd, token, EPOLLONESHOT)
     }
 
     /// Arms (or disarms) the nested registration of `inner`.
@@ -168,7 +236,12 @@ impl Poller {
     ///
     /// Propagates the OS error (e.g. `inner` is not nested here).
     pub fn arm_nested(&self, inner: &Poller, token: u64, armed: bool) -> io::Result<()> {
-        self.backend.arm_nested(&inner.backend, token, armed)
+        let events = if armed {
+            EPOLLONESHOT | EPOLLIN
+        } else {
+            EPOLLONESHOT
+        };
+        self.ctl(EPOLL_CTL_MOD, inner.epfd, token, events)
     }
 
     /// Number of currently registered fds (the `registered_fds` gauge).
@@ -178,8 +251,8 @@ impl Poller {
 
     /// Blocks until at least one event fires or `timeout` elapses
     /// (`None` blocks indefinitely), and delivers at most `max` events
-    /// into `events` (which is cleared first). Returns the number of
-    /// events delivered; `0` means the wait timed out.
+    /// (capped at 64) into `events` (which is cleared first). Returns the
+    /// number of events delivered; `0` means the wait timed out.
     ///
     /// # Errors
     ///
@@ -199,12 +272,37 @@ impl Poller {
                 .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0))
                 .min(i32::MAX as u128) as i32,
         };
-        loop {
-            match self.backend.wait(events, max.max(1), timeout_ms) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other.map(|()| events.len()),
+        let mut buf = [EpollEvent { events: 0, data: 0 }; 64];
+        let max = max.clamp(1, buf.len()) as c_int;
+        let n = loop {
+            // SAFETY: `buf` is a valid writable array of at least `max` events.
+            let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), max, timeout_ms) };
+            if n >= 0 {
+                break n as usize;
             }
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        };
+        for ev in &buf[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let bits = ev.events;
+            let token = ev.data;
+            events.push(PollEvent {
+                token,
+                readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            });
         }
+        Ok(n)
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: we own `epfd` and close it exactly once.
+        unsafe { close(self.epfd) };
     }
 }
 
@@ -252,539 +350,6 @@ impl AsRawFd for Waker {
     /// The read end, to register with a poller.
     fn as_raw_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
-    }
-}
-
-#[cfg(target_os = "linux")]
-use epoll as backend;
-#[cfg(not(target_os = "linux"))]
-use fallback as backend;
-
-#[cfg(target_os = "linux")]
-mod epoll {
-    //! epoll via a thin `extern "C"` shim — the symbols live in the C
-    //! runtime std links, so no crate dependency is introduced. One-shot
-    //! is `EPOLLONESHOT`; nesting registers the inner epoll fd, which
-    //! polls readable while the inner set has a ready event.
-
-    use super::{Interest, PollEvent};
-    use std::ffi::c_int;
-    use std::io;
-    use std::os::fd::RawFd;
-
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLLONESHOT: u32 = 1 << 30;
-
-    /// Mirror of the kernel's `struct epoll_event`. Packed on x86-64,
-    /// where the kernel ABI leaves the u64 unaligned.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    #[derive(Debug)]
-    pub struct Backend {
-        epfd: RawFd,
-    }
-
-    /// The event mask for `interest`. Peer half-close (`EPOLLRDHUP`) is
-    /// asked for only with read interest: a level-triggered half-close
-    /// would otherwise re-fire forever on a connection that has stopped
-    /// reading.
-    fn mask(interest: Interest, oneshot: bool) -> u32 {
-        let mut m = if oneshot { EPOLLONESHOT } else { 0 };
-        if interest.readable {
-            m |= EPOLLIN | EPOLLRDHUP;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    impl Backend {
-        pub fn new() -> io::Result<Backend> {
-            // SAFETY: plain syscall wrapper, no pointers involved.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Backend { epfd })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            // SAFETY: `ev` outlives the call; the kernel copies it. (Kernels
-            // before 2.6.9 demanded a non-null event even for DEL.)
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn register(
-            &self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-            oneshot: bool,
-        ) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, mask(interest, oneshot))
-        }
-
-        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, mask(interest, true))
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        pub fn nest(&self, inner: &Backend, token: u64) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, inner.epfd, token, EPOLLONESHOT)
-        }
-
-        pub fn arm_nested(&self, inner: &Backend, token: u64, armed: bool) -> io::Result<()> {
-            let interest = if armed {
-                EPOLLONESHOT | EPOLLIN
-            } else {
-                EPOLLONESHOT
-            };
-            self.ctl(EPOLL_CTL_MOD, inner.epfd, token, interest)
-        }
-
-        pub fn wait(
-            &self,
-            out: &mut Vec<PollEvent>,
-            max: usize,
-            timeout_ms: i32,
-        ) -> io::Result<()> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 64];
-            let max = max.min(buf.len()) as c_int;
-            // SAFETY: `buf` is a valid writable array of at least `max` events.
-            let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), max, timeout_ms) };
-            if n < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for ev in &buf[..n as usize] {
-                // Copy out of the (possibly packed) struct before use.
-                let events = ev.events;
-                let token = ev.data;
-                out.push(PollEvent {
-                    token,
-                    readable: events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                    writable: events & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Backend {
-        fn drop(&mut self) {
-            // SAFETY: we own `epfd` and close it exactly once.
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-// The portable `poll(2)` backend for non-Linux unix. Linux test builds
-// compile it too, so its tests run everywhere.
-#[cfg(any(test, not(target_os = "linux")))]
-mod fallback {
-    //! The pollfd array is rebuilt from the registration table on every
-    //! wait — O(fds), fine for the connection counts a fallback platform
-    //! sees. One-shot is emulated by claiming: an event is delivered
-    //! only if its registration is still armed when the waiter re-takes
-    //! the table's lock, and delivering it disarms it, so two waiters
-    //! that polled the same fd deliver it once. Every change to a table
-    //! wakes the threads blocked on it (each through its own waker, so
-    //! no waiter can consume another's wake), and they poll again with
-    //! the new table. A nested table's armed fds join the outer wait.
-
-    use super::{Interest, PollEvent, Waker};
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::ffi::{c_int, c_short, c_ulong};
-    use std::io;
-    use std::os::fd::{AsRawFd, RawFd};
-    use std::sync::{Arc, Mutex, MutexGuard};
-    use std::time::Instant;
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
-
-    #[derive(Debug)]
-    struct Registration {
-        token: u64,
-        interest: Interest,
-        oneshot: bool,
-        armed: bool,
-    }
-
-    #[derive(Debug)]
-    struct Nested {
-        token: u64,
-        armed: bool,
-        inner: Arc<Mutex<Table>>,
-    }
-
-    #[derive(Debug, Default)]
-    struct Table {
-        regs: HashMap<RawFd, Registration>,
-        nested: Vec<Nested>,
-        /// Wakers of the threads blocked in a wait that polls this
-        /// table's fds.
-        waiters: Vec<Arc<Waker>>,
-    }
-
-    impl Table {
-        fn changed(&self) {
-            for w in &self.waiters {
-                w.wake();
-            }
-        }
-
-        fn forget(&mut self, me: &Arc<Waker>) {
-            self.waiters.retain(|w| !Arc::ptr_eq(w, me));
-        }
-
-        fn armed(&self) -> impl Iterator<Item = (RawFd, u64, c_short)> + '_ {
-            self.regs
-                .iter()
-                .filter(|(_, r)| r.armed && !r.interest.is_none())
-                .map(|(fd, r)| {
-                    let events = if r.interest.readable { POLLIN } else { 0 }
-                        | if r.interest.writable { POLLOUT } else { 0 };
-                    (*fd, r.token, events)
-                })
-        }
-    }
-
-    fn lock(table: &Mutex<Table>) -> MutexGuard<'_, Table> {
-        table.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// What one polled fd stands for.
-    enum Slot {
-        Direct(RawFd, u64),
-        Nested(usize),
-    }
-
-    thread_local! {
-        static WAITER: RefCell<Option<Arc<Waker>>> = const { RefCell::new(None) };
-    }
-
-    fn thread_waker() -> io::Result<Arc<Waker>> {
-        WAITER.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if let Some(w) = &*slot {
-                return Ok(Arc::clone(w));
-            }
-            let w = Arc::new(Waker::new()?);
-            *slot = Some(Arc::clone(&w));
-            Ok(w)
-        })
-    }
-
-    #[derive(Debug)]
-    pub struct Backend {
-        table: Arc<Mutex<Table>>,
-    }
-
-    impl Backend {
-        pub fn new() -> io::Result<Backend> {
-            Ok(Backend {
-                table: Arc::new(Mutex::new(Table::default())),
-            })
-        }
-
-        pub fn register(
-            &self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-            oneshot: bool,
-        ) -> io::Result<()> {
-            let mut t = lock(&self.table);
-            if t.regs.contains_key(&fd) {
-                return Err(io::ErrorKind::AlreadyExists.into());
-            }
-            t.regs.insert(
-                fd,
-                Registration {
-                    token,
-                    interest,
-                    oneshot,
-                    armed: true,
-                },
-            );
-            t.changed();
-            Ok(())
-        }
-
-        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut t = lock(&self.table);
-            let r = t.regs.get_mut(&fd).ok_or(io::ErrorKind::NotFound)?;
-            r.token = token;
-            r.interest = interest;
-            r.armed = true;
-            t.changed();
-            Ok(())
-        }
-
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut t = lock(&self.table);
-            t.regs.remove(&fd).ok_or(io::ErrorKind::NotFound)?;
-            t.changed();
-            Ok(())
-        }
-
-        pub fn nest(&self, inner: &Backend, token: u64) -> io::Result<()> {
-            let mut t = lock(&self.table);
-            t.nested.push(Nested {
-                token,
-                armed: false,
-                inner: Arc::clone(&inner.table),
-            });
-            Ok(())
-        }
-
-        pub fn arm_nested(&self, inner: &Backend, token: u64, armed: bool) -> io::Result<()> {
-            let mut t = lock(&self.table);
-            let n = t
-                .nested
-                .iter_mut()
-                .find(|n| n.token == token && Arc::ptr_eq(&n.inner, &inner.table))
-                .ok_or(io::ErrorKind::NotFound)?;
-            n.armed = armed;
-            t.changed();
-            Ok(())
-        }
-
-        pub fn wait(
-            &self,
-            out: &mut Vec<PollEvent>,
-            max: usize,
-            timeout_ms: i32,
-        ) -> io::Result<()> {
-            let me = thread_waker()?;
-            let deadline = (timeout_ms >= 0)
-                .then(|| Instant::now() + std::time::Duration::from_millis(timeout_ms as u64));
-            loop {
-                let mut fds = Vec::new();
-                let mut slots = Vec::new();
-                {
-                    let mut t = lock(&self.table);
-                    for (fd, token, events) in t.armed() {
-                        fds.push(PollFd {
-                            fd,
-                            events,
-                            revents: 0,
-                        });
-                        slots.push(Slot::Direct(fd, token));
-                    }
-                    for (i, n) in t.nested.iter().enumerate() {
-                        if !n.armed {
-                            continue;
-                        }
-                        let mut inner = lock(&n.inner);
-                        inner.waiters.push(Arc::clone(&me));
-                        for (fd, _, events) in inner.armed() {
-                            fds.push(PollFd {
-                                fd,
-                                events,
-                                revents: 0,
-                            });
-                            slots.push(Slot::Nested(i));
-                        }
-                    }
-                    t.waiters.push(Arc::clone(&me));
-                }
-                fds.push(PollFd {
-                    fd: me.as_raw_fd(),
-                    events: POLLIN,
-                    revents: 0,
-                });
-                let wait_ms = match deadline {
-                    None => -1,
-                    Some(d) => d
-                        .saturating_duration_since(Instant::now())
-                        .as_millis()
-                        .min(i32::MAX as u128) as c_int,
-                };
-                // SAFETY: `fds` is a valid array of `fds.len()` pollfds.
-                let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, wait_ms) };
-                let polled = if rc < 0 {
-                    Err(io::Error::last_os_error())
-                } else {
-                    Ok(())
-                };
-                let mut t = lock(&self.table);
-                t.forget(&me);
-                for n in &t.nested {
-                    lock(&n.inner).forget(&me);
-                }
-                me.drain();
-                polled?;
-                for (pfd, slot) in fds.iter().zip(&slots) {
-                    if pfd.revents == 0 || out.len() >= max {
-                        continue;
-                    }
-                    match *slot {
-                        Slot::Direct(fd, token) => {
-                            let Some(r) = t.regs.get_mut(&fd) else {
-                                continue;
-                            };
-                            if !r.armed || r.token != token {
-                                continue;
-                            }
-                            r.armed = !r.oneshot;
-                            out.push(PollEvent {
-                                token,
-                                readable: pfd.revents & (POLLIN | POLLERR | POLLHUP) != 0,
-                                writable: pfd.revents & (POLLOUT | POLLERR | POLLHUP) != 0,
-                            });
-                        }
-                        Slot::Nested(i) => {
-                            let n = &mut t.nested[i];
-                            if !n.armed {
-                                continue;
-                            }
-                            n.armed = false;
-                            out.push(PollEvent {
-                                token: n.token,
-                                readable: true,
-                                writable: false,
-                            });
-                        }
-                    }
-                }
-                if !out.is_empty() || deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::io::Write as _;
-        use std::os::unix::net::UnixStream;
-        use std::time::Duration;
-
-        fn readable_pair() -> (UnixStream, UnixStream) {
-            let (mut a, b) = UnixStream::pair().expect("socketpair");
-            b.set_nonblocking(true).expect("nonblocking");
-            a.write_all(b"x").expect("write");
-            (a, b)
-        }
-
-        #[test]
-        fn oneshot_reports_once_until_rearmed() {
-            let set = Backend::new().expect("backend");
-            let (_a, b) = readable_pair();
-            set.register(b.as_raw_fd(), 7, Interest::READ, true)
-                .expect("register");
-            let mut out = Vec::new();
-            set.wait(&mut out, 8, 1000).expect("wait");
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].token, 7);
-            out.clear();
-            set.wait(&mut out, 8, 20).expect("wait");
-            assert!(out.is_empty(), "a fired one-shot stays silent");
-            set.rearm(b.as_raw_fd(), 7, Interest::READ).expect("rearm");
-            set.wait(&mut out, 8, 1000).expect("wait");
-            assert_eq!(out.len(), 1, "re-arming a ready fd reports it again");
-            set.deregister(b.as_raw_fd()).expect("deregister");
-            out.clear();
-            set.wait(&mut out, 8, 20).expect("wait");
-            assert!(out.is_empty());
-        }
-
-        #[test]
-        fn registration_from_another_thread_wakes_a_blocked_waiter() {
-            let set = Arc::new(Backend::new().expect("backend"));
-            let (_a, b) = readable_pair();
-            let waiter = {
-                let set = Arc::clone(&set);
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    let t0 = Instant::now();
-                    set.wait(&mut out, 1, 5000).expect("wait");
-                    (out.first().map(|e| e.token), t0.elapsed())
-                })
-            };
-            std::thread::sleep(Duration::from_millis(50));
-            set.register(b.as_raw_fd(), 3, Interest::READ, true)
-                .expect("register");
-            let (token, took) = waiter.join().expect("join");
-            assert_eq!(token, Some(3));
-            assert!(took < Duration::from_secs(2), "woke late: {took:?}");
-        }
-
-        #[test]
-        fn nested_set_reports_only_while_armed() {
-            let outer = Backend::new().expect("outer");
-            let inner = Backend::new().expect("inner");
-            outer.nest(&inner, 9).expect("nest");
-            let (_a, b) = readable_pair();
-            inner
-                .register(b.as_raw_fd(), 1, Interest::READ, true)
-                .expect("register");
-            let mut out = Vec::new();
-            outer.wait(&mut out, 8, 20).expect("wait");
-            assert!(out.is_empty(), "disarmed nesting is silent");
-            outer.arm_nested(&inner, 9, true).expect("arm");
-            outer.wait(&mut out, 8, 1000).expect("wait");
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].token, 9);
-            // Nesting does not consume the inner event.
-            out.clear();
-            inner.wait(&mut out, 8, 1000).expect("inner wait");
-            assert_eq!(out.first().map(|e| e.token), Some(1));
-        }
     }
 }
 
@@ -877,6 +442,63 @@ mod tests {
             .expect("wait");
         assert_eq!(n, 1);
         assert!(events[0].writable && !events[0].readable);
+    }
+
+    #[test]
+    fn fired_oneshot_stays_silent_until_rearmed_and_then_reports_again() {
+        let poller = Poller::new().expect("poller");
+        let (mut a, b) = UnixStream::pair().expect("socketpair");
+        b.set_nonblocking(true).expect("nonblocking");
+        a.write_all(b"x").expect("write");
+        poller
+            .register_oneshot(b.as_raw_fd(), 7, Interest::READ)
+            .expect("register");
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 7);
+        // The byte is still unread, yet the fired registration is silent.
+        let n = poller
+            .wait(&mut events, 8, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert_eq!(n, 0, "a fired one-shot stays silent");
+        poller
+            .rearm(b.as_raw_fd(), 7, Interest::READ)
+            .expect("rearm");
+        let n = poller
+            .wait(&mut events, 8, Some(Duration::from_millis(1000)))
+            .expect("wait");
+        assert_eq!(n, 1, "re-arming a ready fd reports it again");
+        assert_eq!(events[0].token, 7);
+    }
+
+    #[test]
+    fn registration_from_another_thread_wakes_a_blocked_waiter() {
+        let poller = Arc::new(Poller::new().expect("poller"));
+        let (mut a, b) = UnixStream::pair().expect("socketpair");
+        b.set_nonblocking(true).expect("nonblocking");
+        a.write_all(b"x").expect("write");
+        let waiter = {
+            let poller = Arc::clone(&poller);
+            std::thread::spawn(move || {
+                let mut events = Vec::new();
+                let t0 = std::time::Instant::now();
+                poller
+                    .wait(&mut events, 1, Some(Duration::from_secs(5)))
+                    .expect("wait");
+                (events.first().map(|e| e.token), t0.elapsed())
+            })
+        };
+        // Let the waiter block on the still-empty set first.
+        std::thread::sleep(Duration::from_millis(50));
+        poller
+            .register_oneshot(b.as_raw_fd(), 3, Interest::READ)
+            .expect("register");
+        let (token, took) = waiter.join().expect("join");
+        assert_eq!(token, Some(3));
+        assert!(took < Duration::from_secs(2), "woke late: {took:?}");
     }
 
     #[test]

@@ -721,14 +721,17 @@ impl Reactor {
         }
     }
 
-    /// Adds a connection to the table, then registers it in the shared
-    /// set: a worker woken for its fd must find its entry.
+    /// Counts a connection and adds it to the table, then registers it in
+    /// the shared set: a worker woken for its fd must find its entry, and
+    /// a `STATS` it answers must count the connection that asked.
     fn install_conn(&mut self, stream: TcpStream, peer: IpAddr) -> io::Result<()> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let token = self.next_token;
         self.next_token += 1;
         let fd = stream.as_raw_fd();
+        let connections = &self.shared.metrics().connections;
+        connections.fetch_add(1, Ordering::Relaxed);
         self.shared
             .insert_conn(token, Arc::new(Conn::new(token, stream, peer)));
         if let Err(e) = self
@@ -736,13 +739,11 @@ impl Reactor {
             .ready
             .register_oneshot(fd, token, Interest::READ)
         {
+            // Never served: the row counts accepted connections only.
+            connections.fetch_sub(1, Ordering::Relaxed);
             self.shared.forget(token);
             return Err(e);
         }
-        self.shared
-            .metrics()
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 

@@ -571,6 +571,27 @@ fn connection_churn_serves_every_connection_and_closes_them_all() {
     handle.shutdown();
 }
 
+/// A connection is counted before its fd can wake a worker, so the
+/// `STATS` it sends first already counts it: the `i`th connection of a
+/// sequence reads `connections i`.
+#[test]
+fn first_stats_on_a_connection_counts_that_connection() {
+    let _serial = serial();
+    let handle = start_server(2, 64);
+    for i in 1..=100u64 {
+        let mut client =
+            Client::connect(handle.addr(), TIMEOUT).unwrap_or_else(|e| panic!("connect {i}: {e}"));
+        client.set_op_timeout(Some(TIMEOUT));
+        let page = client.stats().unwrap_or_else(|e| panic!("stats {i}: {e}"));
+        assert_eq!(
+            stats_value(&page, "connections"),
+            Some(i),
+            "connection {i} read its own count"
+        );
+    }
+    handle.shutdown();
+}
+
 /// A 13.0 module of `functions` small functions, named apart by `salt`:
 /// its translation is about as long as its text.
 fn wide_module(functions: usize, salt: usize) -> String {

@@ -53,9 +53,10 @@ use siro_api::{
 };
 use siro_core::{newinst, InstTranslator, Skeleton, SynthesizedTranslator, TranslateResult};
 use siro_core::{KindTranslator, TranslateError};
+use siro_ir::infer::{self, Scope};
 use siro_ir::{
-    AsmId, BlockId, FuncId, Function, Global, GlobalId, InlineAsm, InstAttrs, InstId, Instruction,
-    Module, Opcode, Type, TypeId, TypeTable, ValueRef,
+    AsmId, BlockId, FuncId, Function, Global, InlineAsm, InstAttrs, InstId, Instruction, Module,
+    Opcode, TypeId, TypeTable, ValueRef,
 };
 
 use crate::driver::SynthesisOutcome;
@@ -206,9 +207,11 @@ impl CompiledPred {
 
 /// A getter micro-op: the interpreter's getter closure specialized to a
 /// borrowed `&Instruction` — no instruction clone per call, immediates
-/// (operand indices) pre-bound at compile time. Each variant replicates the
+/// (operand indices) pre-bound at compile time. Each variant matches the
 /// corresponding registry closure exactly, including its error strings, so
-/// the two tiers stay indistinguishable through results *and* failures.
+/// the two tiers stay indistinguishable through results *and* failures;
+/// `get_callee_type` calls the same rule as the closure
+/// ([`siro_ir::infer::callee_type`]).
 #[derive(Debug, Clone)]
 pub(crate) enum GetterOp {
     Operand(u32),
@@ -280,8 +283,9 @@ pub(crate) enum StepOp {
 /// out of the step results — no per-call argument vector, no `ApiValue`
 /// clones (list arguments are *copied element-wise* into the operand vector
 /// instead of cloning the list and extending from it), no dynamic dispatch.
-/// Each variant replicates the corresponding `siro_api` builder closure
-/// exactly, including result-type inference and error strings.
+/// Each variant matches the corresponding `siro_api` builder closure
+/// exactly, including error strings; result types come from the rules
+/// both call ([`siro_ir::infer`]).
 ///
 /// Name-based binding is sound for builders because each builder name is
 /// registered once per registry (signatures differ across target versions,
@@ -729,7 +733,7 @@ fn step_regs(step: &StepOp, out: &mut Vec<Reg>) {
 /// across another translating step could renumber them. The peephole
 /// therefore requires every intervening step to be a literal or a
 /// non-interning getter. Within the builder, fused translation runs
-/// *before* result-type inference (`callee_fn_type` / `gep_result`),
+/// *before* result-type inference (`infer::callee_ret` / `infer::gep_result`),
 /// preserving both error precedence and target-table interning order.
 fn fuse_lists(steps: &mut [StepOp]) {
     let Some(bi) = steps.len().checked_sub(1) else {
@@ -826,9 +830,10 @@ fn fuse_lists(steps: &mut [StepOp]) {
 // Soundness splits into two one-sided obligations:
 //
 // * **Success path**: a template only exists when the symbolic walk proved
-//   every register feeding the final builder, and its runtime replicates
-//   the builder's exact result construction — so when all checks pass, the
-//   emitted instruction is byte-identical to the stream's by construction.
+//   every register feeding the final builder, and its runtime performs
+//   the builder's exact result construction through the same
+//   `siro_ir::infer` rules — so when all checks pass, the emitted
+//   instruction is byte-identical to the stream's by construction.
 // * **Failure path**: the template never produces an error of its own; any
 //   failed check returns `None`, the mirror pass aborts with the module
 //   pristine, and the push driver re-runs from scratch — reproducing the
@@ -1125,17 +1130,10 @@ pub(crate) trait ExecEnv {
     fn translate_value(&mut self, v: ValueRef) -> ApiResult<ValueRef>;
     fn translate_block(&mut self, b: BlockId) -> ApiResult<BlockId>;
     fn translate_type(&mut self, t: TypeId) -> TypeId;
-    fn src_value_type(&self, v: ValueRef) -> Option<TypeId>;
-    fn src_func(&self, f: FuncId) -> &Function;
-    fn src_asm_ty(&self, a: AsmId) -> TypeId;
-    fn src_types(&self) -> &TypeTable;
-    fn src_types_mut(&mut self) -> &mut TypeTable;
-    fn tgt_value_type(&self, v: ValueRef) -> Option<TypeId>;
-    fn tgt_types(&self) -> &TypeTable;
-    fn tgt_types_mut(&mut self) -> &mut TypeTable;
-    fn tgt_global_ty(&self, g: GlobalId) -> TypeId;
-    fn tgt_func_ret(&self, f: FuncId) -> TypeId;
-    fn tgt_asm_ty(&self, a: AsmId) -> TypeId;
+    /// The source side, as the result-type rules read it.
+    fn src(&mut self) -> impl Scope + '_;
+    /// The target side, as the result-type rules read it.
+    fn tgt(&mut self) -> impl Scope + '_;
     fn build(&mut self, inst: Instruction) -> ApiResult<ValueRef>;
     /// Calls a pre-resolved registry function (`PredOp::Slow`,
     /// `StepOp::Call`). Only the push mode supports this; the mirror
@@ -1153,38 +1151,11 @@ impl ExecEnv for TranslationCtx<'_> {
     fn translate_type(&mut self, t: TypeId) -> TypeId {
         TranslationCtx::translate_type(self, t)
     }
-    fn src_value_type(&self, v: ValueRef) -> Option<TypeId> {
-        TranslationCtx::src_value_type(self, v)
+    fn src(&mut self) -> impl Scope + '_ {
+        self.src_scope()
     }
-    fn src_func(&self, f: FuncId) -> &Function {
-        self.src.func(f)
-    }
-    fn src_asm_ty(&self, a: AsmId) -> TypeId {
-        self.src.asm(a).ty
-    }
-    fn src_types(&self) -> &TypeTable {
-        &self.src_types
-    }
-    fn src_types_mut(&mut self) -> &mut TypeTable {
-        &mut self.src_types
-    }
-    fn tgt_value_type(&self, v: ValueRef) -> Option<TypeId> {
-        TranslationCtx::tgt_value_type(self, v)
-    }
-    fn tgt_types(&self) -> &TypeTable {
-        &self.tgt.types
-    }
-    fn tgt_types_mut(&mut self) -> &mut TypeTable {
-        &mut self.tgt.types
-    }
-    fn tgt_global_ty(&self, g: GlobalId) -> TypeId {
-        self.tgt.global(g).ty
-    }
-    fn tgt_func_ret(&self, f: FuncId) -> TypeId {
-        self.tgt.func(f).ret_ty
-    }
-    fn tgt_asm_ty(&self, a: AsmId) -> TypeId {
-        self.tgt.asm(a).ty
+    fn tgt(&mut self) -> impl Scope + '_ {
+        self.tgt_scope()
     }
     fn build(&mut self, inst: Instruction) -> ApiResult<ValueRef> {
         TranslationCtx::build(self, inst)
@@ -1237,53 +1208,14 @@ impl ExecEnv for MirrorEnv<'_> {
     fn translate_type(&mut self, t: TypeId) -> TypeId {
         t
     }
-    fn src_value_type(&self, v: ValueRef) -> Option<TypeId> {
-        // `Module::value_type` + the ctx's global case, against the
-        // current function.
-        match v {
-            ValueRef::Global(g) => Some(self.globals[g.index()].ty),
-            ValueRef::Inst(i) => Some(self.func.inst(i).ty),
-            ValueRef::Arg(a) => self.func.params.get(a as usize).map(|p| p.ty),
-            ValueRef::ConstInt { ty, .. }
-            | ValueRef::ConstFloat { ty, .. }
-            | ValueRef::Null(ty)
-            | ValueRef::Undef(ty)
-            | ValueRef::ZeroInit(ty) => Some(ty),
-            _ => None,
-        }
+    // Source and target are the same module; instructions not yet
+    // rewritten still carry the right type (result types are semantic,
+    // version differences live in operands/attrs).
+    fn src(&mut self) -> impl Scope + '_ {
+        self
     }
-    fn src_func(&self, f: FuncId) -> &Function {
-        &self.funcs[f.index()]
-    }
-    fn src_asm_ty(&self, a: AsmId) -> TypeId {
-        self.asms[a.index()].ty
-    }
-    fn src_types(&self) -> &TypeTable {
-        self.types
-    }
-    fn src_types_mut(&mut self) -> &mut TypeTable {
-        self.types
-    }
-    fn tgt_value_type(&self, v: ValueRef) -> Option<TypeId> {
-        // Source and target are the same module; instructions not yet
-        // rewritten still carry the right type (result types are semantic,
-        // version differences live in operands/attrs).
-        ExecEnv::src_value_type(self, v)
-    }
-    fn tgt_types(&self) -> &TypeTable {
-        self.types
-    }
-    fn tgt_types_mut(&mut self) -> &mut TypeTable {
-        self.types
-    }
-    fn tgt_global_ty(&self, g: GlobalId) -> TypeId {
-        self.globals[g.index()].ty
-    }
-    fn tgt_func_ret(&self, f: FuncId) -> TypeId {
-        self.funcs[f.index()].ret_ty
-    }
-    fn tgt_asm_ty(&self, a: AsmId) -> TypeId {
-        self.asms[a.index()].ty
+    fn tgt(&mut self) -> impl Scope + '_ {
+        self
     }
     fn build(&mut self, inst: Instruction) -> ApiResult<ValueRef> {
         debug_assert!(self.out.is_none(), "mirror arm built twice");
@@ -1297,17 +1229,52 @@ impl ExecEnv for MirrorEnv<'_> {
     }
 }
 
+/// The same-module lookup: `Module::value_type` plus the global case,
+/// against the function being mirrored.
+impl Scope for MirrorEnv<'_> {
+    #[inline]
+    fn value_type(&self, v: ValueRef) -> Option<TypeId> {
+        match v {
+            ValueRef::Global(g) => Some(self.globals[g.index()].ty),
+            ValueRef::Inst(i) => Some(self.func.inst(i).ty),
+            ValueRef::Arg(a) => self.func.params.get(a as usize).map(|p| p.ty),
+            ValueRef::ConstInt { ty, .. }
+            | ValueRef::ConstFloat { ty, .. }
+            | ValueRef::Null(ty)
+            | ValueRef::Undef(ty)
+            | ValueRef::ZeroInit(ty) => Some(ty),
+            _ => None,
+        }
+    }
+    #[inline]
+    fn func(&self, f: FuncId) -> &Function {
+        &self.funcs[f.index()]
+    }
+    #[inline]
+    fn asm_ty(&self, a: AsmId) -> TypeId {
+        self.asms[a.index()].ty
+    }
+    #[inline]
+    fn types(&self) -> &TypeTable {
+        self.types
+    }
+    #[inline]
+    fn types_mut(&mut self) -> &mut TypeTable {
+        self.types
+    }
+}
+
 // ---- Mirror template runtime ----------------------------------------------
 //
 // Executes a derived [`MirrorTmpl`] against the borrowed instruction: the
-// same checks and the same result construction as the arm's stream form
-// under mirror semantics, minus the step machine. `None` anywhere means
-// "bail": the mirror pass aborts and the push driver reproduces the exact
-// stream-tier outcome on the pristine module.
+// same checks and the same result-type rules (`siro_ir::infer`, errors
+// mapped with `.ok()`) as the arm's stream form under mirror semantics,
+// minus the step machine. `None` anywhere means "bail": the mirror pass
+// aborts and the push driver reproduces the exact stream-tier outcome on
+// the pristine module.
 //
-// The runtime is phrased as free functions over the module's destructured
-// pieces (not [`MirrorEnv`] methods) so the commit pass can call it while
-// holding the function arena mutably.
+// The commit pass, which holds the function arena mutably between
+// instructions, builds a [`MirrorEnv`] per instruction to call it.
 
 /// Fetches one recipe value with its chain's checks (bounds, block
 /// rejection, placeholder rejection).
@@ -1339,88 +1306,14 @@ fn tmpl_val(inst: &Instruction, v: TmplVal) -> Option<ValueRef> {
     }
 }
 
-/// `b_want_type` under mirror semantics, as an `Option` (`None` bails).
-#[inline]
-fn tmpl_want_ty(func: &Function, v: ValueRef) -> Option<TypeId> {
-    match v {
-        ValueRef::Inst(i) => Some(func.inst(i).ty),
-        ValueRef::Arg(a) => func.params.get(a as usize).map(|p| p.ty),
-        ValueRef::ConstInt { ty, .. }
-        | ValueRef::ConstFloat { ty, .. }
-        | ValueRef::Null(ty)
-        | ValueRef::Undef(ty)
-        | ValueRef::ZeroInit(ty) => Some(ty),
-        // `Global`/`Func` are rejected by `b_want_type` itself ("address
-        // value needs explicit type"); the rest have no table type.
-        _ => None,
-    }
-}
-
-/// `b_fn_ret` as an `Option`.
-#[inline]
-fn tmpl_fn_ret(types: &TypeTable, ty: TypeId) -> Option<TypeId> {
-    match types.get(ty) {
-        Type::Func { ret, .. } => Some(*ret),
-        _ => None,
-    }
-}
-
-/// `b_callee_ret` under mirror semantics.
-fn tmpl_callee_ret(
-    funcs: &[Function],
-    globals: &[Global],
-    asms: &[InlineAsm],
-    types: &TypeTable,
-    func: &Function,
-    callee: ValueRef,
-) -> Option<TypeId> {
-    match callee {
-        ValueRef::Func(f) => Some(funcs[f.index()].ret_ty),
-        ValueRef::InlineAsm(a) => tmpl_fn_ret(types, asms[a.index()].ty),
-        other => {
-            // The untyped-callee lookup goes through `tgt_value_type`,
-            // which *does* resolve globals.
-            let ty = match other {
-                ValueRef::Global(g) => globals[g.index()].ty,
-                v => tmpl_want_ty(func, v)?,
-            };
-            match types.get(ty) {
-                Type::Ptr { pointee, .. } => tmpl_fn_ret(types, *pointee),
-                Type::Func { .. } => tmpl_fn_ret(types, ty),
-                _ => None,
-            }
-        }
-    }
-}
-
-/// `b_cmp_result_ty` under mirror semantics.
-fn tmpl_cmp_ty(types: &mut TypeTable, func: &Function, a: ValueRef, b: ValueRef) -> Option<TypeId> {
-    let ty = tmpl_want_ty(func, a).or_else(|| tmpl_want_ty(func, b))?;
-    let vec_len = match types.get(ty) {
-        Type::Vector { len, .. } => Some(*len),
-        _ => None,
-    };
-    Some(match vec_len {
-        Some(len) => {
-            let i1 = types.i1();
-            types.vector(i1, len)
-        }
-        None => types.i1(),
-    })
-}
-
 /// Runs one rewrite template, producing the replacement instruction's
 /// parts: opcode, result type, attributes, and the operand vector (written
-/// into the reusable `ops` buffer). `None` anywhere bails the mirror pass.
-#[allow(clippy::too_many_arguments)] // one template, one module cross-section
+/// into the reusable `ops` buffer). `None` anywhere bails the mirror pass:
+/// the shared rules' errors map to `None`.
 fn tmpl_parts(
     t: &MirrorTmpl,
     inst: &Instruction,
-    func: &Function,
-    funcs: &[Function],
-    globals: &[Global],
-    asms: &[InlineAsm],
-    types: &mut TypeTable,
+    env: &mut MirrorEnv<'_>,
     ops: &mut Vec<ValueRef>,
 ) -> Option<(Opcode, TypeId, InstAttrs)> {
     use MirrorTmpl as T;
@@ -1429,13 +1322,13 @@ fn tmpl_parts(
     let (op, ty) = match t {
         T::Ret(r) => {
             ops.push(tmpl_val(inst, *r)?);
-            (Opcode::Ret, types.void())
+            (Opcode::Ret, env.types.void())
         }
-        T::RetVoid => (Opcode::Ret, types.void()),
+        T::RetVoid => (Opcode::Ret, env.types.void()),
         T::Br(TmplBlock::Successor(i)) => {
             let bl = *inst.successors().get(*i as usize)?;
             ops.push(ValueRef::Block(bl));
-            (Opcode::Br, types.void())
+            (Opcode::Br, env.types.void())
         }
         T::CondBr(c, TmplBlock::Successor(ti), TmplBlock::Successor(fi)) => {
             let c = tmpl_val(inst, *c)?;
@@ -1443,13 +1336,13 @@ fn tmpl_parts(
             let tb = *succs.get(*ti as usize)?;
             let fb = *succs.get(*fi as usize)?;
             ops.extend([c, ValueRef::Block(tb), ValueRef::Block(fb)]);
-            (Opcode::Br, types.void())
+            (Opcode::Br, env.types.void())
         }
-        T::Unreachable => (Opcode::Unreachable, types.void()),
+        T::Unreachable => (Opcode::Unreachable, env.types.void()),
         T::Bin { op, a, b } => {
             let av = tmpl_val(inst, *a)?;
             let bv = tmpl_val(inst, *b)?;
-            let ty = tmpl_want_ty(func, av).or_else(|| tmpl_want_ty(func, bv))?;
+            let ty = infer::shared_operand_type(env, av, bv).ok()?;
             ops.extend([av, bv]);
             (*op, ty)
         }
@@ -1459,14 +1352,7 @@ fn tmpl_parts(
         }
         T::LoadImplicit { ptr } => {
             let p = tmpl_val(inst, *ptr)?;
-            let pty = match p {
-                ValueRef::Global(g) => {
-                    let t = globals[g.index()].ty;
-                    types.ptr(t)
-                }
-                _ => tmpl_want_ty(func, p)?,
-            };
-            let ty = types.pointee(pty)?;
+            let ty = infer::load_type(env, p).ok()?;
             attrs.gep_source_ty = Some(ty);
             ops.push(p);
             (Opcode::Load, ty)
@@ -1480,7 +1366,7 @@ fn tmpl_parts(
             let v = tmpl_val(inst, *v)?;
             let p = tmpl_val(inst, *p)?;
             ops.extend([v, p]);
-            (Opcode::Store, types.void())
+            (Opcode::Store, env.types.void())
         }
         T::CallImplicit { callee } => {
             let c = tmpl_val(inst, *callee)?;
@@ -1491,7 +1377,7 @@ fn tmpl_parts(
                 }
                 ops.push(a);
             }
-            let ret = tmpl_callee_ret(funcs, globals, asms, types, func, c)?;
+            let ret = infer::callee_ret(env, c).ok()?;
             attrs.num_args = (ops.len() - 1) as u32;
             attrs.callee_ty = None;
             (Opcode::Call, ret)
@@ -1505,25 +1391,8 @@ fn tmpl_parts(
                 }
                 ops.push(a);
             }
-            let pty = match b {
-                ValueRef::Global(g) => {
-                    let t = globals[g.index()].ty;
-                    types.ptr(t)
-                }
-                _ => tmpl_want_ty(func, b)?,
-            };
-            let src_ty = types.pointee(pty)?;
-            // `b_gep_result`: walk the indices (minus the leading one)
-            // through the pointee structure.
-            let mut cur = src_ty;
-            for idx in ops[1..].iter().skip(1) {
-                cur = match types.get(cur) {
-                    Type::Array { elem, .. } | Type::Vector { elem, .. } => *elem,
-                    Type::Struct { fields } => *fields.get(idx.as_int()? as usize)?,
-                    _ => return None,
-                };
-            }
-            let rty = types.ptr(cur);
+            let src_ty = infer::gep_source_type(env, b).ok()?;
+            let rty = infer::gep_result(env.types, src_ty, &ops[1..]).ok()?;
             attrs.gep_source_ty = Some(src_ty);
             (Opcode::GetElementPtr, rty)
         }
@@ -1531,7 +1400,7 @@ fn tmpl_parts(
             let pred = inst.attrs.int_pred?;
             let av = tmpl_val(inst, *a)?;
             let bv = tmpl_val(inst, *b)?;
-            let rty = tmpl_cmp_ty(types, func, av, bv)?;
+            let rty = infer::cmp_type(env, av, bv).ok()?;
             attrs.int_pred = Some(pred);
             ops.extend([av, bv]);
             (Opcode::ICmp, rty)
@@ -1540,7 +1409,7 @@ fn tmpl_parts(
             let pred = inst.attrs.float_pred?;
             let av = tmpl_val(inst, *a)?;
             let bv = tmpl_val(inst, *b)?;
-            let rty = tmpl_cmp_ty(types, func, av, bv)?;
+            let rty = infer::cmp_type(env, av, bv).ok()?;
             attrs.float_pred = Some(pred);
             ops.extend([av, bv]);
             (Opcode::FCmp, rty)
@@ -1549,19 +1418,19 @@ fn tmpl_parts(
             let c = tmpl_val(inst, *c)?;
             let t = tmpl_val(inst, *t)?;
             let f = tmpl_val(inst, *f)?;
-            let ty = tmpl_want_ty(func, t).or_else(|| tmpl_want_ty(func, f))?;
+            let ty = infer::shared_operand_type(env, t, f).ok()?;
             ops.extend([c, t, f]);
             (Opcode::Select, ty)
         }
         T::FNeg(r) => {
             let v = tmpl_val(inst, *r)?;
-            let ty = tmpl_want_ty(func, v)?;
+            let ty = infer::operand_type(env, v).ok()?;
             ops.push(v);
             (Opcode::FNeg, ty)
         }
         T::Freeze(r) => {
             let v = tmpl_val(inst, *r)?;
-            let ty = tmpl_want_ty(func, v)?;
+            let ty = infer::operand_type(env, v).ok()?;
             ops.push(v);
             (Opcode::Freeze, ty)
         }
@@ -1574,16 +1443,7 @@ impl MirrorEnv<'_> {
     /// replacement instruction (the buffered driver's form).
     fn exec_tmpl(&mut self, t: &MirrorTmpl, inst: &Instruction) -> Option<Instruction> {
         let mut ops = Vec::new();
-        let (op, ty, attrs) = tmpl_parts(
-            t,
-            inst,
-            self.func,
-            self.funcs,
-            self.globals,
-            self.asms,
-            self.types,
-            &mut ops,
-        )?;
+        let (op, ty, attrs) = tmpl_parts(t, inst, self, &mut ops)?;
         let mut out = Instruction::new(op, ty, ops);
         out.attrs = attrs;
         Some(out)
@@ -1591,7 +1451,8 @@ impl MirrorEnv<'_> {
 }
 
 /// Executes one getter micro-op against the borrowed instruction. Bodies
-/// and error strings mirror `siro_api`'s getter closures one-to-one.
+/// and error strings match `siro_api`'s getter closures; `get_callee_type`
+/// calls the rule the closure calls.
 fn exec_getter<E: ExecEnv>(op: &GetterOp, ctx: &mut E, inst: &Instruction) -> ApiResult<ApiValue> {
     use GetterOp::*;
     const S: Side = Side::Source;
@@ -1613,7 +1474,8 @@ fn exec_getter<E: ExecEnv>(op: &GetterOp, ctx: &mut E, inst: &Instruction) -> Ap
                 .operands
                 .get(i)
                 .ok_or_else(|| ApiError::OutOfRange(format!("operand {i}")))?;
-            ctx.src_value_type(v)
+            ctx.src()
+                .value_type(v)
                 .map(ApiValue::SrcType)
                 .ok_or_else(|| ApiError::Type("operand has no table type".into()))?
         }
@@ -1670,7 +1532,13 @@ fn exec_getter<E: ExecEnv>(op: &GetterOp, ctx: &mut E, inst: &Instruction) -> Ap
             _ => return Err(ApiError::WrongSubKind("indirect call".into())),
         },
         Arguments => ApiValue::Values(S, inst.call_args().to_vec()),
-        CalleeType => exec_callee_type(ctx, inst)?,
+        CalleeType => {
+            let callee = inst
+                .callee()
+                .ok_or_else(|| ApiError::Type("no callee".into()))?;
+            let ty = infer::callee_type(&mut ctx.src(), callee, inst.ty, inst.call_args())?;
+            ApiValue::SrcType(ty)
+        }
         NormalDest => inst
             .successors()
             .first()
@@ -1751,57 +1619,6 @@ fn exec_getter<E: ExecEnv>(op: &GetterOp, ctx: &mut E, inst: &Instruction) -> Ap
     })
 }
 
-/// `get_callee_type`, the one non-trivial getter: rebuilds function types
-/// through opaque pointers, interning into the scratch source type table —
-/// replicated from the registry closure verbatim.
-fn exec_callee_type<E: ExecEnv>(ctx: &mut E, inst: &Instruction) -> ApiResult<ApiValue> {
-    match inst.callee() {
-        Some(ValueRef::Func(fid)) => {
-            let f = ctx.src_func(fid);
-            let (ret, params, varargs) = (
-                f.ret_ty,
-                f.params.iter().map(|p| p.ty).collect::<Vec<_>>(),
-                f.varargs,
-            );
-            let ty = if varargs {
-                ctx.src_types_mut().func_varargs(ret, params)
-            } else {
-                ctx.src_types_mut().func(ret, params)
-            };
-            Ok(ApiValue::SrcType(ty))
-        }
-        Some(ValueRef::InlineAsm(a)) => Ok(ApiValue::SrcType(ctx.src_asm_ty(a))),
-        Some(v) => {
-            let ty = ctx
-                .src_value_type(v)
-                .ok_or_else(|| ApiError::Type("untyped callee".into()))?;
-            // Copy the shape out before touching the env again (the match
-            // scrutinee would otherwise hold the table borrow).
-            let pointee = match ctx.src_types().get(ty) {
-                Type::Ptr { pointee, .. } => Some(*pointee),
-                Type::Func { .. } => return Ok(ApiValue::SrcType(ty)),
-                _ => None,
-            };
-            let Some(pointee) = pointee else {
-                return Err(ApiError::Type("callee is not a function pointer".into()));
-            };
-            if matches!(ctx.src_types().get(pointee), Type::Func { .. }) {
-                return Ok(ApiValue::SrcType(pointee));
-            }
-            let params = inst
-                .call_args()
-                .iter()
-                .map(|&a| {
-                    ctx.src_value_type(a)
-                        .ok_or_else(|| ApiError::Type("untyped call argument".into()))
-                })
-                .collect::<ApiResult<Vec<_>>>()?;
-            Ok(ApiValue::SrcType(ctx.src_types_mut().func(inst.ty, params)))
-        }
-        None => Err(ApiError::Type("no callee".into())),
-    }
-}
-
 /// Resolves a register to the value it names.
 #[inline]
 fn reg_ref<'a>(r: Reg, results: &'a [ApiValue], input: &'a ApiValue) -> &'a ApiValue {
@@ -1818,10 +1635,11 @@ fn type_err(msg: &str) -> TranslateError {
 
 // ---- Builder micro-op execution -------------------------------------------
 //
-// These helpers replicate `siro_api`'s builder argument extractors and
-// result-type inference one-to-one (same match structure, same error
-// strings). The `i` parameter is the argument's position in the builder's
-// signature, so positional error messages match the interpreter's.
+// These helpers match `siro_api`'s builder argument extractors (same match
+// structure, same error strings), and result types come from the rules the
+// builders call (`siro_ir::infer`). The `i` parameter is the argument's
+// position in the builder's signature, so positional error messages match
+// the interpreter's.
 
 #[inline]
 fn b_value(r: Reg, i: usize, results: &[ApiValue], input: &ApiValue) -> ApiResult<ValueRef> {
@@ -1934,87 +1752,6 @@ fn gep_ops<E: ExecEnv>(
     })
 }
 
-/// `want_type`: the static type of a target value, required.
-fn b_want_type<E: ExecEnv>(ctx: &E, v: ValueRef) -> ApiResult<TypeId> {
-    match v {
-        ValueRef::Global(_) | ValueRef::Func(_) => {
-            Err(ApiError::Type("address value needs explicit type".into()))
-        }
-        _ => ctx
-            .tgt_value_type(v)
-            .ok_or_else(|| ApiError::Type("operand type unknown".into())),
-    }
-}
-
-/// The return type behind a target function type (`fn_parts`, return slot).
-fn b_fn_ret(types: &TypeTable, ty: TypeId) -> ApiResult<TypeId> {
-    match types.get(ty) {
-        Type::Func { ret, .. } => Ok(*ret),
-        _ => Err(ApiError::Type("expected function type".into())),
-    }
-}
-
-/// The return type behind a target callee value (`callee_fn_type`, return
-/// slot only — the parameter list the original computes is unused by its
-/// callers).
-fn b_callee_ret<E: ExecEnv>(ctx: &E, callee: ValueRef) -> ApiResult<TypeId> {
-    match callee {
-        ValueRef::Func(fid) => Ok(ctx.tgt_func_ret(fid)),
-        ValueRef::InlineAsm(a) => b_fn_ret(ctx.tgt_types(), ctx.tgt_asm_ty(a)),
-        other => {
-            let ty = ctx
-                .tgt_value_type(other)
-                .ok_or_else(|| ApiError::Type("untyped callee".into()))?;
-            match ctx.tgt_types().get(ty) {
-                Type::Ptr { pointee, .. } => b_fn_ret(ctx.tgt_types(), *pointee),
-                Type::Func { .. } => b_fn_ret(ctx.tgt_types(), ty),
-                _ => Err(ApiError::Type("callee is not callable".into())),
-            }
-        }
-    }
-}
-
-/// `gep_result`: walks the indices through the pointee structure.
-fn b_gep_result<E: ExecEnv>(
-    ctx: &mut E,
-    src_ty: TypeId,
-    indices: &[ValueRef],
-) -> ApiResult<TypeId> {
-    let mut cur = src_ty;
-    for idx in indices.iter().skip(1) {
-        cur = match ctx.tgt_types().get(cur) {
-            Type::Array { elem, .. } | Type::Vector { elem, .. } => *elem,
-            Type::Struct { fields } => {
-                let i = idx
-                    .as_int()
-                    .ok_or_else(|| ApiError::Type("struct gep index must be constant".into()))?
-                    as usize;
-                *fields
-                    .get(i)
-                    .ok_or_else(|| ApiError::OutOfRange("struct field".into()))?
-            }
-            _ => return Err(ApiError::Type("gep through scalar".into())),
-        };
-    }
-    Ok(ctx.tgt_types_mut().ptr(cur))
-}
-
-/// `cmp_result_ty`: `i1`, vectorized when the operands are vectors.
-fn b_cmp_result_ty<E: ExecEnv>(ctx: &mut E, a: ValueRef, b: ValueRef) -> ApiResult<TypeId> {
-    let ty = b_want_type(ctx, a).or_else(|_| b_want_type(ctx, b))?;
-    let vec_len = match ctx.tgt_types().get(ty) {
-        Type::Vector { len, .. } => Some(*len),
-        _ => None,
-    };
-    Ok(match vec_len {
-        Some(len) => {
-            let i1 = ctx.tgt_types_mut().i1();
-            ctx.tgt_types_mut().vector(i1, len)
-        }
-        None => ctx.tgt_types_mut().i1(),
-    })
-}
-
 /// Executes one builder micro-op: arguments straight from the step results,
 /// operands copied element-wise into a right-sized vector, one direct
 /// `ctx.build`. `inst` is the source instruction, read by fused list
@@ -2030,16 +1767,16 @@ fn exec_build<E: ExecEnv>(
     match b {
         B::Ret(r) => {
             let v = b_value(*r, 0, results, input)?;
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(Opcode::Ret, void, vec![v]))
         }
         B::RetVoid => {
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(Opcode::Ret, void, vec![]))
         }
         B::Br(r) => {
             let bl = b_block(*r, 0, results, input)?;
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(
                 Opcode::Br,
                 void,
@@ -2050,7 +1787,7 @@ fn exec_build<E: ExecEnv>(
             let c = b_value(*c, 0, results, input)?;
             let t = b_block(*t, 1, results, input)?;
             let f = b_block(*f, 2, results, input)?;
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(
                 Opcode::Br,
                 void,
@@ -2064,7 +1801,7 @@ fn exec_build<E: ExecEnv>(
                 ApiValue::Cases(Side::Target, cs) => cs,
                 _ => return Err(ApiError::Type("expected target cases".into())),
             };
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             let mut ops = Vec::with_capacity(2 + cs.len() * 2);
             ops.push(v);
             ops.push(ValueRef::Block(def));
@@ -2077,7 +1814,7 @@ fn exec_build<E: ExecEnv>(
         B::CallImplicit { callee, args } => {
             let callee = b_value(*callee, 0, results, input)?;
             let ops = call_ops(ctx, inst, callee, args, 1, results, input)?;
-            let ret = b_callee_ret(ctx, callee)?;
+            let ret = infer::callee_ret(&ctx.tgt(), callee)?;
             let n = (ops.len() - 1) as u32;
             let mut out = Instruction::new(Opcode::Call, ret, ops);
             out.attrs.num_args = n;
@@ -2088,7 +1825,7 @@ fn exec_build<E: ExecEnv>(
             let fnty = b_type(*fnty, 0, results, input)?;
             let callee = b_value(*callee, 1, results, input)?;
             let ops = call_ops(ctx, inst, callee, args, 2, results, input)?;
-            let ret = b_fn_ret(ctx.tgt_types(), fnty)?;
+            let ret = infer::fn_ret(ctx.tgt().types(), fnty)?;
             let n = (ops.len() - 1) as u32;
             let mut out = Instruction::new(Opcode::Call, ret, ops);
             out.attrs.num_args = n;
@@ -2096,23 +1833,23 @@ fn exec_build<E: ExecEnv>(
             ctx.build(out)
         }
         B::Unreachable => {
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(Opcode::Unreachable, void, vec![]))
         }
         B::Bin { op, a, b } => {
             let av = b_value(*a, 0, results, input)?;
             let bv = b_value(*b, 1, results, input)?;
-            let ty = b_want_type(ctx, av).or_else(|_| b_want_type(ctx, bv))?;
+            let ty = infer::shared_operand_type(&ctx.tgt(), av, bv)?;
             ctx.build(Instruction::new(*op, ty, vec![av, bv]))
         }
         B::FNeg(r) => {
             let v = b_value(*r, 0, results, input)?;
-            let ty = b_want_type(ctx, v)?;
+            let ty = infer::operand_type(&ctx.tgt(), v)?;
             ctx.build(Instruction::new(Opcode::FNeg, ty, vec![v]))
         }
         B::Alloca(r) => {
             let ty = b_type(*r, 0, results, input)?;
-            let ptr = ctx.tgt_types_mut().ptr(ty);
+            let ptr = ctx.tgt().types_mut().ptr(ty);
             let mut inst = Instruction::new(Opcode::Alloca, ptr, vec![]);
             inst.attrs.alloc_ty = Some(ty);
             ctx.build(inst)
@@ -2126,17 +1863,7 @@ fn exec_build<E: ExecEnv>(
         }
         B::LoadImplicit { ptr } => {
             let p = b_value(*ptr, 0, results, input)?;
-            let pty = match p {
-                ValueRef::Global(g) => {
-                    let t = ctx.tgt_global_ty(g);
-                    ctx.tgt_types_mut().ptr(t)
-                }
-                _ => b_want_type(ctx, p)?,
-            };
-            let ty = ctx
-                .tgt_types()
-                .pointee(pty)
-                .ok_or_else(|| ApiError::Type("load from non-pointer".into()))?;
+            let ty = infer::load_type(&mut ctx.tgt(), p)?;
             let mut inst = Instruction::new(Opcode::Load, ty, vec![p]);
             inst.attrs.gep_source_ty = Some(ty);
             ctx.build(inst)
@@ -2144,14 +1871,14 @@ fn exec_build<E: ExecEnv>(
         B::Store { v, p } => {
             let v = b_value(*v, 0, results, input)?;
             let p = b_value(*p, 1, results, input)?;
-            let void = ctx.tgt_types_mut().void();
+            let void = ctx.tgt().types_mut().void();
             ctx.build(Instruction::new(Opcode::Store, void, vec![v, p]))
         }
         B::GepExplicit { ty, base, idx } => {
             let src_ty = b_type(*ty, 0, results, input)?;
             let base = b_value(*base, 1, results, input)?;
             let ops = gep_ops(ctx, inst, base, idx, 2, results, input)?;
-            let rty = b_gep_result(ctx, src_ty, &ops[1..])?;
+            let rty = infer::gep_result(ctx.tgt().types_mut(), src_ty, &ops[1..])?;
             let mut out = Instruction::new(Opcode::GetElementPtr, rty, ops);
             out.attrs.gep_source_ty = Some(src_ty);
             ctx.build(out)
@@ -2159,18 +1886,8 @@ fn exec_build<E: ExecEnv>(
         B::GepImplicit { base, idx } => {
             let base = b_value(*base, 0, results, input)?;
             let ops = gep_ops(ctx, inst, base, idx, 1, results, input)?;
-            let pty = match base {
-                ValueRef::Global(g) => {
-                    let t = ctx.tgt_global_ty(g);
-                    ctx.tgt_types_mut().ptr(t)
-                }
-                _ => b_want_type(ctx, base)?,
-            };
-            let src_ty = ctx
-                .tgt_types()
-                .pointee(pty)
-                .ok_or_else(|| ApiError::Type("gep on non-pointer".into()))?;
-            let rty = b_gep_result(ctx, src_ty, &ops[1..])?;
+            let src_ty = infer::gep_source_type(&mut ctx.tgt(), base)?;
+            let rty = infer::gep_result(ctx.tgt().types_mut(), src_ty, &ops[1..])?;
             let mut out = Instruction::new(Opcode::GetElementPtr, rty, ops);
             out.attrs.gep_source_ty = Some(src_ty);
             ctx.build(out)
@@ -2187,7 +1904,7 @@ fn exec_build<E: ExecEnv>(
             };
             let av = b_value(*a, 1, results, input)?;
             let bv = b_value(*b, 2, results, input)?;
-            let rty = b_cmp_result_ty(ctx, av, bv)?;
+            let rty = infer::cmp_type(&mut ctx.tgt(), av, bv)?;
             let mut inst = Instruction::new(Opcode::ICmp, rty, vec![av, bv]);
             inst.attrs.int_pred = Some(pred);
             ctx.build(inst)
@@ -2199,7 +1916,7 @@ fn exec_build<E: ExecEnv>(
             };
             let av = b_value(*a, 1, results, input)?;
             let bv = b_value(*b, 2, results, input)?;
-            let rty = b_cmp_result_ty(ctx, av, bv)?;
+            let rty = infer::cmp_type(&mut ctx.tgt(), av, bv)?;
             let mut inst = Instruction::new(Opcode::FCmp, rty, vec![av, bv]);
             inst.attrs.float_pred = Some(pred);
             ctx.build(inst)
@@ -2221,12 +1938,12 @@ fn exec_build<E: ExecEnv>(
             let c = b_value(*c, 0, results, input)?;
             let t = b_value(*t, 1, results, input)?;
             let f = b_value(*f, 2, results, input)?;
-            let ty = b_want_type(ctx, t).or_else(|_| b_want_type(ctx, f))?;
+            let ty = infer::shared_operand_type(&ctx.tgt(), t, f)?;
             ctx.build(Instruction::new(Opcode::Select, ty, vec![c, t, f]))
         }
         B::Freeze(r) => {
             let v = b_value(*r, 0, results, input)?;
-            let ty = b_want_type(ctx, v)?;
+            let ty = infer::operand_type(&ctx.tgt(), v)?;
             ctx.build(Instruction::new(Opcode::Freeze, ty, vec![v]))
         }
     }
@@ -2881,9 +2598,7 @@ impl CompiledTranslator {
                             plan = MirrorPlan::Buffered;
                             continue;
                         };
-                        match tmpl_parts(
-                            t, inst, func, env.funcs, globals, asms, env.types, &mut ops,
-                        ) {
+                        match tmpl_parts(t, inst, &mut env, &mut ops) {
                             // A failed check means the stream form errors
                             // (or panics) on this instruction: only the
                             // pristine-module fallback reproduces that.
@@ -2929,8 +2644,16 @@ impl CompiledTranslator {
                     next += 1;
                     let (op, ty, attrs) = {
                         let func = &funcs[fi];
-                        let inst = func.inst(iid);
-                        match tmpl_parts(t, inst, func, funcs, globals, asms, types, &mut ops) {
+                        let mut env = MirrorEnv {
+                            funcs,
+                            globals,
+                            asms,
+                            types: &mut *types,
+                            func,
+                            cur: iid,
+                            out: None,
+                        };
+                        match tmpl_parts(t, func.inst(iid), &mut env, &mut ops) {
                             Some(parts) => parts,
                             None => unreachable!("validated mirror template failed on commit"),
                         }
