@@ -71,13 +71,13 @@ fn indices_arg(args: &[ApiValue], i: usize) -> ApiResult<Vec<u64>> {
     }
 }
 
-fn walk_agg_path(ctx: &mut TranslationCtx<'_>, mut ty: TypeId, path: &[u64]) -> ApiResult<TypeId> {
+fn walk_agg_path(ctx: &TranslationCtx<'_>, mut ty: TypeId, path: &[u64]) -> ApiResult<TypeId> {
     for &i in path {
-        ty = match ctx.tgt.types.get(ty).clone() {
+        ty = match ctx.tgt.types.get(ty) {
             Type::Struct { fields } => *fields
                 .get(i as usize)
                 .ok_or_else(|| ApiError::OutOfRange("aggregate index".into()))?,
-            Type::Array { elem, .. } => elem,
+            Type::Array { elem, .. } => *elem,
             _ => return Err(ApiError::Type("not an aggregate".into())),
         };
     }

@@ -46,6 +46,7 @@ pub mod builder;
 pub mod ctx;
 pub mod dialect;
 pub mod error;
+mod hash;
 pub mod infer;
 pub mod inst;
 pub mod interp;

@@ -31,12 +31,10 @@
 //! § "Reader" describes the contract and the golden that pins it.
 
 use std::borrow::Cow;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
-use std::sync::OnceLock;
 
 use crate::ctx::{OpVec, Ptr};
 use crate::error::{IrError, IrResult};
+use crate::hash::HashMap;
 use crate::infer;
 use crate::inst::{AtomicOrdering, FloatPredicate, InstAttrs, Instruction, IntPredicate, RmwOp};
 use crate::module::{Function, Global, GlobalInit, InlineAsm, Module, Param};
@@ -82,65 +80,6 @@ pub fn parse_module_as(text: &str, version: IrVersion) -> IrResult<Module> {
         .and_then(|r| r.strip_suffix('\''))
         .unwrap_or("parsed");
     Reader::new(text, Module::new(name, version)).read()
-}
-
-/// The reader's hash maps. Their keys are names from the request text,
-/// hashed by multiply-and-fold under a per-process random key: several
-/// times cheaper than SipHash on short names, and the key keeps request
-/// text from choosing colliding names in advance.
-type HashMap<K, V> = std::collections::HashMap<K, V, NameHash>;
-
-#[derive(Debug, Clone, Copy)]
-struct NameHash(u64);
-
-impl Default for NameHash {
-    fn default() -> Self {
-        static KEY: OnceLock<u64> = OnceLock::new();
-        NameHash(*KEY.get_or_init(|| RandomState::new().build_hasher().finish() | 1))
-    }
-}
-
-impl BuildHasher for NameHash {
-    type Hasher = NameHasher;
-
-    fn build_hasher(&self) -> NameHasher {
-        NameHasher {
-            acc: self.0,
-            key: self.0,
-        }
-    }
-}
-
-struct NameHasher {
-    acc: u64,
-    key: u64,
-}
-
-/// The 128-bit product of `x` and `y`, its halves folded together.
-fn fold_mul(x: u64, y: u64) -> u64 {
-    let p = u128::from(x) * u128::from(y);
-    (p as u64) ^ ((p >> 64) as u64)
-}
-
-impl Hasher for NameHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("eight bytes"));
-            self.acc = fold_mul(self.acc ^ w, self.key);
-        }
-        let tail = words.remainder().iter().rev();
-        let tail = tail.fold(0, |w, &b| (w << 8) | u64::from(b));
-        self.acc = fold_mul(self.acc ^ tail, self.key ^ bytes.len() as u64);
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.acc = fold_mul(self.acc ^ u64::from(b), self.key);
-    }
-
-    fn finish(&self) -> u64 {
-        self.acc
-    }
 }
 
 /// A keyword byte: `[a-zA-Z0-9_]`.
@@ -428,20 +367,14 @@ impl<'t> Reader<'t> {
     /// Resolves the `@` fix-ups and reports the first error in parse order.
     fn finish(mut self) -> IrResult<Module> {
         let limit = self.body_err.as_ref().map_or(u32::MAX, |(s, _)| *s);
-        if let Some(f) = self
-            .module_fixups
-            .iter()
-            .take_while(|f| f.seq < limit)
-            .find(|f| !self.symbols.contains_key(f.name))
-        {
-            return Err(f.error());
+        for f in self.module_fixups.iter().take_while(|f| f.seq < limit) {
+            let Some(v) = self.symbols.get(f.name).and_then(|s| s.value()) else {
+                return Err(f.error());
+            };
+            self.m.funcs[f.func].insts[f.inst].operands[f.op as usize] = v;
         }
         if let Some((_, e)) = self.body_err {
             return Err(e);
-        }
-        for f in &self.module_fixups {
-            let v = self.symbols[f.name].value().expect("a symbol has a value");
-            self.m.funcs[f.func].insts[f.inst].operands[f.op as usize] = v;
         }
         if self.shadowed_globals {
             let mut shadow = vec![None; self.m.globals.len()];

@@ -5,9 +5,8 @@
 //! differential-testing validation loop (Fig. 6): a per-test translator whose
 //! output fails verification is rejected without ever being executed.
 
-use std::collections::HashSet;
-
 use crate::error::{IrError, IrResult};
+use crate::hash::HashSet;
 use crate::inst::Instruction;
 use crate::module::{Function, Module};
 use crate::opcode::Opcode;
@@ -61,9 +60,11 @@ pub fn verify_module(module: &Module) -> IrResult<()> {
 
 /// Runs all checks and returns human-readable findings (empty = valid).
 pub fn collect_findings(module: &Module) -> Vec<String> {
+    let largest = module.funcs.iter().map(|f| f.insts.len()).max();
     let mut v = Verifier {
         module,
         findings: Vec::new(),
+        seen_inst: Vec::with_capacity(largest.unwrap_or(0)),
     };
     v.run();
     v.findings
@@ -72,6 +73,9 @@ pub fn collect_findings(module: &Module) -> Vec<String> {
 struct Verifier<'a> {
     module: &'a Module,
     findings: Vec<String>,
+    /// Whether each instruction of the function being checked sits in a
+    /// block, indexed by instruction id; one buffer serves every function.
+    seen_inst: Vec<bool>,
 }
 
 impl Verifier<'_> {
@@ -81,8 +85,10 @@ impl Verifier<'_> {
 
     fn run(&mut self) {
         let module = self.module;
-        let mut names: HashSet<&str> =
-            HashSet::with_capacity(module.funcs.len() + module.globals.len());
+        let mut names: HashSet<&str> = HashSet::with_capacity_and_hasher(
+            module.funcs.len() + module.globals.len(),
+            Default::default(),
+        );
         for f in &module.funcs {
             if !names.insert(&f.name) {
                 self.report(format!("duplicate function name `{}`", f.name));
@@ -109,9 +115,9 @@ impl Verifier<'_> {
             self.report(format!("function `{}` (#{idx}) has no blocks", f.name));
             return;
         }
-        // Indexed by instruction id; dangling ids are reported (and
-        // skipped) before this is read.
-        let mut seen_inst = vec![false; f.insts.len()];
+        // Dangling ids are reported (and skipped) before this is read.
+        self.seen_inst.clear();
+        self.seen_inst.resize(f.insts.len(), false);
         for (bi, block) in f.blocks.iter().enumerate() {
             let bid = BlockId::new(bi as u32);
             if block.insts.is_empty() {
@@ -123,7 +129,7 @@ impl Verifier<'_> {
                     self.report(format!("{}: dangling instruction id {:?}", f.name, iid));
                     continue;
                 }
-                if std::mem::replace(&mut seen_inst[iid.index()], true) {
+                if std::mem::replace(&mut self.seen_inst[iid.index()], true) {
                     self.report(format!(
                         "{}: instruction {:?} appears in more than one block",
                         f.name, iid
@@ -586,6 +592,53 @@ mod tests {
         f.inst_mut(crate::value::InstId::new(0)).operands[0] = ValueRef::Placeholder(9);
         let findings = collect_findings(&m);
         assert!(findings.iter().any(|s| s.contains("placeholder")));
+    }
+
+    #[test]
+    fn duplicate_names_are_reported() {
+        let mut m = valid_module();
+        let i32t = m.types.i32();
+        FuncBuilder::define(&mut m, "main", i32t, vec![]);
+        m.add_global(crate::module::Global {
+            name: "main".into(),
+            ty: i32t,
+            init: crate::module::GlobalInit::Zero,
+            is_const: false,
+        });
+        let findings = collect_findings(&m);
+        for expected in [
+            "duplicate function name `main`",
+            "duplicate symbol name `main`",
+        ] {
+            assert!(findings.iter().any(|s| s == expected), "{findings:?}");
+        }
+    }
+
+    /// One buffer of instruction marks serves every function: a function's
+    /// marks never count against the next one, and an instruction placed
+    /// in two blocks of one function is still caught.
+    #[test]
+    fn instruction_marks_start_clear_in_each_function() {
+        let mut m = valid_module();
+        let i32t = m.types.i32();
+        let f = FuncBuilder::define(&mut m, "other", i32t, vec![]);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let entry = b.add_block("entry");
+        let next = b.add_block("next");
+        b.position_at_end(entry);
+        let v = b.add(ValueRef::const_int(i32t, 3), ValueRef::const_int(i32t, 4));
+        b.br(next);
+        b.position_at_end(next);
+        b.ret(Some(v));
+        assert_eq!(collect_findings(&m), Vec::<String>::new());
+
+        let add = crate::value::InstId::new(0);
+        m.func_mut(f).blocks[next].insts.insert(0, add);
+        let findings = collect_findings(&m);
+        assert_eq!(
+            findings,
+            ["other: instruction InstId(0) appears in more than one block"]
+        );
     }
 
     #[test]

@@ -12,17 +12,22 @@
 //!
 //! The writer streams every fragment straight into one pre-sized output
 //! buffer: no per-instruction `format!` temporaries, no `Vec<String>` joins.
-//! A whole-module serialization performs O(1) allocator calls (the buffer
-//! plus the dense value-numbering scratch vector), which matters because
+//! Per-line fragments go in with `push_str`, not `core::fmt`: each type's
+//! text is rendered once per module and form (opaque or typed) into a side
+//! buffer and copied from there, and numbers are written by `push_u64`.
+//! `write!` stays on cold lines only: the module header, `c"…"` bytes,
+//! inline asm and float hex. A whole-module serialization performs O(1)
+//! allocator calls (the buffer, the dense value-numbering scratch vector,
+//! and one form's type text with its index), which matters because
 //! serialization sits on the per-request hot path of the serving tier.
 
 use std::fmt::Write as _;
 
-use crate::inst::Instruction;
+use crate::inst::{AtomicOrdering, FloatPredicate, Instruction, IntPredicate, RmwOp};
 use crate::module::{Function, GlobalInit, Module};
 use crate::opcode::Opcode;
-use crate::types::TypeId;
-use crate::value::{BlockId, ValueRef};
+use crate::types::{TypeId, TypeTable};
+use crate::value::{BlockId, InstId, ValueRef};
 use crate::version::IrVersion;
 
 /// Serializes `module` into its version's textual format.
@@ -38,9 +43,65 @@ pub fn write_module(module: &Module) -> String {
         v: module.version,
         out: String::with_capacity(est),
         value_numbers: Vec::new(),
+        typed: TypeTexts::default(),
+        opaque: TypeTexts::default(),
     };
     w.module();
     w.out
+}
+
+/// Appends `v` in decimal, without `core::fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `v` in decimal, without `core::fmt`.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// The text of each type in one form, rendered on the type's first use in
+/// the module and copied from here afterwards.
+#[derive(Default)]
+struct TypeTexts {
+    text: String,
+    /// `text[start..end]` for each [`TypeId`]; `end == 0` until rendered
+    /// (no type's text is empty).
+    spans: Vec<(usize, usize)>,
+}
+
+impl TypeTexts {
+    fn get(&mut self, types: &TypeTable, t: TypeId, opaque: bool) -> &str {
+        if self.spans.is_empty() {
+            self.spans.resize(types.len(), (0, 0));
+            self.text.reserve(16 * types.len());
+        }
+        let (mut start, mut end) = self.spans[t.index()];
+        if end == 0 {
+            start = self.text.len();
+            if opaque {
+                let _ = write!(self.text, "{}", types.display_opaque(t));
+            } else {
+                let _ = write!(self.text, "{}", types.display(t));
+            }
+            end = self.text.len();
+            self.spans[t.index()] = (start, end);
+        }
+        &self.text[start..end]
+    }
 }
 
 struct Writer<'a> {
@@ -51,6 +112,10 @@ struct Writer<'a> {
     /// slot (arena ids can have gaps after transformations; the textual
     /// form always numbers densely). `u32::MAX` marks "no number".
     value_numbers: Vec<u32>,
+    /// Type texts with pointers transparent.
+    typed: TypeTexts,
+    /// Type texts with pointers printed as opaque `ptr`.
+    opaque: TypeTexts,
 }
 
 const UNNUMBERED: u32 = u32::MAX;
@@ -63,31 +128,25 @@ impl Writer<'_> {
             self.out.push('\n');
         }
         for g in &self.m.globals {
-            let kw = if g.is_const { "constant" } else { "global" };
-            let _ = write!(self.out, "@{} = ", g.name);
+            self.symbol(&g.name);
+            self.out.push_str(" = ");
+            if matches!(g.init, GlobalInit::External) {
+                self.out.push_str("external ");
+            }
+            self.out
+                .push_str(if g.is_const { "constant " } else { "global " });
+            self.ty(g.ty);
             match &g.init {
-                GlobalInit::External => {
-                    let _ = write!(self.out, "external {kw} ");
-                    self.ty(g.ty);
-                }
-                GlobalInit::Zero => {
-                    let _ = write!(self.out, "{kw} ");
-                    self.ty(g.ty);
-                    self.out.push_str(" zeroinitializer");
-                }
+                GlobalInit::External => {}
+                GlobalInit::Zero => self.out.push_str(" zeroinitializer"),
                 GlobalInit::Int(v) => {
-                    let _ = write!(self.out, "{kw} ");
-                    self.ty(g.ty);
-                    let _ = write!(self.out, " {v}");
+                    self.out.push(' ');
+                    push_i64(&mut self.out, *v);
                 }
                 GlobalInit::Float(v) => {
-                    let _ = write!(self.out, "{kw} ");
-                    self.ty(g.ty);
                     let _ = write!(self.out, " 0x{:016x}", v.to_bits());
                 }
                 GlobalInit::Bytes(bs) => {
-                    let _ = write!(self.out, "{kw} ");
-                    self.ty(g.ty);
                     self.out.push_str(" c\"");
                     for b in bs {
                         let _ = write!(self.out, "\\{b:02x}");
@@ -108,18 +167,51 @@ impl Writer<'_> {
     }
 
     fn ty(&mut self, t: TypeId) {
-        if self.v.opaque_pointers_in_text() {
-            let _ = write!(self.out, "{}", self.m.types.display_opaque(t));
-        } else {
-            let _ = write!(self.out, "{}", self.m.types.display(t));
-        }
+        self.push_type(t, self.v.opaque_pointers_in_text());
     }
 
     /// A type that must stay transparent even under opaque pointers (the
     /// pointer operand of pre-3.7 `load`/`gep`, which carries the element
     /// type).
     fn ty_typed(&mut self, t: TypeId) {
-        let _ = write!(self.out, "{}", self.m.types.display(t));
+        self.push_type(t, false);
+    }
+
+    fn push_type(&mut self, t: TypeId, opaque: bool) {
+        let texts = if opaque {
+            &mut self.opaque
+        } else {
+            &mut self.typed
+        };
+        self.out.push_str(texts.get(&self.m.types, t, opaque));
+    }
+
+    /// `%name` of a parameter, `%argN` for an unnamed one.
+    fn param(&mut self, f: &Function, i: usize) {
+        let name = &f.params[i].name;
+        if name.is_empty() {
+            self.out.push_str("%arg");
+            push_u64(&mut self.out, i as u64);
+        } else {
+            self.out.push('%');
+            self.out.push_str(name);
+        }
+    }
+
+    /// `%tN`: the dense number of `i`, else its arena index.
+    fn inst_ref(&mut self, i: InstId) {
+        let num = match self.value_numbers.get(i.index()) {
+            Some(&n) if n != UNNUMBERED => u64::from(n),
+            _ => i.index() as u64,
+        };
+        self.out.push_str("%t");
+        push_u64(&mut self.out, num);
+    }
+
+    /// `@name` of a function or global.
+    fn symbol(&mut self, name: &str) {
+        self.out.push('@');
+        self.out.push_str(name);
     }
 
     fn params(&mut self, f: &Function) {
@@ -128,11 +220,8 @@ impl Writer<'_> {
                 self.out.push_str(", ");
             }
             self.ty(p.ty);
-            if p.name.is_empty() {
-                let _ = write!(self.out, " %arg{i}");
-            } else {
-                let _ = write!(self.out, " %{}", p.name);
-            }
+            self.out.push(' ');
+            self.param(f, i);
         }
         if f.varargs {
             if !f.params.is_empty() {
@@ -145,7 +234,9 @@ impl Writer<'_> {
     fn declare(&mut self, f: &Function) {
         self.out.push_str("declare ");
         self.ty(f.ret_ty);
-        let _ = write!(self.out, " @{}(", f.name);
+        self.out.push(' ');
+        self.symbol(&f.name);
+        self.out.push('(');
         self.params(f);
         self.out.push_str(")\n");
     }
@@ -166,7 +257,9 @@ impl Writer<'_> {
         }
         self.out.push_str("define ");
         self.ty(f.ret_ty);
-        let _ = write!(self.out, " @{}(", f.name);
+        self.out.push(' ');
+        self.symbol(&f.name);
+        self.out.push('(');
         self.params(f);
         self.out.push_str(") {\n");
         for (bi, block) in f.blocks.iter().enumerate() {
@@ -181,14 +274,9 @@ impl Writer<'_> {
                 // the result-producing terminators `invoke` and `callbr`.
                 let has_result = !matches!(self.m.types.get(inst.ty), crate::types::Type::Void);
                 if has_result {
-                    let num = self
-                        .value_numbers
-                        .get(iid.index())
-                        .copied()
-                        .filter(|&x| x != UNNUMBERED)
-                        .map(|x| x as usize)
-                        .unwrap_or(iid.index());
-                    let _ = write!(self.out, "  %t{num} = ");
+                    self.out.push_str("  ");
+                    self.inst_ref(iid);
+                    self.out.push_str(" = ");
                 } else {
                     self.out.push_str("  ");
                 }
@@ -201,37 +289,15 @@ impl Writer<'_> {
 
     fn val(&mut self, f: &Function, v: ValueRef) {
         match v {
-            ValueRef::Inst(i) => {
-                let num = self
-                    .value_numbers
-                    .get(i.index())
-                    .copied()
-                    .filter(|&x| x != UNNUMBERED)
-                    .map(|x| x as usize)
-                    .unwrap_or(i.index());
-                let _ = write!(self.out, "%t{num}");
-            }
-            ValueRef::Arg(a) => {
-                let p = &f.params[a as usize];
-                if p.name.is_empty() {
-                    let _ = write!(self.out, "%arg{a}");
-                } else {
-                    let _ = write!(self.out, "%{}", p.name);
-                }
-            }
-            ValueRef::Global(g) => {
-                let _ = write!(self.out, "@{}", self.m.global(g).name);
-            }
-            ValueRef::Func(fid) => {
-                let _ = write!(self.out, "@{}", self.m.func(fid).name);
-            }
+            ValueRef::Inst(i) => self.inst_ref(i),
+            ValueRef::Arg(a) => self.param(f, a as usize),
+            ValueRef::Global(g) => self.symbol(&self.m.global(g).name),
+            ValueRef::Func(fid) => self.symbol(&self.m.func(fid).name),
             ValueRef::Block(b) => {
                 self.out.push('%');
                 self.label(f, b);
             }
-            ValueRef::ConstInt { value, .. } => {
-                let _ = write!(self.out, "{value}");
-            }
+            ValueRef::ConstInt { value, .. } => push_i64(&mut self.out, value),
             ValueRef::ConstFloat { bits, .. } => {
                 let _ = write!(self.out, "0x{bits:016x}");
             }
@@ -271,11 +337,11 @@ impl Writer<'_> {
     fn pointer_ish_type(&mut self, v: ValueRef) {
         match v {
             ValueRef::Global(g) => {
-                let t = self.m.global(g).ty;
                 if self.v.opaque_pointers_in_text() {
                     self.out.push_str("ptr");
                 } else {
-                    let _ = write!(self.out, "{}*", self.m.types.display(t));
+                    self.push_type(self.m.global(g).ty, false);
+                    self.out.push('*');
                 }
             }
             ValueRef::Func(_) => {
@@ -403,7 +469,8 @@ impl Writer<'_> {
             Unreachable => self.out.push_str("unreachable"),
             Add | Sub | Mul | UDiv | SDiv | URem | SRem | Shl | LShr | AShr | And | Or | Xor
             | FAdd | FSub | FMul | FDiv | FRem => {
-                let _ = write!(self.out, "{} ", inst.opcode);
+                self.out.push_str(inst.opcode.name());
+                self.out.push(' ');
                 if inst.attrs.nuw {
                     self.out.push_str("nuw ");
                 }
@@ -477,13 +544,9 @@ impl Writer<'_> {
                 }
             }
             Fence => {
-                let _ = write!(
-                    self.out,
-                    "fence {}",
-                    inst.attrs
-                        .ordering
-                        .unwrap_or(crate::inst::AtomicOrdering::SeqCst)
-                );
+                self.out.push_str("fence ");
+                let ordering = inst.attrs.ordering.map_or("seq_cst", AtomicOrdering::name);
+                self.out.push_str(ordering);
             }
             CmpXchg => {
                 self.out.push_str("cmpxchg ");
@@ -495,11 +558,10 @@ impl Writer<'_> {
                 self.out.push_str(" seq_cst seq_cst");
             }
             AtomicRmw => {
-                let _ = write!(
-                    self.out,
-                    "atomicrmw {} ",
-                    inst.attrs.rmw_op.map(|o| o.name()).unwrap_or("xchg")
-                );
+                self.out.push_str("atomicrmw ");
+                self.out
+                    .push_str(inst.attrs.rmw_op.map_or("xchg", RmwOp::name));
+                self.out.push(' ');
                 self.tval(f, ops[0]);
                 self.out.push_str(", ");
                 self.tval(f, ops[1]);
@@ -507,27 +569,26 @@ impl Writer<'_> {
             }
             Trunc | ZExt | SExt | FPTrunc | FPExt | FPToUI | FPToSI | UIToFP | SIToFP
             | PtrToInt | IntToPtr | BitCast | AddrSpaceCast => {
-                let _ = write!(self.out, "{} ", inst.opcode);
+                self.out.push_str(inst.opcode.name());
+                self.out.push(' ');
                 self.tval(f, ops[0]);
                 self.out.push_str(" to ");
                 self.ty(inst.ty);
             }
             ICmp => {
-                let _ = write!(
-                    self.out,
-                    "icmp {} ",
-                    inst.attrs.int_pred.map(|p| p.name()).unwrap_or("eq")
-                );
+                self.out.push_str("icmp ");
+                self.out
+                    .push_str(inst.attrs.int_pred.map_or("eq", IntPredicate::name));
+                self.out.push(' ');
                 self.tval(f, ops[0]);
                 self.out.push_str(", ");
                 self.val(f, ops[1]);
             }
             FCmp => {
-                let _ = write!(
-                    self.out,
-                    "fcmp {} ",
-                    inst.attrs.float_pred.map(|p| p.name()).unwrap_or("oeq")
-                );
+                self.out.push_str("fcmp ");
+                self.out
+                    .push_str(inst.attrs.float_pred.map_or("oeq", FloatPredicate::name));
+                self.out.push(' ');
                 self.tval(f, ops[0]);
                 self.out.push_str(", ");
                 self.val(f, ops[1]);
@@ -643,7 +704,7 @@ impl Writer<'_> {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{ix}");
+            push_u64(&mut self.out, *ix);
         }
     }
 
@@ -665,10 +726,12 @@ impl Writer<'_> {
     fn label(&mut self, f: &Function, block: BlockId) {
         let b = f.block(block);
         if b.name.is_empty() {
-            let _ = write!(self.out, "bb{}", block.raw());
+            self.out.push_str("bb");
         } else {
-            let _ = write!(self.out, "{}.{}", b.name, block.raw());
+            self.out.push_str(&b.name);
+            self.out.push('.');
         }
+        push_u64(&mut self.out, u64::from(block.raw()));
     }
 }
 
@@ -707,6 +770,20 @@ mod tests {
         let v = b.load(i32t, p);
         b.ret(Some(v));
         m
+    }
+
+    #[test]
+    fn decimals_match_core_fmt() {
+        for v in [0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        for v in [0, -1, 7, -10, i64::MAX, i64::MIN] {
+            let mut out = String::from("x");
+            push_i64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! * [`server`] — startup, graceful drain-on-shutdown, and warm start
 //!   from the persistent translator store (`docs/PERSISTENCE.md`);
 //! * [`client`] — a blocking client (used by `siro translate --remote`,
-//!   `siro loadgen`, the loopback bench, and CI).
+//!   `siro loadgen` and CI);
+//! * [`thread_cache`] — the per-thread small-block cache the `siro`
+//!   binary installs as its global allocator.
 //!
 //! ## Example
 //!
@@ -68,6 +70,7 @@ pub mod queue;
 pub mod reactor;
 pub mod server;
 pub mod stats;
+pub mod thread_cache;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionControl};
 pub use client::{Client, ClientError, Translated};

@@ -192,17 +192,16 @@ impl Conn {
         // oversized length prefix ends the connection: the stream can no
         // longer be trusted to be in sync.
         let mut off = 0usize;
-        while buf.len() - off >= 4 {
-            let len =
-                u32::from_be_bytes(buf[off..off + 4].try_into().expect("4-byte slice")) as usize;
+        while let Some((prefix, rest)) = buf[off..].split_first_chunk::<4>() {
+            let len = u32::from_be_bytes(*prefix) as usize;
             if len > MAX_FRAME {
                 out.oversized = Some(len);
                 break;
             }
-            if buf.len() - off - 4 < len {
+            let Some(payload) = rest.get(..len) else {
                 break;
-            }
-            out.payloads.push(buf[off + 4..off + 4 + len].to_vec());
+            };
+            out.payloads.push(payload.to_vec());
             off += 4 + len;
         }
         buf.drain(..off);

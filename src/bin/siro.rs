@@ -42,6 +42,11 @@ use siro::serve::{Client, Engine, Metrics, Request, ServeConfig, TranslateMode, 
 use siro::synth::{oracle_corpus, Synthesizer};
 use siro::wir::any::AnyModule;
 
+/// Small blocks are recycled per thread instead of going through `malloc`
+/// and `free` for every IR entity (`docs/SERVING.md` § "Thread cache").
+#[global_allocator]
+static ALLOCATOR: siro::serve::thread_cache::ThreadCache = siro::serve::thread_cache::ThreadCache;
+
 /// Default I/O timeout for the remote-client commands. Generous because a
 /// cold synthesized pair blocks the response on a full synthesis.
 const DEFAULT_REMOTE_TIMEOUT: Duration = Duration::from_secs(30);

@@ -438,6 +438,47 @@ fn tab4_texts_are_write_parse_fixpoints() {
     }
 }
 
+/// The bytes of perfbench's Tab. 4 traffic, pinned apart from the writer
+/// that renders both its requests and its references: for every Tab. 4
+/// project (census included) from 12.0, 13.0 and 17.0, the FNV-1a-64
+/// digest and length of the module's text and of its
+/// `ReferenceTranslator` translation into 3.6.
+fn dump_tab4_bytes() -> String {
+    use siro::core::ReferenceTranslator;
+    use siro::workloads::{compile_project, table4_projects, Frontend};
+
+    let mut s = String::from(
+        "# Tab. 4 texts: <source> <project>: module <fnv1a64> <bytes> | 3.6 <fnv1a64> <bytes>\n",
+    );
+    for version in [IrVersion::V12_0, IrVersion::V13_0, IrVersion::V17_0] {
+        for spec in table4_projects() {
+            let module = compile_project(&spec, Frontend::High, version);
+            let text = write::write_module(&module);
+            let translated = Skeleton::new(IrVersion::V3_6)
+                .translate_module(&module, &ReferenceTranslator)
+                .unwrap_or_else(|e| panic!("{version} {}: {e}", spec.name));
+            let out = write::write_module(&translated);
+            writeln!(
+                s,
+                "{version} {}: module {:016x} {} | 3.6 {:016x} {}",
+                spec.name,
+                fnv1a64(text.as_bytes()),
+                text.len(),
+                fnv1a64(out.as_bytes()),
+                out.len()
+            )
+            .unwrap();
+        }
+    }
+    s
+}
+
+/// The Tab. 4 modules and their 3.6 translations keep their bytes.
+#[test]
+fn tab4_bytes_match_golden() {
+    check_or_regen("tab4_bytes.txt", &dump_tab4_bytes());
+}
+
 /// The reader's verdict on text it did not write must not move: an
 /// accepted input keeps the digest of its re-written text, and a rejected
 /// one keeps the line its error cites.
