@@ -2,10 +2,16 @@
 //! skeleton and the API components while one module is being translated.
 //!
 //! It owns the target module under construction and the correspondence maps
-//! between source and target IR entities. Forward references are handled
-//! with placeholder values exactly as §5 ("Handling IR Value Dependence")
-//! describes: an untranslated operand yields a [`ValueRef::Placeholder`],
-//! and once the operand is translated every use is patched.
+//! between source and target IR entities. Functions, globals, types,
+//! blocks and instruction results are dense arena indices, so each of
+//! their maps is a flat vector; the instruction-result map is the one
+//! [`TranslationCtx::begin_function`] sizes to the source function. The
+//! skeleton, whatever instruction translator it runs, and synthesis's
+//! candidate probes and profiling all read that one map. Forward
+//! references are handled with placeholder values exactly as §5
+//! ("Handling IR Value Dependence") describes: an untranslated operand
+//! yields a [`ValueRef::Placeholder`], and once the operand is translated
+//! every use is patched.
 
 use std::collections::HashMap;
 
@@ -16,47 +22,6 @@ use siro_ir::{
 };
 
 use crate::error::{ApiError, ApiResult};
-
-/// The instruction-result correspondence map of one function translation.
-///
-/// The skeleton's generic walk uses the hashed form; the compiled tier's
-/// module driver — which knows the source function's instruction count up
-/// front — opts into the dense form via
-/// [`TranslationCtx::begin_function_dense`] so the per-operand probe in
-/// [`TranslationCtx::translate_value`] is an index, not a hash. Both forms
-/// hold exactly the same mapping; the choice is invisible to API
-/// components.
-#[derive(Debug)]
-enum ValueMap {
-    Hash(HashMap<InstId, ValueRef>),
-    Dense(Vec<Option<ValueRef>>),
-}
-
-impl ValueMap {
-    #[inline]
-    fn get(&self, i: InstId) -> Option<ValueRef> {
-        match self {
-            ValueMap::Hash(m) => m.get(&i).copied(),
-            ValueMap::Dense(v) => v.get(i.index()).copied().flatten(),
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, i: InstId, v: ValueRef) {
-        match self {
-            ValueMap::Hash(m) => {
-                m.insert(i, v);
-            }
-            ValueMap::Dense(vec) => {
-                let idx = i.index();
-                if idx >= vec.len() {
-                    vec.resize(idx + 1, None);
-                }
-                vec[idx] = Some(v);
-            }
-        }
-    }
-}
 
 /// Mutable translation state threaded through every API component.
 #[derive(Debug)]
@@ -85,8 +50,11 @@ pub struct TranslationCtx<'s> {
     // source table up front; getters may intern new source types later, so
     // inserts still resize on demand.
     type_cache: Vec<Option<TypeId>>,
-    // Per-function maps (cleared by `begin_function`).
-    value_map: ValueMap,
+    // Per-function maps (reset by `begin_function`). Source instruction
+    // ids are dense per-function indices, so the instruction-result map is
+    // a flat vector probe like the module-level maps: `translate_value`
+    // reads it for every instruction operand.
+    value_map: Vec<Option<ValueRef>>,
     // Blocks are dense per-function indices too: same flat-probe scheme.
     block_map: Vec<Option<BlockId>>,
     pending: HashMap<InstId, u32>,
@@ -115,7 +83,7 @@ impl<'s> TranslationCtx<'s> {
             global_map: vec![None; src.global_ids().count()],
             asm_map: HashMap::new(),
             type_cache: vec![None; src.types.len()],
-            value_map: ValueMap::Hash(HashMap::new()),
+            value_map: Vec::new(),
             block_map: Vec::new(),
             pending: HashMap::new(),
             placeholder_types: HashMap::new(),
@@ -180,37 +148,15 @@ impl<'s> TranslationCtx<'s> {
         self.global_map[idx] = Some(tgt);
     }
 
-    /// Enters a new function: clears per-function maps and sets the current
-    /// source/target pair.
+    /// Enters a new function: resets the per-function maps, sizes the
+    /// instruction-result map to the source function's instruction count,
+    /// and sets the current source/target pair.
     pub fn begin_function(&mut self, src: FuncId, tgt: FuncId) {
-        self.value_map = ValueMap::Hash(HashMap::new());
-        self.begin_function_common(src, tgt);
-    }
-
-    /// [`TranslationCtx::begin_function`] with a pre-sized dense
-    /// instruction-result map: the caller promises the source function has
-    /// `insts` instructions (`Function::inst_count`), so operand lookups
-    /// become direct indexing. Used by the compiled tier's module driver;
-    /// behaviour is otherwise identical to `begin_function`.
-    pub fn begin_function_dense(&mut self, src: FuncId, tgt: FuncId, insts: usize) {
         // Reuse the previous function's buffer: modules average a handful
         // of instructions per function, so a fresh alloc per function is
         // measurable on the translate span.
-        match &mut self.value_map {
-            ValueMap::Dense(v) => {
-                v.clear();
-                v.resize(insts, None);
-            }
-            m => *m = ValueMap::Dense(vec![None; insts]),
-        }
-        // The target function will hold roughly one instruction per source
-        // instruction; reserving up front keeps the hot build loop from
-        // reallocating the arena.
-        self.tgt.func_mut(tgt).insts.reserve(insts);
-        self.begin_function_common(src, tgt);
-    }
-
-    fn begin_function_common(&mut self, src: FuncId, tgt: FuncId) {
+        self.value_map.clear();
+        self.value_map.resize(self.src.func(src).inst_count(), None);
         self.src_func = Some(src);
         self.tgt_func = Some(tgt);
         self.cur_block = None;
@@ -238,7 +184,11 @@ impl<'s> TranslationCtx<'s> {
     /// `tgt`, patching any placeholders created by earlier forward
     /// references.
     pub fn note_translated(&mut self, src: InstId, tgt: ValueRef) -> ApiResult<()> {
-        self.value_map.insert(src, tgt);
+        let idx = src.index();
+        if idx >= self.value_map.len() {
+            self.value_map.resize(idx + 1, None);
+        }
+        self.value_map[idx] = Some(tgt);
         // Forward references are rare; skip the per-instruction hash when
         // none are outstanding.
         if self.pending.is_empty() {
@@ -392,8 +342,8 @@ impl<'s> TranslationCtx<'s> {
     pub fn translate_value(&mut self, v: ValueRef) -> ApiResult<ValueRef> {
         Ok(match v {
             ValueRef::Inst(i) => {
-                if let Some(t) = self.value_map.get(i) {
-                    t
+                if let Some(Some(t)) = self.value_map.get(i.index()) {
+                    *t
                 } else {
                     let key = match self.pending.get(&i) {
                         Some(&k) => k,

@@ -28,14 +28,12 @@ mod builders;
 mod getters;
 
 pub mod ctx;
-pub mod dialect;
 pub mod error;
 pub mod program;
 pub mod registry;
 pub mod value;
 
 pub use ctx::TranslationCtx;
-pub use dialect::{ApiSurfaceFn, DialectRegistry};
 pub use error::{ApiError, ApiResult};
 pub use program::{ApiCall, ApiProgram, Reg};
 pub use registry::{ApiFn, ApiId, ApiKind, ApiRegistry, PredConj};

@@ -450,12 +450,16 @@ mod tests {
 
     #[test]
     fn call_target_getter_renamed_at_11() {
-        let old = ApiRegistry::for_pair(IrVersion::V5_0, IrVersion::V3_6);
-        assert!(old.find("get_called_value").is_some());
-        assert!(old.find("get_called_operand").is_none());
-        let new = ApiRegistry::for_pair(IrVersion::V13_0, IrVersion::V3_6);
-        assert!(new.find("get_called_operand").is_some());
-        assert!(new.find("get_called_value").is_none());
+        for (src, old) in [
+            (IrVersion::V5_0, true),
+            (IrVersion::V10_0, true),
+            (IrVersion::V11_0, false),
+            (IrVersion::V13_0, false),
+        ] {
+            let r = ApiRegistry::for_pair(src, IrVersion::V3_6);
+            assert_eq!(r.find("get_called_value").is_some(), old, "{src}");
+            assert_eq!(r.find("get_called_operand").is_some(), !old, "{src}");
+        }
     }
 
     #[test]

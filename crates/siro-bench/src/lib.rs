@@ -89,17 +89,6 @@ pub fn synthesize_pair(src: IrVersion, tgt: IrVersion) -> Result<Arc<SynthesisOu
     })
 }
 
-/// Synthesizes with an explicit configuration, through the cache (each
-/// distinct knob setting is its own cache key).
-///
-/// # Errors
-///
-/// Propagates [`SynthError`].
-pub fn synthesize_with(config: SynthesisConfig) -> Result<Arc<SynthesisOutcome>, SynthError> {
-    let tests = oracle_corpus(config.source, config.target);
-    TranslatorCache::get_or_synthesize(config, &tests)
-}
-
 /// Synthesizes many pairs concurrently (one worker per pair, each worker
 /// parallelizing internally on `config.threads`), returning each pair's
 /// cache lookup and its wall clock, in input order.

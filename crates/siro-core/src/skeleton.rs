@@ -4,10 +4,15 @@
 //! then functions (arguments, then blocks, then instructions), delegating
 //! every instruction to a pluggable [`InstTranslator`] — the interface the
 //! synthesized instruction translators are later filled into. The skeleton
-//! itself is written once and reused for every version pair.
+//! itself is written once and reused for every version pair, and it is the
+//! one by-reference module walk: the interpreted synthesized translators,
+//! the hand-written reference translator, synthesis's per-test translators
+//! and the compiled tier's push driver all plug into it. Only the compiled
+//! tier's in-place mirror driver, which rewrites an owned module instead of
+//! building a new one, walks modules on its own.
 
 use siro_api::TranslationCtx;
-use siro_ir::{IrVersion, Module};
+use siro_ir::{FuncId, IrVersion, Module, Opcode};
 
 use crate::error::{TranslateError, TranslateResult};
 use crate::translator::InstTranslator;
@@ -55,29 +60,12 @@ impl Skeleton {
     ///
     /// Propagates instruction-translator failures and reports unresolved
     /// forward references.
-    pub fn translate_module(
+    pub fn translate_module<T: InstTranslator + ?Sized>(
         &self,
         src: &Module,
-        inst_translator: &dyn InstTranslator,
+        inst_translator: &T,
     ) -> TranslateResult<Module> {
         let mut ctx = TranslationCtx::new(src, self.target);
-        self.translate_into(&mut ctx, src, inst_translator)?;
-        siro_trace::counter("core.modules_translated", 1);
-        Ok(ctx.finish())
-    }
-
-    /// Translates into an existing context (exposed so the synthesizer can
-    /// keep the context for inspection).
-    ///
-    /// # Errors
-    ///
-    /// See [`Skeleton::translate_module`].
-    pub fn translate_into(
-        &self,
-        ctx: &mut TranslationCtx<'_>,
-        src: &Module,
-        inst_translator: &dyn InstTranslator,
-    ) -> TranslateResult<()> {
         // TranslateGlobal for every g in G.
         for g in src.global_ids() {
             ctx.translate_global(g);
@@ -89,28 +77,34 @@ impl Skeleton {
         }
         // TranslateFunc for every f in F.
         for f in src.func_ids() {
-            if src.func(f).is_external {
-                continue;
+            if !src.func(f).is_external {
+                translate_function(&mut ctx, src, f, inst_translator)?;
             }
-            self.translate_function(ctx, src, f, inst_translator)?;
         }
-        Ok(())
+        siro_trace::counter("core.modules_translated", 1);
+        Ok(ctx.finish())
     }
+}
 
-    fn translate_function(
-        &self,
-        ctx: &mut TranslationCtx<'_>,
-        src: &Module,
-        src_fid: siro_ir::FuncId,
-        inst_translator: &dyn InstTranslator,
-    ) -> TranslateResult<()> {
-        let tgt_fid = ctx.translate_func(src_fid)?;
-        ctx.begin_function(src_fid, tgt_fid);
-        let func = src.func(src_fid);
-        // Translator-phase funnel counters: coarse per-phase totals the
-        // difftest fuzzer deltas around a translation to derive feedback
-        // (an input that pushes more blocks/phis/insts through the funnel
-        // is structurally novel even when block coverage is unchanged).
+fn translate_function<T: InstTranslator + ?Sized>(
+    ctx: &mut TranslationCtx<'_>,
+    src: &Module,
+    src_fid: FuncId,
+    inst_translator: &T,
+) -> TranslateResult<()> {
+    let tgt_fid = ctx.translate_func(src_fid)?;
+    ctx.begin_function(src_fid, tgt_fid);
+    let func = src.func(src_fid);
+    // The target function ends up with about one instruction per source
+    // instruction; reserving up front keeps the build loop from
+    // reallocating the arena.
+    ctx.tgt.func_mut(tgt_fid).insts.reserve(func.inst_count());
+    // Translator-phase funnel counters: coarse per-phase totals the
+    // difftest fuzzer deltas around a translation to derive feedback (an
+    // input that pushes more blocks/phis/insts through the funnel is
+    // structurally novel even when block coverage is unchanged). The phi
+    // scan runs only when tracing is on.
+    if siro_trace::enabled() {
         siro_trace::counter("core.funcs_translated", 1);
         siro_trace::counter("core.blocks_translated", func.blocks.len() as u64);
         siro_trace::counter(
@@ -118,46 +112,47 @@ impl Skeleton {
             func.blocks
                 .iter()
                 .flat_map(|b| &b.insts)
-                .filter(|&&i| func.inst(i).opcode == siro_ir::Opcode::Phi)
+                .filter(|&&i| func.inst(i).opcode == Opcode::Phi)
                 .count() as u64,
         );
-        // TranslateArg: arguments were carried over by clone_signature;
-        // TranslateBlock: pre-create each block so block operands and
-        // forward branches resolve.
-        for b in func.block_ids() {
-            let name = func.block(b).name.clone();
-            let tb = ctx.tgt.func_mut(tgt_fid).add_block(name);
-            ctx.map_block(b, tb);
-        }
-        // TranslateInst for each instruction, in block layout order.
-        for b in func.block_ids() {
-            let tb = ctx.translate_block(b)?;
-            ctx.set_insertion(tb);
-            for &i in &func.block(b).insts {
-                siro_trace::counter("core.insts_translated", 1);
-                let v = inst_translator.translate_inst(ctx, i)?;
-                // Carry the source instruction's name (our stand-in for
-                // `!dbg` source locations) onto the translated result —
-                // a skeleton responsibility, independent of how the
-                // instruction translator was obtained.
-                if let (Some(name), Some(tid)) = (func.inst(i).name.clone(), v.as_inst()) {
-                    let tf = ctx.tgt.func_mut(tgt_fid);
-                    if tf.inst(tid).name.is_none() {
-                        tf.inst_mut(tid).name = Some(name);
-                    }
-                }
-                ctx.note_translated(i, v)?;
-            }
-        }
-        let unresolved = ctx.unresolved_placeholders();
-        if unresolved > 0 {
-            return Err(TranslateError::UnresolvedPlaceholders {
-                func: func.name.clone(),
-                count: unresolved,
-            });
-        }
-        Ok(())
     }
+    // TranslateArg: arguments were carried over by clone_signature;
+    // TranslateBlock: pre-create each block so block operands and forward
+    // branches resolve.
+    for b in func.block_ids() {
+        let name = func.block(b).name.clone();
+        let tb = ctx.tgt.func_mut(tgt_fid).add_block(name);
+        ctx.map_block(b, tb);
+    }
+    // TranslateInst for each instruction, in block layout order.
+    for b in func.block_ids() {
+        let tb = ctx.translate_block(b)?;
+        ctx.set_insertion(tb);
+        let insts = &func.block(b).insts;
+        siro_trace::counter("core.insts_translated", insts.len() as u64);
+        for &i in insts {
+            let v = inst_translator.translate_inst(ctx, i)?;
+            // Carry the source instruction's name (our stand-in for `!dbg`
+            // source locations) onto the translated result — a skeleton
+            // responsibility, independent of how the instruction
+            // translator was obtained.
+            if let (Some(name), Some(tid)) = (func.inst(i).name.as_ref(), v.as_inst()) {
+                let tf = ctx.tgt.func_mut(tgt_fid);
+                if tf.inst(tid).name.is_none() {
+                    tf.inst_mut(tid).name = Some(name.clone());
+                }
+            }
+            ctx.note_translated(i, v)?;
+        }
+    }
+    let unresolved = ctx.unresolved_placeholders();
+    if unresolved > 0 {
+        return Err(TranslateError::UnresolvedPlaceholders {
+            func: func.name.clone(),
+            count: unresolved,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

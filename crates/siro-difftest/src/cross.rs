@@ -245,19 +245,6 @@ pub struct CrossArtifact {
 }
 
 impl CrossArtifact {
-    /// Builds an artifact from a [`CrossFailure`] found at an anchor.
-    pub fn from_failure(siro: IrVersion, wir: WirVersion, f: &CrossFailure) -> Self {
-        CrossArtifact {
-            siro,
-            wir,
-            direction: f.direction.to_string(),
-            family: f.family,
-            mutator: f.mutator.to_string(),
-            detail: f.detail.clone(),
-            module: f.module.clone(),
-        }
-    }
-
     /// Renders the artifact to its on-disk text: canonical WIR followed by
     /// `;; difftest-*:` comment metadata the WIR parser skips.
     pub fn render(&self) -> String {

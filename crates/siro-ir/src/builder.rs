@@ -3,11 +3,12 @@
 //! [`FuncBuilder`] positions itself at the end of a block and appends
 //! instructions, mirroring LLVM's `IRBuilder`.
 
+use crate::infer;
 use crate::inst::{AtomicOrdering, FloatPredicate, Instruction, IntPredicate, RmwOp};
 use crate::module::{Function, Module, Param};
 use crate::opcode::Opcode;
 use crate::types::TypeId;
-use crate::value::{BlockId, FuncId, InstId, ValueRef};
+use crate::value::{BlockId, FuncId, ValueRef};
 
 /// Builds instructions into one function of a [`Module`].
 ///
@@ -95,28 +96,27 @@ impl<'m> FuncBuilder<'m> {
         ValueRef::Inst(id)
     }
 
-    /// Appends a raw instruction and returns its [`InstId`].
-    pub fn push_id(&mut self, inst: Instruction) -> InstId {
-        match self.push(inst) {
-            ValueRef::Inst(id) => id,
-            _ => unreachable!(),
+    /// The type of operand `v`. A global stands for its address,
+    /// `ptr(global.ty)`, as in [`infer`]'s pointer rule.
+    fn value_ty(&mut self, v: ValueRef) -> TypeId {
+        if let ValueRef::Global(g) = v {
+            let ty = self.module.global(g).ty;
+            return self.module.types.ptr(ty);
         }
+        let f = self.module.func(self.func);
+        self.module
+            .value_type(f, v)
+            .expect("operand type must be inferable; pass explicit types otherwise")
     }
 
-    fn value_ty(&self, v: ValueRef) -> TypeId {
+    /// The result type of a compare whose first operand is `a`
+    /// ([`infer::cmp_result`]): `<N x i1>` for a vector operand, else `i1`.
+    /// Addresses (globals, functions) are scalars.
+    fn cmp_ty(&mut self, a: ValueRef) -> TypeId {
         let f = self.module.func(self.func);
-        match v {
-            ValueRef::Global(g) => {
-                let ty = self.module.global(g).ty;
-                // Address-of semantics: the module interns Ptr(ty) lazily in
-                // binary helpers; here we only need *some* type for result
-                // inference, so fall back to the value type.
-                ty
-            }
-            _ => self
-                .module
-                .value_type(f, v)
-                .expect("operand type must be inferable; pass explicit types otherwise"),
+        match self.module.value_type(f, a) {
+            Some(ty) => infer::cmp_result(&mut self.module.types, ty),
+            None => self.module.types.i1(),
         }
     }
 
@@ -227,16 +227,16 @@ impl<'m> FuncBuilder<'m> {
 
     /// `icmp <pred>`
     pub fn icmp(&mut self, pred: IntPredicate, a: ValueRef, b: ValueRef) -> ValueRef {
-        let i1 = self.module.types.i1();
-        let mut inst = Instruction::new(Opcode::ICmp, i1, [a, b]);
+        let ty = self.cmp_ty(a);
+        let mut inst = Instruction::new(Opcode::ICmp, ty, [a, b]);
         inst.attrs.int_pred = Some(pred);
         self.push(inst)
     }
 
     /// `fcmp <pred>`
     pub fn fcmp(&mut self, pred: FloatPredicate, a: ValueRef, b: ValueRef) -> ValueRef {
-        let i1 = self.module.types.i1();
-        let mut inst = Instruction::new(Opcode::FCmp, i1, [a, b]);
+        let ty = self.cmp_ty(a);
+        let mut inst = Instruction::new(Opcode::FCmp, ty, [a, b]);
         inst.attrs.float_pred = Some(pred);
         self.push(inst)
     }
@@ -574,6 +574,54 @@ mod tests {
         let v = b.load(i32t, slot);
         b.ret(Some(v));
         assert_eq!(m.func(f).inst_count(), 5);
+    }
+
+    #[test]
+    fn result_types_survive_a_text_round_trip() {
+        // The reader infers a compare's and a select's result type from
+        // the operands; the builder must have typed them the same way.
+        let mut m = Module::new("t", IrVersion::V13_0);
+        let i1 = m.types.i1();
+        let i32t = m.types.i32();
+        let f64t = m.types.f64();
+        let v4 = m.types.vector(i32t, 4);
+        let v2 = m.types.vector(f64t, 2);
+        let global = |name: &str| crate::module::Global {
+            name: name.into(),
+            ty: i32t,
+            init: crate::module::GlobalInit::Int(0),
+            is_const: false,
+        };
+        let a = m.add_global(global("a"));
+        let c = m.add_global(global("c"));
+        let param = |name: &str, ty| Param {
+            name: name.into(),
+            ty,
+        };
+        let params = vec![param("v", v4), param("w", v2), param("p", i1)];
+        let f = FuncBuilder::define(&mut m, "main", i32t, params);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let e = b.add_block("entry");
+        b.position_at_end(e);
+        b.icmp(IntPredicate::Eq, ValueRef::Arg(0), ValueRef::Arg(0));
+        b.fcmp(FloatPredicate::Olt, ValueRef::Arg(1), ValueRef::Arg(1));
+        let sel = b.select(ValueRef::Arg(2), ValueRef::Global(a), ValueRef::Global(c));
+        let x = b.load(i32t, sel);
+        b.ret(Some(x));
+
+        let back = crate::parse::parse_module(&crate::write::write_module(&m)).expect("reparse");
+        let (built, read) = (m.func(f), &back.funcs[0]);
+        let pairs = built.blocks[0].insts.iter().zip(&read.blocks[0].insts);
+        assert_eq!(pairs.len(), 5);
+        for (&x, &y) in pairs {
+            let (x, y) = (built.inst(x), read.inst(y));
+            assert_eq!(
+                m.types.display(x.ty).to_string(),
+                back.types.display(y.ty).to_string(),
+                "{:?}",
+                x.opcode
+            );
+        }
     }
 
     #[test]

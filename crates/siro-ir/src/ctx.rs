@@ -202,12 +202,6 @@ impl<T: Entity> Arena<T> {
         self.alloc(item)
     }
 
-    /// The pointer the next [`Arena::alloc`] will return.
-    #[inline]
-    pub fn next_ptr(&self) -> Ptr<T> {
-        Ptr::from_usize(self.items.len())
-    }
-
     /// Iterates over all valid pointers, in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = Ptr<T>> {
         (0..self.items.len() as u32).map(Ptr::new)

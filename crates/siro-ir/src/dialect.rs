@@ -100,11 +100,6 @@ impl DialectVersion {
             Dialect::Wir => None,
         }
     }
-
-    /// Whether both versions belong to the same family.
-    pub fn same_dialect(self, other: DialectVersion) -> bool {
-        self.dialect == other.dialect
-    }
 }
 
 impl From<IrVersion> for DialectVersion {

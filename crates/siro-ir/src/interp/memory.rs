@@ -136,11 +136,6 @@ impl Memory {
         Ok(())
     }
 
-    /// The [`AllocKind`] containing `addr`, if it is mapped and live.
-    pub fn kind_of(&self, addr: u64) -> Option<AllocKind> {
-        self.find(addr, 1).ok().map(|a| a.kind)
-    }
-
     /// Number of live heap allocations (for leak accounting in tests).
     pub fn live_heap_count(&self) -> usize {
         self.allocs

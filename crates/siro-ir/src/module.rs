@@ -328,15 +328,6 @@ impl Module {
             .map(FuncId::from_usize)
     }
 
-    /// Finds a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.ctx
-            .globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(GlobalId::from_usize)
-    }
-
     /// Iterates over function ids.
     pub fn func_ids(&self) -> impl Iterator<Item = FuncId> {
         self.ctx.funcs.ids()

@@ -2281,30 +2281,12 @@ impl CompiledTranslator {
         }
     }
 
-    #[inline]
-    fn translate_one(
-        &self,
-        ctx: &mut TranslationCtx<'_>,
-        inst_id: InstId,
-        inst: &Instruction,
-        s: &mut Scratch,
-    ) -> TranslateResult<ValueRef> {
-        match &self.table[inst.opcode as usize] {
-            SlotAction::NewInst => newinst::lower_new_instruction(ctx, inst_id),
-            SlotAction::Missing => Err(TranslateError::MissingTranslator(inst.opcode)),
-            SlotAction::Kind(k) => k.translate(ctx, inst.opcode, inst_id, inst, s),
-        }
-    }
-
-    /// Translates a whole module through the compiled tier's specialized
-    /// driver: the same walk as `Skeleton::translate_module` — same order,
-    /// same counters, same errors — but with the per-function value map in
-    /// dense (indexed) form and each instruction borrowed rather than
-    /// re-fetched and cloned per API call. The tiered translation path
-    /// ([`translate_module_owned_tiered`]) falls back to this push driver
-    /// when the mirror driver bails; going through [`Skeleton`] with a
-    /// [`CompiledTranslator`] as a plain [`InstTranslator`] stays
-    /// supported and produces identical bytes.
+    /// Translates a whole module through the push driver: the
+    /// [`Skeleton`]'s walk with this translator plugged in as its
+    /// [`InstTranslator`] — the same order, counters and errors as every
+    /// other tier, one compiled arm per instruction. The tiered
+    /// translation path ([`translate_module_owned_tiered`]) falls back to
+    /// it when the mirror driver bails.
     ///
     /// # Errors
     ///
@@ -2335,90 +2317,7 @@ impl CompiledTranslator {
     /// );
     /// ```
     pub fn translate_module(&self, src: &Module) -> TranslateResult<Module> {
-        let mut ctx = TranslationCtx::new(src, self.registry.tgt_version);
-        for g in src.global_ids() {
-            ctx.translate_global(g);
-        }
-        for f in src.func_ids() {
-            ctx.clone_signature(f);
-        }
-        // One scratch borrow for the whole module: the per-instruction
-        // thread-local access and RefCell check move out of the hot loop.
-        // Nothing below re-enters SCRATCH (micro-ops and `PredOp::Slow`
-        // closures never call back into the driver).
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            for f in src.func_ids() {
-                if src.func(f).is_external {
-                    continue;
-                }
-                self.translate_function(&mut ctx, src, f, s)?;
-            }
-            Ok::<(), TranslateError>(())
-        })?;
-        siro_trace::counter("core.modules_translated", 1);
-        Ok(ctx.finish())
-    }
-
-    fn translate_function<'s>(
-        &self,
-        ctx: &mut TranslationCtx<'s>,
-        src: &'s Module,
-        src_fid: FuncId,
-        s: &mut Scratch,
-    ) -> TranslateResult<()> {
-        let tgt_fid = ctx.translate_func(src_fid)?;
-        let func = src.func(src_fid);
-        ctx.begin_function_dense(src_fid, tgt_fid, func.inst_count());
-        // Same phase-funnel counters as the skeleton, batched; the phi scan
-        // only runs when tracing is on (the totals are what difftest
-        // deltas, and they match the skeleton's exactly).
-        if siro_trace::enabled() {
-            siro_trace::counter("core.funcs_translated", 1);
-            siro_trace::counter("core.blocks_translated", func.blocks.len() as u64);
-            siro_trace::counter(
-                "core.phis_translated",
-                func.blocks
-                    .iter()
-                    .flat_map(|b| &b.insts)
-                    .filter(|&&i| func.inst(i).opcode == Opcode::Phi)
-                    .count() as u64,
-            );
-        }
-        for b in func.block_ids() {
-            let name = func.block(b).name.clone();
-            let tb = ctx.tgt.func_mut(tgt_fid).add_block(name);
-            ctx.map_block(b, tb);
-        }
-        for b in func.block_ids() {
-            let tb = ctx.translate_block(b)?;
-            ctx.set_insertion(tb);
-            let insts = &func.block(b).insts;
-            siro_trace::counter("core.insts_translated", insts.len() as u64);
-            for &i in insts {
-                let inst = func.inst(i);
-                let v = self.translate_one(ctx, i, inst, s)?;
-                // Name carry, as in the skeleton — but only cloning the
-                // name when it will actually be set.
-                if let Some(tid) = v.as_inst() {
-                    if let Some(name) = inst.name.as_ref() {
-                        let tf = ctx.tgt.func_mut(tgt_fid);
-                        if tf.inst(tid).name.is_none() {
-                            tf.inst_mut(tid).name = Some(name.clone());
-                        }
-                    }
-                }
-                ctx.note_translated(i, v)?;
-            }
-        }
-        let unresolved = ctx.unresolved_placeholders();
-        if unresolved > 0 {
-            return Err(TranslateError::UnresolvedPlaceholders {
-                func: func.name.clone(),
-                count: unresolved,
-            });
-        }
-        Ok(())
+        Skeleton::new(self.registry.tgt_version).translate_module(src, self)
     }
 
     /// Translates an *owned* module in place — the serving-shaped fast
@@ -2520,7 +2419,7 @@ impl CompiledTranslator {
         }
         m.version = self.registry.tgt_version;
         if siro_trace::enabled() {
-            // Counter totals, replicated from the push driver so difftest
+            // Counter totals, replicated from the skeleton so difftest
             // deltas cannot tell the drivers apart (emitted only on
             // success; the fallback path emits its own). `Phi` rewrites to
             // `Phi`, so post-rewrite opcodes still count source phis.
@@ -2728,7 +2627,7 @@ impl CompiledTranslator {
                                 _ => return false,
                             }
                         };
-                        // Name carry, as in the push driver: the built
+                        // Name carry, as in the skeleton: the built
                         // instruction never has a name, the source one
                         // keeps its own.
                         if new.name.is_none() {
@@ -2778,7 +2677,19 @@ impl InstTranslator for CompiledTranslator {
         // instruction can stay borrowed across the `&mut ctx` call below.
         let src = ctx.src;
         let inst_ref = src.func(fid).inst(inst);
-        SCRATCH.with(|scratch| self.translate_one(ctx, inst, inst_ref, &mut scratch.borrow_mut()))
+        match &self.table[inst_ref.opcode as usize] {
+            SlotAction::NewInst => newinst::lower_new_instruction(ctx, inst),
+            SlotAction::Missing => Err(TranslateError::MissingTranslator(inst_ref.opcode)),
+            SlotAction::Kind(k) => SCRATCH.with(|scratch| {
+                k.translate(
+                    ctx,
+                    inst_ref.opcode,
+                    inst,
+                    inst_ref,
+                    &mut scratch.borrow_mut(),
+                )
+            }),
+        }
     }
 }
 
@@ -2972,14 +2883,6 @@ mod tests {
                 "tier divergence on `{}`",
                 test.name
             );
-            // The specialized driver must agree with both.
-            let driven = compiled.translate_module(&test.module).expect("driver");
-            assert_eq!(
-                siro_ir::write::write_module(&interp),
-                siro_ir::write::write_module(&driven),
-                "driver divergence on `{}`",
-                test.name
-            );
         }
     }
 
@@ -3004,8 +2907,6 @@ mod tests {
         let interp_err = skeleton.translate_module(&m, &stripped).unwrap_err();
         let fast_err = skeleton.translate_module(&m, &recompiled).unwrap_err();
         assert_eq!(interp_err, fast_err);
-        let driver_err = recompiled.translate_module(&m).unwrap_err();
-        assert_eq!(interp_err, driver_err);
         // And with the full translator both succeed identically.
         let a = skeleton.translate_module(&m, &outcome.translator).unwrap();
         let b2 = skeleton.translate_module(&m, &compiled).unwrap();

@@ -46,11 +46,6 @@ pub struct Slot {
 }
 
 impl Slot {
-    /// Representatives, one per equivalence class.
-    pub fn representatives(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g[0]).collect()
-    }
-
     /// Expands a representative back to its full equivalence class.
     pub fn expand(&self, rep: usize) -> &[usize] {
         self.groups

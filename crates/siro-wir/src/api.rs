@@ -12,12 +12,13 @@
 //!   lacking `select`/`local.tee`/`br_table` offer *composite* builders
 //!   (`emit_select_via_branch`, …) that expand to supported sequences.
 //!
-//! The registry implements [`DialectRegistry`], so the synthesizer
-//! enumerates and searches it exactly like the Siro registry: candidates
-//! are filtered by typed applicability (every parameter must be fillable
-//! by a getter on the source instruction) and validated differentially.
+//! The synthesizer (`siro_synth::wir`) searches this registry directly:
+//! for each instruction kind it tries the target version's builders,
+//! fills every parameter with the source getter whose return type matches
+//! it ([`WirRegistry::args_for`]), and keeps a builder only when its output
+//! passes differential validation.
 
-use siro_api::{ApiKind, ApiSurfaceFn, DialectRegistry};
+use siro_api::ApiKind;
 
 use crate::inst::{WBin, WCmp, WTy, WirInst};
 use crate::module::WirFunc;
@@ -48,23 +49,6 @@ pub enum WirApiType {
     Table,
     /// No value (builder return type).
     Void,
-}
-
-impl WirApiType {
-    /// The type's name in surface dumps.
-    pub const fn name(self) -> &'static str {
-        match self {
-            WirApiType::ValTy => "ValTy",
-            WirApiType::BinKind => "BinKind",
-            WirApiType::CmpKind => "CmpKind",
-            WirApiType::ConstVal => "ConstVal",
-            WirApiType::LocalIdx => "LocalIdx",
-            WirApiType::FuncIdx => "FuncIdx",
-            WirApiType::Depth => "Depth",
-            WirApiType::Table => "Table",
-            WirApiType::Void => "Void",
-        }
-    }
 }
 
 /// A runtime value in WIR's component signatures.
@@ -529,28 +513,6 @@ impl WirRegistry {
     }
 }
 
-impl DialectRegistry for WirRegistry {
-    fn dialect(&self) -> &'static str {
-        "wir"
-    }
-
-    fn versions(&self) -> String {
-        format!("wir{}", self.version)
-    }
-
-    fn surface(&self) -> Vec<ApiSurfaceFn> {
-        self.fns
-            .iter()
-            .map(|f| ApiSurfaceFn {
-                name: f.name.clone(),
-                kind: f.kind,
-                params: f.params.iter().map(|p| p.name().to_string()).collect(),
-                ret: f.ret.name().to_string(),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +527,14 @@ mod tests {
         assert!(v1.find("build_const").is_none());
         assert!(v2.find("build_const").is_some());
         // Reordered parameters.
+        let emit_binop = v1.find("emit_binop").unwrap();
+        assert_eq!(
+            (emit_binop.params.clone(), emit_binop.ret),
+            (
+                vec![WirApiType::ValTy, WirApiType::BinKind],
+                WirApiType::Void
+            )
+        );
         assert_eq!(
             v2.find("build_binop").unwrap().params,
             vec![WirApiType::ValTy, WirApiType::BinKind]
@@ -646,13 +616,5 @@ mod tests {
             crate::validate::verify_module(&m).expect("composite must validate");
             assert_eq!(WirMachine::new(&m).run_main().result, WirExec::Value(want));
         }
-    }
-
-    #[test]
-    fn surface_dump_is_stable_and_dialect_tagged() {
-        let r = WirRegistry::for_version(WirVersion::W1_0);
-        let d = r.describe();
-        assert!(d.starts_with("registry wir wir1.0\n"), "{d}");
-        assert!(d.contains("emit_binop(ValTy, BinKind) -> Void"), "{d}");
     }
 }

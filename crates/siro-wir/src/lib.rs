@@ -21,8 +21,8 @@
 //!   dead code, branch-depth checking);
 //! * [`interp`] — a deterministic fuel-limited interpreter, the
 //!   differential oracle's ground truth;
-//! * [`api`] — the versioned builder/getter registry, implementing
-//!   `siro_api::DialectRegistry`;
+//! * [`api`] — the versioned builder/getter registry the synthesizer
+//!   searches;
 //! * [`gen`]/[`corpus`] — seeded program generation and hand conformance
 //!   cases;
 //! * [`any`] — the dialect-tagged [`AnyModule`] wrapper the serving path

@@ -108,13 +108,16 @@ pub fn parse_module(text: &str) -> Result<WirModule, WirParseError> {
             cur = Some(parse_func_header(ln, rest)?);
             continue;
         }
+        if line == ")" {
+            let Some(f) = cur.take() else {
+                return err(ln, format!("instruction outside a function: `{line}`"));
+            };
+            m.funcs.push(f);
+            continue;
+        }
         let Some(f) = cur.as_mut() else {
             return err(ln, format!("instruction outside a function: `{line}`"));
         };
-        if line == ")" {
-            m.funcs.push(cur.take().unwrap());
-            continue;
-        }
         if let Some(rest) = line.strip_prefix("(local") {
             let rest = rest.strip_suffix(')').ok_or(WirParseError {
                 line: ln,
@@ -207,7 +210,9 @@ fn parse_inst(
     symbolic_call: &mut dyn FnMut(&str),
 ) -> Result<WirInst, WirParseError> {
     let mut toks = line.split_whitespace();
-    let head = toks.next().unwrap();
+    let Some(head) = toks.next() else {
+        return err(ln, "empty instruction");
+    };
     let int_arg = |toks: &mut dyn Iterator<Item = &str>| -> Result<i64, WirParseError> {
         let tok = toks.next().ok_or(WirParseError {
             line: ln,

@@ -236,15 +236,6 @@ fn verify_func(m: &WirModule, f: &WirFunc) -> Result<(), WirVerifyError> {
     Ok(())
 }
 
-/// Whether every instruction kind used by `m` is available at `v` — the
-/// cheap gating half of validation, used by translators probing targets.
-pub fn supported_at(m: &WirModule, v: crate::version::WirVersion) -> bool {
-    m.funcs
-        .iter()
-        .flat_map(|f| f.body.iter())
-        .all(|i| v.supports(i.kind()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
