@@ -4,17 +4,21 @@
 //! One pair (13.0 -> 3.6, the paper's flagship), one synthesized
 //! translator, identical workload modules through both tiers:
 //!
-//! 1. every Tab. 4 project module is translated through both tiers and the
-//!    outputs are compared **byte-for-byte** (a fast wrong translator is
-//!    worthless);
+//! 1. every Tab. 4 project module is translated through the interpreter
+//!    and both compiled drivers, and the outputs are compared
+//!    **byte-for-byte** (a fast wrong translator is worthless);
 //! 2. the largest module is then timed — median of `REPS` timed calls per
-//!    tier after warmup. The interpreted tier runs the skeleton driver;
+//!    driver after warmup. The interpreted tier runs the skeleton driver;
 //!    the compiled tier runs its serving entry point,
-//!    `translate_module_owned` (serving parses each request into a module
-//!    it owns — the per-rep clone stands in for that parse and happens
-//!    *outside* the timed span);
+//!    `translate_module_owned` (the mirror driver; serving parses each
+//!    request into a module it owns — the per-rep clone stands in for
+//!    that parse and happens *outside* the timed span), and its push
+//!    driver, `translate_module` (the skeleton's walk with the compiled
+//!    translator plugged in, which the mirror falls back to), is timed
+//!    alongside and reported as `translate_p50_us.push`;
 //! 3. the gate requires `interpreted_p50 / compiled_p50 >=`
-//!    `SIRO_TRANSLATE_HOT_MIN_SPEEDUP` (default 5.0) *and* byte identity.
+//!    `SIRO_TRANSLATE_HOT_MIN_SPEEDUP` (default 5.0) *and* byte identity
+//!    of both compiled drivers.
 //!
 //! Dumps `BENCH_translate_hot.json` (`siro-bench/translate-hot-v1`);
 //! exits non-zero when the gate fails, so CI can run it directly.
@@ -65,6 +69,19 @@ fn time_owned(compiled: &siro_synth::CompiledTranslator, module: &Module) -> Vec
         .collect()
 }
 
+fn time_push(compiled: &siro_synth::CompiledTranslator, module: &Module) -> Vec<u64> {
+    for _ in 0..3 {
+        std::hint::black_box(compiled.translate_module(module).unwrap());
+    }
+    (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(compiled.translate_module(module).unwrap());
+            t.elapsed().as_micros() as u64
+        })
+        .collect()
+}
+
 fn main() {
     let (src, tgt) = (IrVersion::V13_0, IrVersion::V3_6);
     let min_speedup = env_f64("SIRO_TRANSLATE_HOT_MIN_SPEEDUP", 5.0);
@@ -95,7 +112,12 @@ fn main() {
         let fast = compiled
             .translate_module_owned(module.clone())
             .expect("compiled translate");
-        let same = siro_ir::write::write_module(&interp) == siro_ir::write::write_module(&fast);
+        let push = compiled
+            .translate_module(&module)
+            .expect("compiled push translate");
+        let want = siro_ir::write::write_module(&interp);
+        let same = want == siro_ir::write::write_module(&fast)
+            && want == siro_ir::write::write_module(&push);
         println!(
             "  {:<16} {:>6} insts  byte-identical: {}",
             spec.name,
@@ -117,8 +139,10 @@ fn main() {
     // ---- Steady-state timing on the largest module. ----------------------
     let interpreted = time_translations(&skeleton, &module, &outcome.translator);
     let fast = time_owned(&compiled, &module);
+    let push = time_push(&compiled, &module);
     let interpreted_p50_us = median(interpreted);
     let compiled_p50_us = median(fast).max(1);
+    let push_p50_us = median(push);
     let speedup = interpreted_p50_us as f64 / compiled_p50_us as f64;
 
     let interpreted_ns_per_inst = interpreted_p50_us as f64 * 1e3 / insts as f64;
@@ -127,7 +151,7 @@ fn main() {
     println!(
         "\n  {insts} insts: interpreted p50 {interpreted_p50_us} us \
          ({interpreted_ns_per_inst:.1} ns/inst), compiled p50 {compiled_p50_us} us \
-         ({compiled_ns_per_inst:.1} ns/inst)"
+         ({compiled_ns_per_inst:.1} ns/inst), push p50 {push_p50_us} us"
     );
     println!(
         "  lowering {} us (one-time), speedup {:.2}x (gate {:.1}x), byte-identical {}",
@@ -147,6 +171,7 @@ fn main() {
             obj([
                 ("interpreted", interpreted_p50_us.into()),
                 ("compiled", compiled_p50_us.into()),
+                ("push", push_p50_us.into()),
             ]),
         ),
         (
