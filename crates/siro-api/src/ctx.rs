@@ -22,6 +22,8 @@ use siro_ir::{
 };
 
 use crate::error::{ApiError, ApiResult};
+use crate::registry::ApiFn;
+use crate::value::ApiValue;
 
 /// Mutable translation state threaded through every API component.
 #[derive(Debug)]
@@ -445,6 +447,74 @@ impl<'s> TranslationCtx<'s> {
         let id = self.tgt.add_func(nf);
         self.map_func(src_fid, id);
         id
+    }
+}
+
+/// What a component body needs from its surroundings: value, block and
+/// type translation, both sides as the result-type rules read them, and
+/// instruction emission. The getter, operand-translator and builder bodies
+/// are generic over it, so every caller runs the same code:
+/// [`TranslationCtx`] is the push form, which translates into a fresh
+/// target module, and the compiled tier's mirror driver supplies an
+/// in-place form, where the source module is the target, translation is
+/// identity and the one built instruction is captured for a buffered
+/// overwrite.
+pub trait ExecEnv {
+    /// Translates a source value ([`TranslationCtx::translate_value`]).
+    ///
+    /// # Errors
+    ///
+    /// An unmapped block or function, or a placeholder.
+    fn translate_value(&mut self, v: ValueRef) -> ApiResult<ValueRef>;
+    /// Translates a source block ([`TranslationCtx::translate_block`]).
+    ///
+    /// # Errors
+    ///
+    /// An unmapped block.
+    fn translate_block(&mut self, b: BlockId) -> ApiResult<BlockId>;
+    /// Translates a source type ([`TranslationCtx::translate_type`]).
+    fn translate_type(&mut self, t: TypeId) -> TypeId;
+    /// The source side, as the result-type rules read it.
+    fn src(&mut self) -> impl Scope + '_;
+    /// The target side, as the result-type rules read it.
+    fn tgt(&mut self) -> impl Scope + '_;
+    /// Emits one built instruction, returning its value.
+    ///
+    /// # Errors
+    ///
+    /// No function or insertion point to emit into.
+    fn build(&mut self, inst: Instruction) -> ApiResult<ValueRef>;
+    /// Calls a registry component that has no directly callable body
+    /// ([`ApiFn::component`] is `None`).
+    ///
+    /// # Errors
+    ///
+    /// The component's error, or the environment's refusal to call
+    /// through the registry.
+    fn api_call(&mut self, f: &ApiFn, args: &[ApiValue]) -> ApiResult<ApiValue>;
+}
+
+impl ExecEnv for TranslationCtx<'_> {
+    fn translate_value(&mut self, v: ValueRef) -> ApiResult<ValueRef> {
+        TranslationCtx::translate_value(self, v)
+    }
+    fn translate_block(&mut self, b: BlockId) -> ApiResult<BlockId> {
+        TranslationCtx::translate_block(self, b)
+    }
+    fn translate_type(&mut self, t: TypeId) -> TypeId {
+        TranslationCtx::translate_type(self, t)
+    }
+    fn src(&mut self) -> impl Scope + '_ {
+        self.src_scope()
+    }
+    fn tgt(&mut self) -> impl Scope + '_ {
+        self.tgt_scope()
+    }
+    fn build(&mut self, inst: Instruction) -> ApiResult<ValueRef> {
+        TranslationCtx::build(self, inst)
+    }
+    fn api_call(&mut self, f: &ApiFn, args: &[ApiValue]) -> ApiResult<ApiValue> {
+        f.call(self, args)
     }
 }
 

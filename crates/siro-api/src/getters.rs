@@ -12,11 +12,12 @@
 //! equivalent-implementation candidates of Fig. 11 and the wrong-but-well-
 //! typed candidates of Fig. 9 that refinement must prune.
 
-use siro_ir::{infer, Opcode, ValueRef};
+use siro_ir::infer::{self, Scope};
+use siro_ir::{Instruction, Opcode, ValueRef};
 
-use crate::registry::{inst_arg, u32_arg, ApiKind, ApiRegistry};
+use crate::registry::{ApiRegistry, Component};
 use crate::value::{ApiType, ApiValue, Side};
-use crate::ApiError;
+use crate::{ApiError, ApiResult};
 
 const S: Side = Side::Source;
 
@@ -32,8 +33,14 @@ pub(crate) fn register(reg: &mut ApiRegistry) {
     }
 }
 
-fn inst_ty(op: Opcode) -> ApiType {
-    ApiType::Inst(op, S)
+/// Registers getter `g` under `name` for instructions of `op`.
+fn add(reg: &mut ApiRegistry, name: &str, op: Opcode, ret: ApiType, g: Getter) {
+    let params = if g.indexed() {
+        vec![ApiType::Inst(op, S), ApiType::U32]
+    } else {
+        vec![ApiType::Inst(op, S)]
+    };
+    reg.add(name, params, ret, Component::Get(g));
 }
 
 /// Static upper bound on the operand count of `op`, used to prune indexed
@@ -52,53 +59,23 @@ pub(crate) fn max_operand_index(op: Opcode) -> u32 {
 }
 
 fn register_generic(reg: &mut ApiRegistry, op: Opcode) {
-    let n = max_operand_index(op);
-    if n > 0 {
-        reg.add(
-            "get_operand",
-            ApiKind::Getter,
-            vec![inst_ty(op), ApiType::U32],
-            ApiType::Value(S),
-            false,
-            move |ctx, args| {
-                let inst = inst_arg(ctx, args, 0)?;
-                let i = u32_arg(args, 1)? as usize;
-                let v = *inst
-                    .operands
-                    .get(i)
-                    .ok_or_else(|| ApiError::OutOfRange(format!("operand {i}")))?;
-                if v.is_block() {
-                    return Err(ApiError::Type("operand is a block label".into()));
-                }
-                Ok(ApiValue::SrcValue(v))
-            },
-        );
-        reg.add(
+    use Getter as G;
+    if max_operand_index(op) > 0 {
+        add(reg, "get_operand", op, ApiType::Value(S), G::Operand);
+        add(
+            reg,
             "get_operand_type",
-            ApiKind::Getter,
-            vec![inst_ty(op), ApiType::U32],
+            op,
             ApiType::TypeRef(S),
-            false,
-            move |ctx, args| {
-                let inst = inst_arg(ctx, args, 0)?;
-                let i = u32_arg(args, 1)? as usize;
-                let v = *inst
-                    .operands
-                    .get(i)
-                    .ok_or_else(|| ApiError::OutOfRange(format!("operand {i}")))?;
-                ctx.src_value_type(v)
-                    .map(ApiValue::SrcType)
-                    .ok_or_else(|| ApiError::Type("operand has no table type".into()))
-            },
+            G::OperandType,
         );
     }
-    reg.add(
+    add(
+        reg,
         "get_result_type",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
+        op,
         ApiType::TypeRef(S),
-        false,
-        move |ctx, args| Ok(ApiValue::SrcType(inst_arg(ctx, args, 0)?.ty)),
+        G::ResultType,
     );
     // Block-operand alias getter for opcodes that have block operands.
     let has_blocks = matches!(
@@ -113,547 +90,407 @@ fn register_generic(reg: &mut ApiRegistry, op: Opcode) {
             | Opcode::CleanupRet
     );
     if has_blocks {
-        reg.add(
+        add(
+            reg,
             "get_block_operand",
-            ApiKind::Getter,
-            vec![inst_ty(op), ApiType::U32],
+            op,
             ApiType::Block(S),
-            false,
-            move |ctx, args| {
-                let inst = inst_arg(ctx, args, 0)?;
-                let i = u32_arg(args, 1)? as usize;
-                let v = *inst
-                    .operands
-                    .get(i)
-                    .ok_or_else(|| ApiError::OutOfRange(format!("operand {i}")))?;
-                v.as_block()
-                    .map(ApiValue::SrcBlock)
-                    .ok_or_else(|| ApiError::Type("operand is not a block".into()))
-            },
+            G::BlockOperand,
         );
-        reg.add(
-            "get_successor",
-            ApiKind::Getter,
-            vec![inst_ty(op), ApiType::U32],
-            ApiType::Block(S),
-            false,
-            move |ctx, args| {
-                let inst = inst_arg(ctx, args, 0)?;
-                let i = u32_arg(args, 1)? as usize;
-                inst.successors()
-                    .get(i)
-                    .copied()
-                    .map(ApiValue::SrcBlock)
-                    .ok_or_else(|| ApiError::OutOfRange(format!("successor {i}")))
-            },
-        );
+        add(reg, "get_successor", op, ApiType::Block(S), G::Successor);
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn register_specific(reg: &mut ApiRegistry, op: Opcode) {
+    use ApiType::{Bool, Indices};
+    use Getter as G;
     use Opcode::*;
-    match op {
-        Br => {
-            reg.add(
-                "is_unconditional",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Bool,
-                true,
-                |ctx, args| {
-                    Ok(ApiValue::Bool(
-                        inst_arg(ctx, args, 0)?.is_unconditional_branch(),
-                    ))
-                },
-            );
-            reg.add(
-                "get_condition",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Value(S),
-                false,
-                |ctx, args| {
-                    let inst = inst_arg(ctx, args, 0)?;
-                    if inst.is_unconditional_branch() {
-                        return Err(ApiError::WrongSubKind(
-                            "unconditional branch has no condition".into(),
-                        ));
-                    }
-                    Ok(ApiValue::SrcValue(inst.operands[0]))
-                },
-            );
-        }
-        Ret => {
-            reg.add(
-                "is_void_return",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Bool,
-                true,
-                |ctx, args| Ok(ApiValue::Bool(inst_arg(ctx, args, 0)?.is_void_return())),
-            );
-            reg.add(
-                "get_return_value",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Value(S),
-                false,
-                |ctx, args| {
-                    let inst = inst_arg(ctx, args, 0)?;
-                    inst.operands
-                        .first()
-                        .copied()
-                        .map(ApiValue::SrcValue)
-                        .ok_or_else(|| ApiError::WrongSubKind("void return has no value".into()))
-                },
-            );
-        }
-        Switch => {
-            reg.add(
-                "get_default_dest",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Block(S),
-                false,
-                |ctx, args| {
-                    let inst = inst_arg(ctx, args, 0)?;
-                    inst.operands
-                        .get(1)
-                        .and_then(|v| v.as_block())
-                        .map(ApiValue::SrcBlock)
-                        .ok_or_else(|| ApiError::Type("switch default missing".into()))
-                },
-            );
-            reg.add(
-                "get_cases",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::CaseList(S),
-                false,
-                |ctx, args| {
-                    let inst = inst_arg(ctx, args, 0)?;
-                    Ok(ApiValue::Cases(S, inst.switch_cases()))
-                },
-            );
-        }
-        IndirectBr => {
-            reg.add(
-                "get_address",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Value(S),
-                false,
-                |ctx, args| Ok(ApiValue::SrcValue(inst_arg(ctx, args, 0)?.operands[0])),
-            );
-            reg.add(
-                "get_destinations",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::BlockList(S),
-                false,
-                |ctx, args| Ok(ApiValue::Blocks(S, inst_arg(ctx, args, 0)?.successors())),
-            );
-        }
-        Call | Invoke | CallBr => {
-            register_call_family(reg, op);
-            match op {
-                Invoke => {
-                    reg.add(
-                        "get_normal_dest",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::Block(S),
-                        false,
-                        |ctx, args| {
-                            let s = inst_arg(ctx, args, 0)?.successors();
-                            s.first()
-                                .copied()
-                                .map(ApiValue::SrcBlock)
-                                .ok_or_else(|| ApiError::Type("invoke without dests".into()))
-                        },
-                    );
-                    reg.add(
-                        "get_unwind_dest",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::Block(S),
-                        false,
-                        |ctx, args| {
-                            let s = inst_arg(ctx, args, 0)?.successors();
-                            s.get(1)
-                                .copied()
-                                .map(ApiValue::SrcBlock)
-                                .ok_or_else(|| ApiError::Type("invoke without dests".into()))
-                        },
-                    );
-                }
-                CallBr => {
-                    reg.add(
-                        "get_fallthrough_dest",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::Block(S),
-                        false,
-                        |ctx, args| {
-                            let s = inst_arg(ctx, args, 0)?.successors();
-                            s.first()
-                                .copied()
-                                .map(ApiValue::SrcBlock)
-                                .ok_or_else(|| ApiError::Type("callbr without dests".into()))
-                        },
-                    );
-                    reg.add(
-                        "get_indirect_dests",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::BlockList(S),
-                        false,
-                        |ctx, args| {
-                            let s = inst_arg(ctx, args, 0)?.successors();
-                            Ok(ApiValue::Blocks(S, s[1..].to_vec()))
-                        },
-                    );
-                }
-                _ => {
-                    reg.add(
-                        "is_tail_call",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::Bool,
-                        true,
-                        |ctx, args| Ok(ApiValue::Bool(inst_arg(ctx, args, 0)?.attrs.tail_call)),
-                    );
-                    reg.add(
-                        "is_indirect_call",
-                        ApiKind::Getter,
-                        vec![inst_ty(op)],
-                        ApiType::Bool,
-                        true,
-                        |ctx, args| {
-                            let inst = inst_arg(ctx, args, 0)?;
-                            Ok(ApiValue::Bool(!matches!(
-                                inst.callee(),
-                                Some(ValueRef::Func(_) | ValueRef::InlineAsm(_))
-                            )))
-                        },
-                    );
-                }
-            }
-        }
-        ICmp => {
-            reg.add(
-                "get_predicate",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::IntPred,
-                false,
-                |ctx, args| {
-                    inst_arg(ctx, args, 0)?
-                        .attrs
-                        .int_pred
-                        .map(ApiValue::IntPred)
-                        .ok_or_else(|| ApiError::Type("icmp without predicate".into()))
-                },
-            );
-            register_lhs_rhs(reg, op);
-        }
-        FCmp => {
-            reg.add(
-                "get_float_predicate",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::FloatPred,
-                false,
-                |ctx, args| {
-                    inst_arg(ctx, args, 0)?
-                        .attrs
-                        .float_pred
-                        .map(ApiValue::FloatPred)
-                        .ok_or_else(|| ApiError::Type("fcmp without predicate".into()))
-                },
-            );
-            register_lhs_rhs(reg, op);
-        }
-        Alloca => {
-            reg.add(
-                "get_allocated_type",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::TypeRef(S),
-                false,
-                |ctx, args| {
-                    inst_arg(ctx, args, 0)?
-                        .attrs
-                        .alloc_ty
-                        .map(ApiValue::SrcType)
-                        .ok_or_else(|| ApiError::Type("alloca without type".into()))
-                },
-            );
-        }
-        Load => {
-            register_pointer_operand(reg, op, 0);
-            register_volatile(reg, op);
-        }
-        Store => {
-            reg.add(
-                "get_value_operand",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Value(S),
-                false,
-                |ctx, args| Ok(ApiValue::SrcValue(inst_arg(ctx, args, 0)?.operands[0])),
-            );
-            register_pointer_operand(reg, op, 1);
-            register_volatile(reg, op);
-        }
-        GetElementPtr => {
-            register_pointer_operand(reg, op, 0);
-            reg.add(
-                "get_source_element_type",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::TypeRef(S),
-                false,
-                |ctx, args| {
-                    inst_arg(ctx, args, 0)?
-                        .attrs
-                        .gep_source_ty
-                        .map(ApiValue::SrcType)
-                        .ok_or_else(|| ApiError::Type("gep without source type".into()))
-                },
-            );
-            reg.add(
-                "get_indices",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::ValueList(S),
-                false,
-                |ctx, args| {
-                    let inst = inst_arg(ctx, args, 0)?;
-                    Ok(ApiValue::Values(S, inst.operands[1..].to_vec()))
-                },
-            );
-            reg.add(
-                "is_inbounds",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Bool,
-                true,
-                |ctx, args| Ok(ApiValue::Bool(inst_arg(ctx, args, 0)?.attrs.inbounds)),
-            );
-        }
-        Fence | CmpXchg | AtomicRmw => {
-            reg.add(
-                "get_ordering",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Ordering,
-                false,
-                |ctx, args| {
-                    Ok(ApiValue::Ordering(
-                        inst_arg(ctx, args, 0)?
-                            .attrs
-                            .ordering
-                            .unwrap_or(siro_ir::AtomicOrdering::SeqCst),
-                    ))
-                },
-            );
-            if op == CmpXchg || op == AtomicRmw {
-                register_pointer_operand(reg, op, 0);
-            }
-            if op == AtomicRmw {
-                reg.add(
-                    "get_rmw_operation",
-                    ApiKind::Getter,
-                    vec![inst_ty(op)],
-                    ApiType::RmwOp,
-                    false,
-                    |ctx, args| {
-                        inst_arg(ctx, args, 0)?
-                            .attrs
-                            .rmw_op
-                            .map(ApiValue::RmwOp)
-                            .ok_or_else(|| ApiError::Type("atomicrmw without op".into()))
-                    },
-                );
-            }
-        }
-        ExtractValue | InsertValue => {
-            reg.add(
-                "get_index_path",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Indices,
-                false,
-                |ctx, args| Ok(ApiValue::Indices(inst_arg(ctx, args, 0)?.attrs.indices)),
-            );
-        }
-        ShuffleVector => {
-            reg.add(
-                "get_shuffle_mask",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Indices,
-                false,
-                |ctx, args| Ok(ApiValue::Indices(inst_arg(ctx, args, 0)?.attrs.indices)),
-            );
-        }
-        Phi => {
-            reg.add(
-                "get_incoming",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::PhiList(S),
-                false,
-                |ctx, args| Ok(ApiValue::Phis(S, inst_arg(ctx, args, 0)?.phi_incoming())),
-            );
-        }
-        LandingPad => {
-            reg.add(
-                "is_cleanup",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Bool,
-                true,
-                |ctx, args| Ok(ApiValue::Bool(inst_arg(ctx, args, 0)?.attrs.is_cleanup)),
-            );
-        }
-        CatchSwitch => {
-            reg.add(
-                "get_handlers",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::BlockList(S),
-                false,
-                |ctx, args| Ok(ApiValue::Blocks(S, inst_arg(ctx, args, 0)?.successors())),
-            );
-        }
-        CatchRet | CleanupRet => {
-            reg.add(
-                "get_dest",
-                ApiKind::Getter,
-                vec![inst_ty(op)],
-                ApiType::Block(S),
-                false,
-                |ctx, args| {
-                    inst_arg(ctx, args, 0)?
-                        .operands
-                        .first()
-                        .and_then(|v| v.as_block())
-                        .map(ApiValue::SrcBlock)
-                        .ok_or_else(|| ApiError::Type("missing destination".into()))
-                },
-            );
-        }
-        _ => {}
-    }
-}
-
-fn register_lhs_rhs(reg: &mut ApiRegistry, op: Opcode) {
-    reg.add(
-        "get_lhs",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Value(S),
-        false,
-        |ctx, args| Ok(ApiValue::SrcValue(inst_arg(ctx, args, 0)?.operands[0])),
-    );
-    reg.add(
-        "get_rhs",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Value(S),
-        false,
-        |ctx, args| Ok(ApiValue::SrcValue(inst_arg(ctx, args, 0)?.operands[1])),
-    );
-}
-
-fn register_volatile(reg: &mut ApiRegistry, op: Opcode) {
-    reg.add(
-        "is_volatile",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Bool,
-        true,
-        |ctx, args| Ok(ApiValue::Bool(inst_arg(ctx, args, 0)?.attrs.volatile)),
-    );
-}
-
-fn register_pointer_operand(reg: &mut ApiRegistry, op: Opcode, idx: usize) {
-    reg.add(
-        "get_pointer_operand",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Value(S),
-        false,
-        move |ctx, args| {
-            let inst = inst_arg(ctx, args, 0)?;
-            inst.operands
-                .get(idx)
-                .copied()
-                .map(ApiValue::SrcValue)
-                .ok_or_else(|| ApiError::OutOfRange("pointer operand".into()))
-        },
-    );
-}
-
-fn register_call_family(reg: &mut ApiRegistry, op: Opcode) {
-    let target_getter_name = if reg.src_version.renamed_called_operand_getter() {
+    let (value, block, ty) = (ApiType::Value(S), ApiType::Block(S), ApiType::TypeRef(S));
+    let (values, blocks) = (ApiType::ValueList(S), ApiType::BlockList(S));
+    let callee = if reg.src_version.renamed_called_operand_getter() {
         "get_called_operand"
     } else {
         "get_called_value"
     };
-    reg.add(
-        target_getter_name,
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Value(S),
-        false,
-        |ctx, args| {
-            inst_arg(ctx, args, 0)?
+    let call_family = [
+        (callee, value, G::Callee),
+        ("get_called_function", value, G::CalledFunction),
+        ("get_arguments", values, G::Arguments),
+        ("get_callee_type", ty, G::CalleeType),
+    ];
+    let pointer = |i| ("get_pointer_operand", value, G::PointerOperand(i));
+    let volatile = ("is_volatile", Bool, G::IsVolatile);
+    let (lhs, rhs) = (("get_lhs", value, G::Lhs), ("get_rhs", value, G::Rhs));
+    let ordering = ("get_ordering", ApiType::Ordering, G::OrderingOf);
+    let getters: Vec<(&str, ApiType, Getter)> = match op {
+        Br => vec![
+            ("is_unconditional", Bool, G::IsUnconditional),
+            ("get_condition", value, G::Condition),
+        ],
+        Ret => vec![
+            ("is_void_return", Bool, G::IsVoidReturn),
+            ("get_return_value", value, G::ReturnValue),
+        ],
+        Switch => vec![
+            ("get_default_dest", block, G::DefaultDest),
+            ("get_cases", ApiType::CaseList(S), G::Cases),
+        ],
+        IndirectBr => vec![
+            ("get_address", value, G::Address),
+            ("get_destinations", blocks, G::Destinations),
+        ],
+        Invoke => call_family
+            .into_iter()
+            .chain([
+                ("get_normal_dest", block, G::NormalDest),
+                ("get_unwind_dest", block, G::UnwindDest),
+            ])
+            .collect(),
+        CallBr => call_family
+            .into_iter()
+            .chain([
+                ("get_fallthrough_dest", block, G::FallthroughDest),
+                ("get_indirect_dests", blocks, G::IndirectDests),
+            ])
+            .collect(),
+        Call => call_family
+            .into_iter()
+            .chain([
+                ("is_tail_call", Bool, G::IsTailCall),
+                ("is_indirect_call", Bool, G::IsIndirectCall),
+            ])
+            .collect(),
+        ICmp => vec![
+            ("get_predicate", ApiType::IntPred, G::IntPredicateOf),
+            lhs,
+            rhs,
+        ],
+        FCmp => vec![
+            (
+                "get_float_predicate",
+                ApiType::FloatPred,
+                G::FloatPredicateOf,
+            ),
+            lhs,
+            rhs,
+        ],
+        Alloca => vec![("get_allocated_type", ty, G::AllocatedType)],
+        Load => vec![pointer(0), volatile],
+        Store => vec![
+            ("get_value_operand", value, G::ValueOperand),
+            pointer(1),
+            volatile,
+        ],
+        GetElementPtr => vec![
+            pointer(0),
+            ("get_source_element_type", ty, G::SourceElementType),
+            ("get_indices", values, G::GepIndices),
+            ("is_inbounds", Bool, G::IsInbounds),
+        ],
+        Fence => vec![ordering],
+        CmpXchg => vec![ordering, pointer(0)],
+        AtomicRmw => vec![
+            ordering,
+            pointer(0),
+            ("get_rmw_operation", ApiType::RmwOp, G::RmwOperation),
+        ],
+        ExtractValue | InsertValue => vec![("get_index_path", Indices, G::IndexPath)],
+        ShuffleVector => vec![("get_shuffle_mask", Indices, G::ShuffleMask)],
+        Phi => vec![("get_incoming", ApiType::PhiList(S), G::Incoming)],
+        LandingPad => vec![("is_cleanup", Bool, G::IsCleanup)],
+        CatchSwitch => vec![("get_handlers", blocks, G::Handlers)],
+        CatchRet | CleanupRet => vec![("get_dest", block, G::Dest)],
+        _ => Vec::new(),
+    };
+    for (name, ret, g) in getters {
+        add(reg, name, op, ret, g);
+    }
+}
+/// The source getters ("access information from an IR memory object",
+/// Tab. 2). Each variant is one body, [`Getter::get`], that the
+/// interpreter, synthesis and the compiled tier all run; the registry
+/// names a variant differently per kind and version (`get_called_value`
+/// before 11.0, `get_called_operand` from 11.0 on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Getter {
+    /// `get_operand(i)`: a non-label operand.
+    Operand,
+    /// `get_operand_type(i)`: the table type of an operand.
+    OperandType,
+    /// `get_result_type`.
+    ResultType,
+    /// `get_block_operand(i)`: a label operand.
+    BlockOperand,
+    /// `get_successor(i)`.
+    Successor,
+    /// `is_unconditional` (predicate).
+    IsUnconditional,
+    /// `get_condition`: a conditional branch's condition.
+    Condition,
+    /// `is_void_return` (predicate).
+    IsVoidReturn,
+    /// `get_return_value`.
+    ReturnValue,
+    /// `get_default_dest`: a switch's default.
+    DefaultDest,
+    /// `get_cases`: a switch's cases.
+    Cases,
+    /// `get_address`: an `indirectbr`'s address.
+    Address,
+    /// `get_destinations`: an `indirectbr`'s destinations.
+    Destinations,
+    /// `get_called_value` / `get_called_operand`: the callee.
+    Callee,
+    /// `get_called_function`: a direct call's function.
+    CalledFunction,
+    /// `get_arguments`: a call's arguments.
+    Arguments,
+    /// `get_callee_type`: the callee's function type, rebuilt from the
+    /// call site when the callee is an opaque pointer.
+    CalleeType,
+    /// `get_normal_dest`.
+    NormalDest,
+    /// `get_unwind_dest`.
+    UnwindDest,
+    /// `get_fallthrough_dest`.
+    FallthroughDest,
+    /// `get_indirect_dests`.
+    IndirectDests,
+    /// `is_tail_call` (predicate).
+    IsTailCall,
+    /// `is_indirect_call` (predicate).
+    IsIndirectCall,
+    /// `get_predicate`: an `icmp`'s predicate.
+    IntPredicateOf,
+    /// `get_float_predicate`: an `fcmp`'s predicate.
+    FloatPredicateOf,
+    /// `get_lhs`.
+    Lhs,
+    /// `get_rhs`.
+    Rhs,
+    /// `get_allocated_type`.
+    AllocatedType,
+    /// `get_pointer_operand`, at this operand index (1 for stores, 0
+    /// otherwise).
+    PointerOperand(u8),
+    /// `is_volatile` (predicate).
+    IsVolatile,
+    /// `get_value_operand`: a store's value.
+    ValueOperand,
+    /// `get_source_element_type`.
+    SourceElementType,
+    /// `get_indices`: a GEP's indices.
+    GepIndices,
+    /// `is_inbounds` (predicate).
+    IsInbounds,
+    /// `get_ordering`.
+    OrderingOf,
+    /// `get_rmw_operation`.
+    RmwOperation,
+    /// `get_index_path`.
+    IndexPath,
+    /// `get_shuffle_mask`.
+    ShuffleMask,
+    /// `get_incoming`: a phi's incoming pairs.
+    Incoming,
+    /// `is_cleanup` (predicate).
+    IsCleanup,
+    /// `get_handlers`: a `catchswitch`'s handlers.
+    Handlers,
+    /// `get_dest`: a `catchret`'s or `cleanupret`'s destination.
+    Dest,
+}
+
+impl Getter {
+    /// Whether the getter takes an operand or successor index (`u32`)
+    /// after the instruction.
+    pub fn indexed(self) -> bool {
+        use Getter::*;
+        matches!(self, Operand | OperandType | BlockOperand | Successor)
+    }
+
+    /// A predicate getter's flag on `inst` (the sub-kind predicates of
+    /// Def. 3.1 are exactly the `bool` getters); `None` for every other
+    /// getter.
+    #[inline]
+    pub fn flag(self, inst: &Instruction) -> Option<bool> {
+        use Getter::*;
+        Some(match self {
+            IsUnconditional => inst.is_unconditional_branch(),
+            IsVoidReturn => inst.is_void_return(),
+            IsTailCall => inst.attrs.tail_call,
+            IsIndirectCall => !matches!(
+                inst.callee(),
+                Some(ValueRef::Func(_) | ValueRef::InlineAsm(_))
+            ),
+            IsVolatile => inst.attrs.volatile,
+            IsInbounds => inst.attrs.inbounds,
+            IsCleanup => inst.attrs.is_cleanup,
+            _ => return None,
+        })
+    }
+
+    /// The operands a value-list getter returns, borrowed: the call
+    /// arguments of `get_arguments` and the GEP indices of `get_indices`.
+    /// `None` for every other getter.
+    pub fn operand_list(self, inst: &Instruction) -> Option<&[ValueRef]> {
+        match self {
+            Getter::Arguments => Some(inst.call_args()),
+            Getter::GepIndices => Some(&inst.operands[1..]),
+            _ => None,
+        }
+    }
+
+    /// Reads the getter's value off `inst`. `index` is an
+    /// [indexed](Getter::indexed) getter's operand or successor index and
+    /// is ignored otherwise; `src` is the source side, which only
+    /// `get_operand_type` and `get_callee_type` read.
+    ///
+    /// # Errors
+    ///
+    /// An index out of range, an instruction of the wrong sub-kind (a
+    /// condition of an unconditional branch, say) or a missing attribute.
+    #[allow(clippy::too_many_lines)]
+    pub fn get<Src: Scope>(
+        self,
+        inst: &Instruction,
+        index: u32,
+        src: &mut Src,
+    ) -> ApiResult<ApiValue> {
+        use ApiValue::{Blocks, Bool, SrcBlock, SrcType, SrcValue};
+        use Getter::*;
+        let i = index as usize;
+        let operand = || {
+            inst.operands
+                .get(i)
+                .copied()
+                .ok_or_else(|| ApiError::OutOfRange(format!("operand {i}")))
+        };
+        let type_err = |msg: &str| ApiError::Type(msg.into());
+        Ok(match self {
+            IsUnconditional | IsVoidReturn | IsTailCall | IsIndirectCall | IsVolatile
+            | IsInbounds | IsCleanup => Bool(self.flag(inst) == Some(true)),
+            Operand => {
+                let v = operand()?;
+                if v.is_block() {
+                    return Err(type_err("operand is a block label"));
+                }
+                SrcValue(v)
+            }
+            OperandType => src
+                .value_type(operand()?)
+                .map(SrcType)
+                .ok_or_else(|| type_err("operand has no table type"))?,
+            ResultType => SrcType(inst.ty),
+            BlockOperand => operand()?
+                .as_block()
+                .map(SrcBlock)
+                .ok_or_else(|| type_err("operand is not a block"))?,
+            Successor => inst
+                .successors()
+                .get(i)
+                .copied()
+                .map(SrcBlock)
+                .ok_or_else(|| ApiError::OutOfRange(format!("successor {i}")))?,
+            Condition => {
+                if inst.is_unconditional_branch() {
+                    return Err(ApiError::WrongSubKind(
+                        "unconditional branch has no condition".into(),
+                    ));
+                }
+                SrcValue(inst.operands[0])
+            }
+            ReturnValue => inst
+                .operands
+                .first()
+                .copied()
+                .map(SrcValue)
+                .ok_or_else(|| ApiError::WrongSubKind("void return has no value".into()))?,
+            DefaultDest => inst
+                .operands
+                .get(1)
+                .and_then(|v| v.as_block())
+                .map(SrcBlock)
+                .ok_or_else(|| type_err("switch default missing"))?,
+            Cases => ApiValue::Cases(S, inst.switch_cases()),
+            Address | Lhs | ValueOperand => SrcValue(inst.operands[0]),
+            Rhs => SrcValue(inst.operands[1]),
+            Destinations | Handlers => Blocks(S, inst.successors()),
+            Callee => inst
                 .callee()
-                .map(ApiValue::SrcValue)
-                .ok_or_else(|| ApiError::Type("no callee".into()))
-        },
-    );
-    reg.add(
-        "get_called_function",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::Value(S),
-        false,
-        |ctx, args| match inst_arg(ctx, args, 0)?.callee() {
-            Some(v @ ValueRef::Func(_)) => Ok(ApiValue::SrcValue(v)),
-            _ => Err(ApiError::WrongSubKind("indirect call".into())),
-        },
-    );
-    reg.add(
-        "get_arguments",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::ValueList(S),
-        false,
-        |ctx, args| {
-            let inst = inst_arg(ctx, args, 0)?;
-            Ok(ApiValue::Values(S, inst.call_args().to_vec()))
-        },
-    );
-    reg.add(
-        "get_callee_type",
-        ApiKind::Getter,
-        vec![inst_ty(op)],
-        ApiType::TypeRef(S),
-        false,
-        |ctx, args| {
-            let inst = inst_arg(ctx, args, 0)?;
-            let callee = inst
-                .callee()
-                .ok_or_else(|| ApiError::Type("no callee".into()))?;
-            let ty = infer::callee_type(&mut ctx.src_scope(), callee, inst.ty, inst.call_args())?;
-            Ok(ApiValue::SrcType(ty))
-        },
-    );
+                .map(SrcValue)
+                .ok_or_else(|| type_err("no callee"))?,
+            CalledFunction => match inst.callee() {
+                Some(v @ ValueRef::Func(_)) => SrcValue(v),
+                _ => return Err(ApiError::WrongSubKind("indirect call".into())),
+            },
+            Arguments | GepIndices => {
+                ApiValue::Values(S, self.operand_list(inst).unwrap_or_default().to_vec())
+            }
+            CalleeType => {
+                let callee = inst.callee().ok_or_else(|| type_err("no callee"))?;
+                SrcType(infer::callee_type(src, callee, inst.ty, inst.call_args())?)
+            }
+            NormalDest | UnwindDest | FallthroughDest => {
+                let n = usize::from(self == UnwindDest);
+                let what = if self == FallthroughDest {
+                    "callbr without dests"
+                } else {
+                    "invoke without dests"
+                };
+                inst.successors()
+                    .get(n)
+                    .copied()
+                    .map(SrcBlock)
+                    .ok_or_else(|| type_err(what))?
+            }
+            IndirectDests => Blocks(S, inst.successors()[1..].to_vec()),
+            IntPredicateOf => inst
+                .attrs
+                .int_pred
+                .map(ApiValue::IntPred)
+                .ok_or_else(|| type_err("icmp without predicate"))?,
+            FloatPredicateOf => inst
+                .attrs
+                .float_pred
+                .map(ApiValue::FloatPred)
+                .ok_or_else(|| type_err("fcmp without predicate"))?,
+            AllocatedType => inst
+                .attrs
+                .alloc_ty
+                .map(SrcType)
+                .ok_or_else(|| type_err("alloca without type"))?,
+            PointerOperand(p) => inst
+                .operands
+                .get(usize::from(p))
+                .copied()
+                .map(SrcValue)
+                .ok_or_else(|| ApiError::OutOfRange("pointer operand".into()))?,
+            SourceElementType => inst
+                .attrs
+                .gep_source_ty
+                .map(SrcType)
+                .ok_or_else(|| type_err("gep without source type"))?,
+            OrderingOf => ApiValue::Ordering(
+                inst.attrs
+                    .ordering
+                    .unwrap_or(siro_ir::AtomicOrdering::SeqCst),
+            ),
+            RmwOperation => inst
+                .attrs
+                .rmw_op
+                .map(ApiValue::RmwOp)
+                .ok_or_else(|| type_err("atomicrmw without op"))?,
+            IndexPath | ShuffleMask => ApiValue::Indices(inst.attrs.indices.clone()),
+            Incoming => ApiValue::Phis(S, inst.phi_incoming()),
+            Dest => inst
+                .operands
+                .first()
+                .and_then(|v| v.as_block())
+                .map(SrcBlock)
+                .ok_or_else(|| type_err("missing destination"))?,
+        })
+    }
 }
 
 #[cfg(test)]

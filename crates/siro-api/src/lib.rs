@@ -24,8 +24,8 @@
 
 #![warn(missing_docs)]
 
-mod builders;
-mod getters;
+pub mod builders;
+pub mod getters;
 
 pub mod ctx;
 pub mod error;
@@ -33,10 +33,12 @@ pub mod program;
 pub mod registry;
 pub mod value;
 
-pub use ctx::TranslationCtx;
+pub use builders::Builder;
+pub use ctx::{ExecEnv, TranslationCtx};
 pub use error::{ApiError, ApiResult};
+pub use getters::Getter;
 pub use program::{ApiCall, ApiProgram, Reg};
-pub use registry::{ApiFn, ApiId, ApiKind, ApiRegistry, PredConj};
+pub use registry::{ApiFn, ApiId, ApiKind, ApiRegistry, Args, Component, PredConj, Translator};
 pub use value::{ApiType, ApiValue, PredValue, Side};
 
 /// Static upper bound on the operand count of an opcode, exposed for the

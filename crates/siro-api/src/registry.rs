@@ -13,10 +13,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use siro_ir::{Instruction, IrVersion, Opcode, ValueRef};
+use siro_ir::{BlockId, Instruction, IrVersion, Opcode, TypeId, ValueRef};
 
-use crate::ctx::TranslationCtx;
+use crate::builders::Builder;
+use crate::ctx::{ExecEnv, TranslationCtx};
 use crate::error::{ApiError, ApiResult};
+use crate::getters::Getter;
 use crate::value::{ApiType, ApiValue, PredValue, Side};
 
 /// The conjunction of all sub-kind predicate values of one instruction
@@ -40,8 +42,57 @@ pub enum ApiKind {
     Const,
 }
 
+/// Which component a registry entry is. Each descriptor names one body
+/// in this crate, which [`ApiFn::call`] runs for the interpreter and
+/// synthesis and which the compiled tier calls directly from the micro-op
+/// it binds by this descriptor. Entries without one (the invoke, atomic,
+/// vector, aggregate and exception-handling builders) are reached through
+/// [`ApiFn::call`] only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Component {
+    /// A constant provider returning this literal.
+    Const(u32),
+    /// An operand translator.
+    Translate(Translator),
+    /// A source getter.
+    Get(Getter),
+    /// A target builder.
+    Build(Builder),
+}
+
+impl Component {
+    fn kind(self) -> ApiKind {
+        match self {
+            Component::Const(_) => ApiKind::Const,
+            Component::Translate(_) => ApiKind::OperandTranslator,
+            Component::Get(_) => ApiKind::Getter,
+            Component::Build(_) => ApiKind::Builder,
+        }
+    }
+
+    /// Runs the body on the interpreter's arguments.
+    fn call(self, ctx: &mut TranslationCtx<'_>, args: &[ApiValue]) -> ApiResult<ApiValue> {
+        match self {
+            Component::Const(v) => Ok(ApiValue::U32(v)),
+            Component::Translate(t) => t.translate(ctx, args.first()),
+            Component::Get(g) => {
+                let inst = inst_arg(ctx, args, 0)?;
+                let index = if g.indexed() { u32_arg(args, 1)? } else { 0 };
+                g.get(inst, index, &mut ctx.src_scope())
+            }
+            Component::Build(b) => b.build(ctx, args).map(ApiValue::TgtValue),
+        }
+    }
+}
+
 type ApiImpl =
     Arc<dyn Fn(&mut TranslationCtx<'_>, &[ApiValue]) -> ApiResult<ApiValue> + Send + Sync>;
+
+#[derive(Clone)]
+enum Body {
+    Component(Component),
+    Closure(ApiImpl),
+}
 
 /// One typed API component.
 #[derive(Clone)]
@@ -57,7 +108,7 @@ pub struct ApiFn {
     /// Whether this getter is a sub-kind predicate source (bool/enum getter
     /// in the sense of Def. 3.1).
     pub is_predicate: bool,
-    run: ApiImpl,
+    body: Body,
 }
 
 impl fmt::Debug for ApiFn {
@@ -80,7 +131,18 @@ impl ApiFn {
     ///
     /// Propagates the component's [`ApiError`].
     pub fn call(&self, ctx: &mut TranslationCtx<'_>, args: &[ApiValue]) -> ApiResult<ApiValue> {
-        (self.run)(ctx, args)
+        match &self.body {
+            Body::Component(c) => c.call(ctx, args),
+            Body::Closure(run) => run(ctx, args),
+        }
+    }
+
+    /// Which component this is, when its body can be called directly.
+    pub fn component(&self) -> Option<Component> {
+        match self.body {
+            Body::Component(c) => Some(c),
+            Body::Closure(_) => None,
+        }
     }
 }
 
@@ -102,36 +164,72 @@ impl ApiRegistry {
             tgt_version,
             fns: Vec::new(),
         };
-        reg.register_consts();
+        for i in 0..3u32 {
+            reg.add(
+                format!("const_{i}"),
+                vec![],
+                ApiType::U32,
+                Component::Const(i),
+            );
+        }
         reg.register_operand_translators();
         crate::getters::register(&mut reg);
         crate::builders::register(&mut reg);
         reg
     }
 
-    /// Registers one component; used by the getter/builder modules.
+    /// Registers a component with a body in this crate. The sub-kind
+    /// predicates are exactly the getters that return `bool`.
     pub(crate) fn add(
+        &mut self,
+        name: impl Into<String>,
+        params: Vec<ApiType>,
+        ret: ApiType,
+        c: Component,
+    ) {
+        let is_predicate = matches!(c, Component::Get(_)) && ret == ApiType::Bool;
+        self.push(
+            name,
+            c.kind(),
+            params,
+            ret,
+            is_predicate,
+            Body::Component(c),
+        );
+    }
+
+    /// Registers a builder whose body is `run` alone.
+    pub(crate) fn add_builder_fn(
+        &mut self,
+        name: impl Into<String>,
+        params: Vec<ApiType>,
+        ret: ApiType,
+        run: impl Fn(&mut TranslationCtx<'_>, &[ApiValue]) -> ApiResult<ApiValue>
+            + Send
+            + Sync
+            + 'static,
+    ) {
+        let body = Body::Closure(Arc::new(run));
+        self.push(name, ApiKind::Builder, params, ret, false, body);
+    }
+
+    fn push(
         &mut self,
         name: impl Into<String>,
         kind: ApiKind,
         params: Vec<ApiType>,
         ret: ApiType,
         is_predicate: bool,
-        run: impl Fn(&mut TranslationCtx<'_>, &[ApiValue]) -> ApiResult<ApiValue>
-            + Send
-            + Sync
-            + 'static,
-    ) -> ApiId {
-        let id = ApiId(self.fns.len() as u32);
+        body: Body,
+    ) {
         self.fns.push(ApiFn {
             name: name.into(),
             kind,
             params,
             ret,
             is_predicate,
-            run: Arc::new(run),
+            body,
         });
-        id
     }
 
     /// The component behind `id`.
@@ -226,123 +324,164 @@ impl ApiRegistry {
         Ok(conj)
     }
 
-    // ---- Built-in component groups ----------------------------------------
-
-    fn register_consts(&mut self) {
-        for i in 0..3u32 {
-            self.add(
-                format!("const_{i}"),
-                ApiKind::Const,
-                vec![],
-                ApiType::U32,
-                false,
-                move |_, _| Ok(ApiValue::U32(i)),
-            );
-        }
-    }
-
     fn register_operand_translators(&mut self) {
-        self.add(
-            "translate_value",
-            ApiKind::OperandTranslator,
-            vec![ApiType::Value(Side::Source)],
-            ApiType::Value(Side::Target),
-            false,
-            |ctx, args| {
-                let v = src_value_arg(args, 0)?;
-                Ok(ApiValue::TgtValue(ctx.translate_value(v)?))
-            },
-        );
-        self.add(
-            "translate_block",
-            ApiKind::OperandTranslator,
-            vec![ApiType::Block(Side::Source)],
-            ApiType::Block(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::SrcBlock(b)) => Ok(ApiValue::TgtBlock(ctx.translate_block(*b)?)),
-                _ => Err(ApiError::Type("expected source block".into())),
-            },
-        );
-        self.add(
-            "translate_type",
-            ApiKind::OperandTranslator,
-            vec![ApiType::TypeRef(Side::Source)],
-            ApiType::TypeRef(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::SrcType(t)) => Ok(ApiValue::TgtType(ctx.translate_type(*t))),
-                _ => Err(ApiError::Type("expected source type".into())),
-            },
-        );
-        self.add(
-            "translate_values",
-            ApiKind::OperandTranslator,
-            vec![ApiType::ValueList(Side::Source)],
-            ApiType::ValueList(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::Values(Side::Source, vs)) => {
-                    let out: ApiResult<Vec<ValueRef>> =
-                        vs.iter().map(|&v| ctx.translate_value(v)).collect();
-                    Ok(ApiValue::Values(Side::Target, out?))
-                }
-                _ => Err(ApiError::Type("expected source value list".into())),
-            },
-        );
-        self.add(
-            "translate_blocks",
-            ApiKind::OperandTranslator,
-            vec![ApiType::BlockList(Side::Source)],
-            ApiType::BlockList(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::Blocks(Side::Source, bs)) => {
-                    let out: ApiResult<Vec<siro_ir::BlockId>> =
-                        bs.iter().map(|&b| ctx.translate_block(b)).collect();
-                    Ok(ApiValue::Blocks(Side::Target, out?))
-                }
-                _ => Err(ApiError::Type("expected source block list".into())),
-            },
-        );
-        self.add(
-            "translate_cases",
-            ApiKind::OperandTranslator,
-            vec![ApiType::CaseList(Side::Source)],
-            ApiType::CaseList(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::Cases(Side::Source, cs)) => {
-                    let out: ApiResult<Vec<(ValueRef, siro_ir::BlockId)>> = cs
-                        .iter()
-                        .map(|&(v, b)| Ok((ctx.translate_value(v)?, ctx.translate_block(b)?)))
-                        .collect();
-                    Ok(ApiValue::Cases(Side::Target, out?))
-                }
-                _ => Err(ApiError::Type("expected source case list".into())),
-            },
-        );
-        self.add(
-            "translate_incoming",
-            ApiKind::OperandTranslator,
-            vec![ApiType::PhiList(Side::Source)],
-            ApiType::PhiList(Side::Target),
-            false,
-            |ctx, args| match args.first() {
-                Some(ApiValue::Phis(Side::Source, ps)) => {
-                    let out: ApiResult<Vec<(ValueRef, siro_ir::BlockId)>> = ps
-                        .iter()
-                        .map(|&(v, b)| Ok((ctx.translate_value(v)?, ctx.translate_block(b)?)))
-                        .collect();
-                    Ok(ApiValue::Phis(Side::Target, out?))
-                }
-                _ => Err(ApiError::Type("expected source phi list".into())),
-            },
-        );
+        use ApiType as A;
+        use Translator as X;
+        let (s, t) = (Side::Source, Side::Target);
+        for (name, param, ret, x) in [
+            ("translate_value", A::Value(s), A::Value(t), X::Value),
+            ("translate_block", A::Block(s), A::Block(t), X::Block),
+            ("translate_type", A::TypeRef(s), A::TypeRef(t), X::Type),
+            (
+                "translate_values",
+                A::ValueList(s),
+                A::ValueList(t),
+                X::Values,
+            ),
+            (
+                "translate_blocks",
+                A::BlockList(s),
+                A::BlockList(t),
+                X::Blocks,
+            ),
+            ("translate_cases", A::CaseList(s), A::CaseList(t), X::Cases),
+            (
+                "translate_incoming",
+                A::PhiList(s),
+                A::PhiList(t),
+                X::Incoming,
+            ),
+        ] {
+            self.add(name, vec![param], ret, Component::Translate(x));
+        }
     }
 }
 
-// ---- Shared argument-extraction helpers (used by getters/builders too) ----
+/// The skeleton's operand translators (Tab. 2): the environment's value,
+/// block and type translation, lifted over lists, switch cases and phi
+/// incomings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Translator {
+    /// `translate_value`.
+    Value,
+    /// `translate_block`.
+    Block,
+    /// `translate_type`.
+    Type,
+    /// `translate_values`.
+    Values,
+    /// `translate_blocks`.
+    Blocks,
+    /// `translate_cases`.
+    Cases,
+    /// `translate_incoming`.
+    Incoming,
+}
+
+impl Translator {
+    /// Translates the source operand `arg` (the component's only argument)
+    /// through `env`.
+    ///
+    /// # Errors
+    ///
+    /// A type error when `arg` is not the source operand this translator
+    /// takes, else the first failed translation.
+    #[inline]
+    pub fn translate<E: ExecEnv>(self, env: &mut E, arg: Option<&ApiValue>) -> ApiResult<ApiValue> {
+        use Translator as X;
+        const S: Side = Side::Source;
+        const T: Side = Side::Target;
+        Ok(match (self, arg) {
+            (X::Value, Some(ApiValue::SrcValue(v))) => ApiValue::TgtValue(env.translate_value(*v)?),
+            (X::Value, other) => {
+                return Err(ApiError::Type(format!(
+                    "arg 0: expected source value, got {other:?}"
+                )))
+            }
+            (X::Block, Some(ApiValue::SrcBlock(b))) => ApiValue::TgtBlock(env.translate_block(*b)?),
+            (X::Type, Some(ApiValue::SrcType(t))) => ApiValue::TgtType(env.translate_type(*t)),
+            (X::Values, Some(ApiValue::Values(S, vs))) => {
+                let mut out = Vec::with_capacity(vs.len());
+                translate_values_into(env, vs, &mut out)?;
+                ApiValue::Values(T, out)
+            }
+            (X::Blocks, Some(ApiValue::Blocks(S, bs))) => {
+                let mut out = Vec::with_capacity(bs.len());
+                for &b in bs {
+                    out.push(env.translate_block(b)?);
+                }
+                ApiValue::Blocks(T, out)
+            }
+            (X::Cases, Some(ApiValue::Cases(S, cs))) => {
+                ApiValue::Cases(T, translate_pairs(env, cs)?)
+            }
+            (X::Incoming, Some(ApiValue::Phis(S, ps))) => {
+                ApiValue::Phis(T, translate_pairs(env, ps)?)
+            }
+            (x, _) => {
+                let expected = match x {
+                    X::Block => "expected source block",
+                    X::Type => "expected source type",
+                    X::Values => "expected source value list",
+                    X::Blocks => "expected source block list",
+                    X::Cases => "expected source case list",
+                    _ => "expected source phi list",
+                };
+                return Err(ApiError::Type(expected.into()));
+            }
+        })
+    }
+}
+
+/// Translates `(value, block)` pairs: switch cases and phi incomings.
+fn translate_pairs<E: ExecEnv>(
+    env: &mut E,
+    pairs: &[(ValueRef, BlockId)],
+) -> ApiResult<Vec<(ValueRef, BlockId)>> {
+    let mut out = Vec::with_capacity(pairs.len());
+    for &(v, b) in pairs {
+        out.push((env.translate_value(v)?, env.translate_block(b)?));
+    }
+    Ok(out)
+}
+
+/// `translate_values`'s loop, appending to `out`: a fused list runs it
+/// straight into a builder's operand vector.
+pub(crate) fn translate_values_into<E: ExecEnv>(
+    env: &mut E,
+    src: &[ValueRef],
+    out: &mut Vec<ValueRef>,
+) -> ApiResult<()> {
+    for &v in src {
+        out.push(env.translate_value(v)?);
+    }
+    Ok(())
+}
+
+// ---- Positional arguments ------------------------------------------------
+
+/// A component's positional arguments, wherever they live: the
+/// interpreter passes a slice of values, the compiled tier a view of its
+/// pre-bound step registers. The extractors below read either, so both
+/// produce the same `arg {i}: expected …` errors.
+pub trait Args {
+    /// The argument at position `i`.
+    fn arg(&self, i: usize) -> Option<&ApiValue>;
+
+    /// The source operands a builder's value-list argument was fused from,
+    /// if any: the builder then translates them straight into its operand
+    /// vector instead of reading a translated list (the compiled tier's
+    /// list fusion).
+    fn fused_list(&self) -> Option<&[ValueRef]> {
+        None
+    }
+}
+
+impl Args for [ApiValue] {
+    fn arg(&self, i: usize) -> Option<&ApiValue> {
+        self.get(i)
+    }
+}
 
 /// Extracts the source instruction handle at position `i`.
 pub(crate) fn inst_id_arg(args: &[ApiValue], i: usize) -> ApiResult<siro_ir::InstId> {
@@ -354,15 +493,19 @@ pub(crate) fn inst_id_arg(args: &[ApiValue], i: usize) -> ApiResult<siro_ir::Ins
     }
 }
 
-/// Clones the source instruction at position `i` out of the current source
-/// function.
-pub(crate) fn inst_arg(
-    ctx: &TranslationCtx<'_>,
+/// Borrows the source instruction at position `i` from the current source
+/// function. The borrow is of the source module, not of `ctx`.
+pub(crate) fn inst_arg<'s>(
+    ctx: &TranslationCtx<'s>,
     args: &[ApiValue],
     i: usize,
-) -> ApiResult<Instruction> {
+) -> ApiResult<&'s Instruction> {
     let id = inst_id_arg(args, i)?;
-    Ok(ctx.src_func()?.inst(id).clone())
+    let src: &'s siro_ir::Module = ctx.src;
+    let f = ctx
+        .src_func_id()
+        .ok_or_else(|| ApiError::Missing("no current source function".into()))?;
+    Ok(src.func(f).inst(id))
 }
 
 /// Extracts a `u32` literal at position `i`.
@@ -375,19 +518,9 @@ pub(crate) fn u32_arg(args: &[ApiValue], i: usize) -> ApiResult<u32> {
     }
 }
 
-/// Extracts a source value at position `i`.
-pub(crate) fn src_value_arg(args: &[ApiValue], i: usize) -> ApiResult<ValueRef> {
-    match args.get(i) {
-        Some(ApiValue::SrcValue(v)) => Ok(*v),
-        other => Err(ApiError::Type(format!(
-            "arg {i}: expected source value, got {other:?}"
-        ))),
-    }
-}
-
 /// Extracts a target value at position `i`.
-pub(crate) fn tgt_value_arg(args: &[ApiValue], i: usize) -> ApiResult<ValueRef> {
-    match args.get(i) {
+pub(crate) fn tgt_value_arg<A: Args + ?Sized>(args: &A, i: usize) -> ApiResult<ValueRef> {
+    match args.arg(i) {
         Some(ApiValue::TgtValue(v)) => Ok(*v),
         other => Err(ApiError::Type(format!(
             "arg {i}: expected target value, got {other:?}"
@@ -396,8 +529,8 @@ pub(crate) fn tgt_value_arg(args: &[ApiValue], i: usize) -> ApiResult<ValueRef> 
 }
 
 /// Extracts a target block at position `i`.
-pub(crate) fn tgt_block_arg(args: &[ApiValue], i: usize) -> ApiResult<siro_ir::BlockId> {
-    match args.get(i) {
+pub(crate) fn tgt_block_arg<A: Args + ?Sized>(args: &A, i: usize) -> ApiResult<BlockId> {
+    match args.arg(i) {
         Some(ApiValue::TgtBlock(b)) => Ok(*b),
         other => Err(ApiError::Type(format!(
             "arg {i}: expected target block, got {other:?}"
@@ -406,11 +539,21 @@ pub(crate) fn tgt_block_arg(args: &[ApiValue], i: usize) -> ApiResult<siro_ir::B
 }
 
 /// Extracts a target type at position `i`.
-pub(crate) fn tgt_type_arg(args: &[ApiValue], i: usize) -> ApiResult<siro_ir::TypeId> {
-    match args.get(i) {
+pub(crate) fn tgt_type_arg<A: Args + ?Sized>(args: &A, i: usize) -> ApiResult<TypeId> {
+    match args.arg(i) {
         Some(ApiValue::TgtType(t)) => Ok(*t),
         other => Err(ApiError::Type(format!(
             "arg {i}: expected target type, got {other:?}"
+        ))),
+    }
+}
+
+/// Borrows a target value list at position `i`.
+pub(crate) fn tgt_values_arg<A: Args + ?Sized>(args: &A, i: usize) -> ApiResult<&[ValueRef]> {
+    match args.arg(i) {
+        Some(ApiValue::Values(Side::Target, vs)) => Ok(vs),
+        other => Err(ApiError::Type(format!(
+            "arg {i}: expected target value list, got {other:?}"
         ))),
     }
 }
