@@ -97,16 +97,25 @@ impl<'m> FuncBuilder<'m> {
     }
 
     /// The type of operand `v`. A global stands for its address,
-    /// `ptr(global.ty)`, as in [`infer`]'s pointer rule.
+    /// `ptr(global.ty)`, as in [`infer`]'s pointer rule, and a function
+    /// for its address, a pointer to its function type, as the reader
+    /// types a function operand.
     fn value_ty(&mut self, v: ValueRef) -> TypeId {
-        if let ValueRef::Global(g) = v {
-            let ty = self.module.global(g).ty;
-            return self.module.types.ptr(ty);
-        }
-        let f = self.module.func(self.func);
-        self.module
-            .value_type(f, v)
-            .expect("operand type must be inferable; pass explicit types otherwise")
+        let pointee = match v {
+            ValueRef::Global(g) => self.module.global(g).ty,
+            ValueRef::Func(f) => {
+                let (ret, params, varargs) = infer::signature(self.module.func(f));
+                infer::func_type(&mut self.module.types, ret, params, varargs)
+            }
+            _ => {
+                let f = self.module.func(self.func);
+                return self
+                    .module
+                    .value_type(f, v)
+                    .expect("operand type must be inferable; pass explicit types otherwise");
+            }
+        };
+        self.module.types.ptr(pointee)
     }
 
     /// The result type of a compare whose first operand is `a`
@@ -579,7 +588,8 @@ mod tests {
     #[test]
     fn result_types_survive_a_text_round_trip() {
         // The reader infers a compare's and a select's result type from
-        // the operands; the builder must have typed them the same way.
+        // the operands; the builder must have typed them the same way,
+        // functions and globals as their addresses.
         let mut m = Module::new("t", IrVersion::V13_0);
         let i1 = m.types.i1();
         let i32t = m.types.i32();
@@ -598,6 +608,9 @@ mod tests {
             name: name.into(),
             ty,
         };
+        let void = m.types.void();
+        let g = m.add_func(crate::module::Function::external("g", void, vec![]));
+        let h = m.add_func(crate::module::Function::external("h", void, vec![]));
         let params = vec![param("v", v4), param("w", v2), param("p", i1)];
         let f = FuncBuilder::define(&mut m, "main", i32t, params);
         let mut b = FuncBuilder::new(&mut m, f);
@@ -605,14 +618,16 @@ mod tests {
         b.position_at_end(e);
         b.icmp(IntPredicate::Eq, ValueRef::Arg(0), ValueRef::Arg(0));
         b.fcmp(FloatPredicate::Olt, ValueRef::Arg(1), ValueRef::Arg(1));
+        b.select(ValueRef::Arg(2), ValueRef::Func(g), ValueRef::Func(h));
         let sel = b.select(ValueRef::Arg(2), ValueRef::Global(a), ValueRef::Global(c));
         let x = b.load(i32t, sel);
         b.ret(Some(x));
 
         let back = crate::parse::parse_module(&crate::write::write_module(&m)).expect("reparse");
-        let (built, read) = (m.func(f), &back.funcs[0]);
+        let main = back.func_by_name("main").expect("main");
+        let (built, read) = (m.func(f), back.func(main));
         let pairs = built.blocks[0].insts.iter().zip(&read.blocks[0].insts);
-        assert_eq!(pairs.len(), 5);
+        assert_eq!(pairs.len(), 6);
         for (&x, &y) in pairs {
             let (x, y) = (built.inst(x), read.inst(y));
             assert_eq!(

@@ -261,15 +261,8 @@ pub fn callee_type<S: Scope + ?Sized>(
 ) -> Result<TypeId, RuleError> {
     let pointee = match callee {
         ValueRef::Func(f) => {
-            let f = s.func(f);
-            let (ret, params, varargs) =
-                (f.ret_ty, f.params.iter().map(|p| p.ty).collect(), f.varargs);
-            let types = s.types_mut();
-            return Ok(if varargs {
-                types.func_varargs(ret, params)
-            } else {
-                types.func(ret, params)
-            });
+            let (ret, params, varargs) = signature(s.func(f));
+            return Ok(func_type(s.types_mut(), ret, params, varargs));
         }
         ValueRef::InlineAsm(a) => return Ok(s.asm_ty(a)),
         v => {
@@ -289,4 +282,18 @@ pub fn callee_type<S: Scope + ?Sized>(
         .map(|&a| s.value_type(a).ok_or(RuleError::UntypedCallArgument))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(s.types_mut().func(ret, params))
+}
+
+/// A function's signature: return type, parameter types, varargs.
+pub fn signature(f: &Function) -> (TypeId, Vec<TypeId>, bool) {
+    (f.ret_ty, f.params.iter().map(|p| p.ty).collect(), f.varargs)
+}
+
+/// Interns the function type of a signature.
+pub fn func_type(types: &mut TypeTable, ret: TypeId, params: Vec<TypeId>, varargs: bool) -> TypeId {
+    if varargs {
+        types.func_varargs(ret, params)
+    } else {
+        types.func(ret, params)
+    }
 }

@@ -51,14 +51,22 @@ impl Memory {
 
     /// Allocates `size` zeroed bytes and returns the base address.
     pub fn alloc(&mut self, size: u64, kind: AllocKind) -> u64 {
-        let size = size.max(1);
+        self.alloc_init(vec![0; size.max(1) as usize], kind)
+    }
+
+    /// Allocates a block holding `data` (one zero byte when `data` is
+    /// empty) and returns the base address.
+    pub fn alloc_init(&mut self, mut data: Vec<u8>, kind: AllocKind) -> u64 {
+        if data.is_empty() {
+            data.push(0);
+        }
         let base = self.next;
-        self.next = base + size + GUARD;
+        self.next = base + data.len() as u64 + GUARD;
         self.allocs.insert(
             base,
             Allocation {
                 base,
-                data: vec![0; size as usize],
+                data,
                 kind,
                 live: true,
             },

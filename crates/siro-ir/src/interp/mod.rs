@@ -304,6 +304,24 @@ impl fmt::Debug for Machine<'_> {
     }
 }
 
+/// The block a branch operand names. An unverified module may name
+/// something else, which traps rather than panics.
+fn label(v: ValueRef, branch: &str) -> Result<BlockId, Trap> {
+    v.as_block().ok_or_else(|| {
+        Trap::new(
+            TrapKind::Unsupported,
+            format!("{branch} target not a label"),
+        )
+    })
+}
+
+/// The first `N` bytes of a read, as a fixed-size array.
+fn fixed<const N: usize>(bytes: &[u8]) -> Result<&[u8; N], Trap> {
+    bytes
+        .first_chunk()
+        .ok_or_else(|| Trap::new(TrapKind::OutOfBounds, format!("short read of {N} bytes")))
+}
+
 const DEFAULT_FUEL: u64 = 4_000_000;
 // The interpreter recurses natively per IR call frame; keep the limit
 // well inside a default 2 MiB test-thread stack even for debug builds.
@@ -317,7 +335,6 @@ impl<'m> Machine<'m> {
         let mut global_addrs = Vec::with_capacity(module.globals.len());
         for g in &module.globals {
             let size = module.types.size_of(g.ty).max(1);
-            let addr = mem.alloc(size, AllocKind::Global);
             let bytes = match &g.init {
                 GlobalInit::External | GlobalInit::Zero => vec![0u8; size as usize],
                 GlobalInit::Int(v) => {
@@ -338,8 +355,7 @@ impl<'m> Machine<'m> {
                     b
                 }
             };
-            mem.write(addr, &bytes).expect("global init");
-            global_addrs.push(addr);
+            global_addrs.push(mem.alloc_init(bytes, AllocKind::Global));
         }
         // Function address cells for indirect calls.
         let mut func_addr_to_id = HashMap::new();
@@ -604,7 +620,7 @@ impl<'m> Machine<'m> {
             }
             Br => {
                 if inst.operands.len() == 1 {
-                    Ok(Flow::Jump(inst.operands[0].as_block().unwrap()))
+                    Ok(Flow::Jump(label(inst.operands[0], "br")?))
                 } else {
                     let c = ev!(inst.operands[0]);
                     let taken = c.as_uint().unwrap_or(0) & 1 == 1;
@@ -613,9 +629,7 @@ impl<'m> Machine<'m> {
                     } else {
                         inst.operands[2]
                     };
-                    Ok(Flow::Jump(b.as_block().ok_or_else(|| {
-                        Trap::new(TrapKind::Unsupported, "br target not a label".into())
-                    })?))
+                    Ok(Flow::Jump(label(b, "br")?))
                 }
             }
             Switch => {
@@ -632,7 +646,7 @@ impl<'m> Machine<'m> {
                         return Ok(Flow::Jump(dest));
                     }
                 }
-                Ok(Flow::Jump(inst.operands[1].as_block().unwrap()))
+                Ok(Flow::Jump(label(inst.operands[1], "switch")?))
             }
             IndirectBr => {
                 // Simulated semantics: address is an index into the list.
@@ -1298,15 +1312,15 @@ impl<'m> Machine<'m> {
             }
             Type::F32 => {
                 let bytes = self.mem.read(addr, 4)?;
-                Ok(RtVal::F32(f32::from_le_bytes(bytes.try_into().unwrap())))
+                Ok(RtVal::F32(f32::from_le_bytes(*fixed(&bytes)?)))
             }
             Type::F64 => {
                 let bytes = self.mem.read(addr, 8)?;
-                Ok(RtVal::F64(f64::from_le_bytes(bytes.try_into().unwrap())))
+                Ok(RtVal::F64(f64::from_le_bytes(*fixed(&bytes)?)))
             }
             Type::Ptr { .. } | Type::Func { .. } => {
                 let bytes = self.mem.read(addr, 8)?;
-                Ok(RtVal::Ptr(u64::from_le_bytes(bytes.try_into().unwrap())))
+                Ok(RtVal::Ptr(u64::from_le_bytes(*fixed(&bytes)?)))
             }
             Type::Array { elem, len } => {
                 let es = self.module.types.size_of(elem);
@@ -1612,6 +1626,28 @@ mod tests {
         );
         b.ret(Some(r));
         assert_eq!(Machine::new(&m).run_main().unwrap().return_int(), Some(55));
+    }
+
+    /// The verifier rejects a `br` to a non-label, but the interpreter
+    /// also runs unverified modules (fuzzing, reduction): it traps.
+    #[test]
+    fn unconditional_branch_to_a_non_label_traps() {
+        let mut m = module();
+        let i32t = m.types.i32();
+        let void = m.types.void();
+        let f = FuncBuilder::define(&mut m, "main", i32t, vec![]);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let e = b.add_block("entry");
+        b.position_at_end(e);
+        b.push(Instruction::new(
+            Opcode::Br,
+            void,
+            [ValueRef::const_int(i32t, 0)],
+        ));
+        let o = Machine::new(&m).run_main().unwrap();
+        let trap = o.trap().unwrap();
+        assert_eq!(trap.kind, TrapKind::Unsupported);
+        assert_eq!(trap.detail, "br target not a label");
     }
 
     #[test]
