@@ -156,7 +156,7 @@ fn main() {
                 )
             }
         };
-        let corpus = siro_synth::pair_corpus(a, b);
+        let corpus = siro_synth::oracle_corpus(a, b);
         let direct_outcome =
             TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &corpus)
                 .unwrap_or_else(|e| panic!("direct synthesis {a} -> {b}: {e}"));

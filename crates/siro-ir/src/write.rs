@@ -17,10 +17,12 @@
 //! buffer and copied from there, and numbers are written by `push_u64`.
 //! `write!` stays on cold lines only: the module header, `c"…"` bytes,
 //! inline asm and float hex. A whole-module serialization performs O(1)
-//! allocator calls (the buffer, the dense value-numbering scratch vector,
-//! and one form's type text with its index), which matters because
-//! serialization sits on the per-request hot path of the serving tier.
+//! allocator calls (the buffer and the dense value-numbering scratch
+//! vector), which matters because serialization sits on the per-request
+//! hot path of the serving tier. The type texts and their index are kept
+//! per thread between writes, as the arena slab keeps arena buffers.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 use crate::inst::{AtomicOrdering, FloatPredicate, Instruction, IntPredicate, RmwOp};
@@ -38,17 +40,40 @@ pub fn write_module(module: &Module) -> String {
     for f in &module.funcs {
         est += 96 + f.insts.len() * 48;
     }
+    let [typed, opaque] = TYPE_TEXTS.with(|t| std::mem::take(&mut *t.borrow_mut()));
     let mut w = Writer {
         m: module,
         v: module.version,
         out: String::with_capacity(est),
         value_numbers: Vec::new(),
-        typed: TypeTexts::default(),
-        opaque: TypeTexts::default(),
+        typed,
+        opaque,
     };
     w.module();
-    w.out
+    let Writer {
+        out,
+        mut typed,
+        mut opaque,
+        ..
+    } = w;
+    typed.clear();
+    opaque.clear();
+    TYPE_TEXTS.with(|t| *t.borrow_mut() = [typed, opaque]);
+    out
 }
+
+thread_local! {
+    /// This thread's type texts (typed, then opaque), empty between
+    /// writes. A write takes them out, so a nested write starts from fresh
+    /// buffers instead of sharing these.
+    static TYPE_TEXTS: RefCell<[TypeTexts; 2]> = RefCell::default();
+}
+
+/// Bytes of type text a thread keeps between writes; a module with more
+/// type text grows the buffer for its own write only.
+const KEEP_TEXT: usize = 64 * 1024;
+/// Types a thread keeps index room for between writes.
+const KEEP_TYPES: usize = 4 * 1024;
 
 /// Appends `v` in decimal, without `core::fmt`.
 fn push_u64(out: &mut String, mut v: u64) {
@@ -84,6 +109,15 @@ struct TypeTexts {
 }
 
 impl TypeTexts {
+    /// Empties both buffers for the next module, shrinking them back to
+    /// the kept bound.
+    fn clear(&mut self) {
+        self.text.clear();
+        self.text.shrink_to(KEEP_TEXT);
+        self.spans.clear();
+        self.spans.shrink_to(KEEP_TYPES);
+    }
+
     fn get(&mut self, types: &TypeTable, t: TypeId, opaque: bool) -> &str {
         if self.spans.is_empty() {
             self.spans.resize(types.len(), (0, 0));

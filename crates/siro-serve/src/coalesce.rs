@@ -10,9 +10,9 @@
 //!   observable — the e2e test asserts `syntheses == 1` after a stampede,
 //!   and `STATS` exposes the totals.
 //!
-//! The coalescer keeps no corpus: each lookup reads the pair's shared
-//! corpus and fingerprint from [`siro_synth::corpus`], the copy the
-//! routers hand their resolvers too.
+//! The coalescer neither builds nor keeps a corpus: each lookup goes to
+//! [`TranslatorCache::lookup_pair`], keyed by the pair's fingerprint,
+//! which builds the pair's corpus only when it must synthesize.
 //!
 //! The pair map sits under one lock, held only to find a pair's counters:
 //! the synthesis runs after it is dropped, in the cache's per-key slot.
@@ -22,9 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use siro_ir::IrVersion;
-use siro_synth::{
-    pair_corpus, pair_fingerprint, SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache,
-};
+use siro_synth::{SynthError, SynthesisConfig, SynthesisOutcome, TranslatorCache};
 
 /// Observable per-pair counters.
 #[derive(Debug, Default)]
@@ -87,11 +85,7 @@ impl PairCoalescer {
         target: IrVersion,
     ) -> Result<CoalescedLookup, SynthError> {
         let counters = Arc::clone(self.pairs().entry((source, target)).or_default());
-        let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
-            SynthesisConfig::new(source, target),
-            &pair_corpus(source, target),
-            pair_fingerprint(source, target),
-        )?;
+        let lookup = TranslatorCache::lookup_pair(SynthesisConfig::new(source, target))?;
         if lookup.fresh {
             &counters.syntheses
         } else {

@@ -157,7 +157,7 @@ impl Engine {
             TranslateMode::Reference => None,
             TranslateMode::Synthesized => {
                 let _sp = siro_trace::span!("serve.acquire_translator", "{source}->{target}");
-                match self.router.acquire_with(source, target, &|s, t, _tests| {
+                match self.router.acquire_via(source, target, &|s, t| {
                     self.coalescer
                         .translator_for(s, t)
                         .map(|l| (l.outcome, l.fresh))

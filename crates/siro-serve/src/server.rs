@@ -24,10 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use siro_synth::{
-    pair_corpus, pair_fingerprint, set_active_store, StoreConfig, TranslatorCache, TranslatorStore,
-    ValidationMode,
-};
+use siro_synth::{set_active_store, StoreConfig, TranslatorCache, TranslatorStore, ValidationMode};
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::engine::Engine;
@@ -405,24 +402,24 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 
 /// Warm-starts the translator cache from the active persistent store.
 ///
-/// For every readable entry, the outcome is loaded, validated against the
-/// pair's shared corpus ([`pair_corpus`]) and seeded into the in-process
-/// [`TranslatorCache`] via [`TranslatorCache::warm_from_store`], which
-/// never synthesizes. Unreadable or corrupt entries are skipped (counted
-/// by the store as corrupt) and the pair falls back to cold synthesis on
-/// first request. Last, the router builds the graph of the current
-/// route epoch (every pair's corpus fingerprint, every edge classified),
-/// so the first request plans over a memoized graph instead of paying
-/// that build. The store counts each entry seeded (`store_warm_loaded`).
+/// Every readable entry is loaded under the store's validation mode and
+/// seeded into the in-process [`TranslatorCache`] via
+/// [`TranslatorCache::warm_from_store`], which never synthesizes. The
+/// lookup key is the pair's catalog fingerprint, so a boot builds no
+/// corpus: only `--store-validation full` builds the pair's corpus, to
+/// re-validate the entry, and drops it again. Unreadable or corrupt
+/// entries are skipped (counted by the store as corrupt) and the pair
+/// falls back to cold synthesis on first request. Last, the router builds
+/// the graph of the current route epoch (every edge classified), so the
+/// first request plans over a memoized graph instead of paying that
+/// build. The store counts each entry seeded (`store_warm_loaded`).
 fn warm_start(engine: &Arc<Engine>) {
     let Some(store) = siro_synth::active_store() else {
         return;
     };
     for entry in store.entries().unwrap_or_default() {
         let Some(key) = entry.key else { continue };
-        let tests = pair_corpus(key.source, key.target);
-        let fingerprint = pair_fingerprint(key.source, key.target);
-        TranslatorCache::warm_from_store(&key.config(), &tests, fingerprint);
+        TranslatorCache::warm_from_store(&key.config());
     }
     engine.router().graph();
 }

@@ -219,6 +219,7 @@ pub(crate) fn rows(s: &Shared) -> Vec<Row> {
         ("cache_misses", Counter, cache.misses),
         ("cache_entries", Gauge, cache.entries as u64),
         ("cache_failures", Gauge, cache.failures as u64),
+        ("corpora_built", Counter, siro_synth::corpora_built()),
         ("pairs_synthesized", Counter, coalesce.syntheses),
         ("coalesced_waiters", Counter, coalesce.coalesced),
         ("store_attached", Gauge, u64::from(store.attached)),
@@ -363,7 +364,7 @@ mod tests {
 
     /// Every row of the table in page order: its `STATS` key and the
     /// `# TYPE` line `METRICS` gives it.
-    const TABLE: [(&str, &str); 44] = [
+    const TABLE: [(&str, &str); 45] = [
         ("requests_total", "siro_requests_total counter"),
         ("requests_ok", "siro_requests_ok_total counter"),
         ("requests_busy", "siro_requests_busy_total counter"),
@@ -399,6 +400,7 @@ mod tests {
         ("cache_misses", "siro_cache_misses_total counter"),
         ("cache_entries", "siro_cache_entries gauge"),
         ("cache_failures", "siro_cache_failures gauge"),
+        ("corpora_built", "siro_corpora_built_total counter"),
         ("pairs_synthesized", "siro_pairs_synthesized_total counter"),
         ("coalesced_waiters", "siro_coalesced_waiters_total counter"),
         ("store_attached", "siro_store_attached gauge"),

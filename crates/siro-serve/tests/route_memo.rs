@@ -14,9 +14,9 @@ use std::time::Duration;
 use siro_ir::{DialectVersion, IrVersion};
 use siro_serve::{metrics_value, stats_value, Client, ServeConfig, TranslateMode};
 use siro_synth::{
-    active_store, bridge_cached, bump_route_epoch, corpus_fingerprint, oracle_corpus,
-    reset_bridge_cache, reset_wir_cache, router_stats, set_active_store, wir_translator_cached,
-    OracleTest, Router, StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
+    active_store, bridge_cached, bump_route_epoch, oracle_corpus, reset_bridge_cache,
+    reset_wir_cache, router_stats, set_active_store, wir_translator_cached, OracleTest, Router,
+    StoreConfig, StoreKey, SynthesisConfig, TranslatorCache, TranslatorStore,
 };
 use siro_wir::WirVersion;
 
@@ -150,11 +150,7 @@ fn hot_requests_reuse_the_graph_and_each_bump_site_rebuilds_it() {
     });
     TranslatorCache::reset();
     rebuilds("warm_from_store", &mut || {
-        assert!(TranslatorCache::warm_from_store(
-            &config,
-            &corpus,
-            corpus_fingerprint(&corpus)
-        ));
+        assert!(TranslatorCache::warm_from_store(&config));
     });
     rebuilds("a fresh synthesis", &mut || {
         let lookup = TranslatorCache::lookup_or_synthesize(

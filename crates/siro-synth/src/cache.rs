@@ -36,15 +36,14 @@
 //! edge turned cold), so routers rebuild their graphs. A failed synthesis
 //! leaves its edge cold and starts none.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use siro_ir::IrVersion;
 
 use crate::candgen::GenLimits;
+use crate::corpus::Corpus;
 use crate::driver::{SynthError, SynthesisConfig, SynthesisOutcome, Synthesizer};
 use crate::pertest::OracleTest;
 use crate::refine::SynthFault;
@@ -79,21 +78,6 @@ impl CacheKey {
     }
 }
 
-/// Fingerprints an oracle corpus: test names, oracle values, and the full
-/// rendered text of every test module. Any edit to any test — renaming,
-/// changing an oracle, touching the module body — changes the fingerprint
-/// and therefore misses the cache.
-pub fn corpus_fingerprint(tests: &[OracleTest]) -> u64 {
-    let mut h = DefaultHasher::new();
-    tests.len().hash(&mut h);
-    for t in tests {
-        t.name.hash(&mut h);
-        t.oracle.hash(&mut h);
-        siro_ir::write::write_module(&t.module).hash(&mut h);
-    }
-    h.finish()
-}
-
 /// One slot per key; the per-key `OnceLock` means two distinct pairs can
 /// synthesize concurrently while two racers on the *same* pair serialize,
 /// with the loser reusing the winner's result.
@@ -105,11 +89,14 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 /// Lookups that ran a synthesis.
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
+/// The map, recovered if a thread panicked while holding it: every
+/// critical section finds, inserts, counts or clears whole slots, so the
+/// map stays consistent, and a synthesis runs outside the lock.
 fn lock() -> MutexGuard<'static, HashMap<CacheKey, Slot>> {
     CACHE
         .get_or_init(Default::default)
         .lock()
-        .expect("translator cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Point-in-time view of the whole cache: the hit/miss counters plus the
@@ -174,23 +161,27 @@ impl TranslatorCache {
         config: SynthesisConfig,
         tests: &[OracleTest],
     ) -> Result<CacheLookup, SynthError> {
-        Self::lookup_or_synthesize_fingerprint(config, tests, corpus_fingerprint(tests))
+        Self::lookup(config, Corpus::Built(tests))
     }
 
-    /// Like [`TranslatorCache::lookup_or_synthesize`], but with the
-    /// [`corpus_fingerprint`] of `tests` precomputed. Fingerprinting
-    /// renders every corpus module, so callers serving a pair's shared
-    /// corpus (the serving coalescer, the router's hops) pass its
-    /// [`crate::corpus::pair_fingerprint`].
+    /// Like [`TranslatorCache::lookup_or_synthesize`] over the pair's
+    /// [`crate::oracle_corpus`], keyed by its
+    /// [`crate::corpus::pair_fingerprint`]. The corpus is built only if
+    /// the slot's initialisation reads it: when the store has no valid
+    /// entry and synthesis runs, or for a [`crate::ValidationMode::Full`]
+    /// load. A hit builds nothing. The router's default resolver and the
+    /// serving coalescer look pairs up here.
     ///
     /// # Errors
     ///
     /// Propagates the memoized [`SynthError`] of the underlying synthesis.
-    pub fn lookup_or_synthesize_fingerprint(
-        config: SynthesisConfig,
-        tests: &[OracleTest],
-        fingerprint: u64,
-    ) -> Result<CacheLookup, SynthError> {
+    pub fn lookup_pair(config: SynthesisConfig) -> Result<CacheLookup, SynthError> {
+        let corpus = Corpus::Pair(config.source, config.target);
+        Self::lookup(config, corpus)
+    }
+
+    fn lookup(config: SynthesisConfig, corpus: Corpus<'_>) -> Result<CacheLookup, SynthError> {
+        let fingerprint = corpus.fingerprint();
         let key = CacheKey::with_fingerprint(&config, fingerprint);
         let slot = Arc::clone(lock().entry(key).or_default());
         // Fault-injected configs never touch the persistent store: a
@@ -206,7 +197,7 @@ impl TranslatorCache {
             if let Some(store) = &store {
                 let skey = crate::store::StoreKey::new(&config, fingerprint);
                 let sp = siro_trace::span!("store.load", "{}->{}", config.source, config.target);
-                let hit = store.load(&skey, tests);
+                let hit = store.load(&skey, corpus);
                 drop(sp);
                 if let Some(outcome) = hit {
                     loaded.set(true);
@@ -214,9 +205,11 @@ impl TranslatorCache {
                 }
             }
             ran.set(true);
+            let tests = corpus.tests();
             let result = Synthesizer::new(config.clone())
-                .synthesize(tests)
+                .synthesize(&tests)
                 .map(Arc::new);
+            drop(tests);
             if let (Some(store), Ok(outcome)) = (&store, &result) {
                 let skey = crate::store::StoreKey::new(&config, fingerprint);
                 let sp = siro_trace::span!("store.save", "{}->{}", config.source, config.target);
@@ -251,31 +244,28 @@ impl TranslatorCache {
         })
     }
 
-    /// Pre-populates the in-memory slot for `(config, tests)` from the
-    /// attached persistent store *without ever synthesizing*: no entry (or
-    /// a corrupt one) just returns `false`. Returns `true` when the slot
-    /// is populated — whether by this call or already beforehand — so
-    /// callers know a subsequent lookup will hit. `fingerprint` is the
-    /// [`corpus_fingerprint`] of `tests`; warm start passes the pair's
-    /// [`crate::corpus::pair_fingerprint`].
-    pub fn warm_from_store(
-        config: &SynthesisConfig,
-        tests: &[OracleTest],
-        fingerprint: u64,
-    ) -> bool {
+    /// Pre-populates the in-memory slot that [`TranslatorCache::lookup_pair`]
+    /// reads for `config` from the attached persistent store *without ever
+    /// synthesizing*: no entry (or a corrupt one) just returns `false`.
+    /// Returns `true` when the slot is populated — whether by this call or
+    /// already beforehand — so callers know a subsequent lookup will hit.
+    /// Only a [`crate::ValidationMode::Full`] load builds the pair's corpus,
+    /// so a checksum-validated warm start builds none.
+    pub fn warm_from_store(config: &SynthesisConfig) -> bool {
         if config.fault.is_some() {
             return false;
         }
         let Some(store) = crate::store::active_store() else {
             return false;
         };
-        let key = CacheKey::with_fingerprint(config, fingerprint);
+        let corpus = Corpus::Pair(config.source, config.target);
+        let key = CacheKey::with_fingerprint(config, corpus.fingerprint());
         if lock().get(&key).is_some_and(|slot| slot.get().is_some()) {
             return true;
         }
         let skey = crate::store::StoreKey::new(config, key.corpus_fingerprint);
         let sp = siro_trace::span!("store.load", "{}->{} (warm)", config.source, config.target);
-        let outcome = store.load(&skey, tests);
+        let outcome = store.load(&skey, corpus);
         drop(sp);
         let Some(outcome) = outcome else {
             return false;
@@ -292,7 +282,7 @@ impl TranslatorCache {
     }
 
     /// Whether the in-memory slot for `config` and a corpus with this
-    /// [`corpus_fingerprint`] already holds a *successful* outcome — no
+    /// [`crate::corpus_fingerprint`] already holds a *successful* outcome — no
     /// store probe, no synthesis, no counter bump. The version-graph
     /// router uses this to classify an edge as hot (answerable at memory
     /// speed) without perturbing the edge.
@@ -373,6 +363,7 @@ pub fn synthesize_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::corpus_fingerprint;
     use crate::driver::Synthesizer;
     use siro_ir::IrVersion;
 
@@ -484,6 +475,26 @@ mod tests {
         assert!(outcome.is_err(), "blow-up recipe must fail");
         let failed = TranslatorCache::snapshot();
         assert!(failed.failures > after.failures, "failure must be stored");
+    }
+
+    #[test]
+    fn a_poisoned_map_still_plans_and_acquires_a_clean_pair() {
+        let poisoner = std::thread::spawn(|| {
+            let _map = lock();
+            panic!("poisoning the translator cache map");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(CACHE.get().expect("the map exists").is_poisoned());
+        // A pair no other test in this binary looks up.
+        let (a, b) = (IrVersion::V5_0, IrVersion::V3_7);
+        let router = crate::Router::over(vec![a, b]);
+        assert!(router.plan(a, b).is_some_and(|p| p.is_direct()));
+        let acquired = router.acquire(a, b).expect("a clean pair acquires");
+        assert!(acquired.fresh);
+        assert!(TranslatorCache::is_warm_fingerprint(
+            &SynthesisConfig::new(a, b),
+            crate::pair_fingerprint(a, b)
+        ));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`cache`] — the process-wide [`TranslatorCache`] memoizing finished
 //!   outcomes per `(pair, corpus fingerprint, config)` and the
 //!   [`synthesize_all`] multi-pair fan-out;
-//! * [`corpus`] — each catalog pair's oracle corpus and its fingerprint,
-//!   built once per process and shared by every reader;
+//! * [`corpus`] — oracle corpora, built only where synthesis or full
+//!   validation reads them, and every catalog pair's fingerprint, hashed
+//!   in one sweep per process;
 //! * [`persist`] + [`store`] — the on-disk [`TranslatorStore`]: a
 //!   versioned, checksummed binary format persisting outcomes across
 //!   processes, with load-time validation against the oracle corpus and
@@ -76,13 +77,13 @@ pub use bridge::{
     reset_bridge_cache, siro_behaviour, validate_bridge, wir_behaviour, BridgeError, BridgeOutcome,
     BridgeStats, XBehaviour, BRIDGE_ANCHORS, BRIDGE_FUEL, BRIDGE_SEEDS,
 };
-pub use cache::{corpus_fingerprint, synthesize_all, CacheLookup, CacheSnapshot, TranslatorCache};
+pub use cache::{synthesize_all, CacheLookup, CacheSnapshot, TranslatorCache};
 pub use candgen::{generate_all, generate_for_kind, GenLimits};
 pub use compile::{
     compile_stats, reset_compile_stats, translate_module_owned_tiered, CompileError, CompileStats,
     CompiledKind, CompiledTranslator, StreamBackend, TranslatorBackend,
 };
-pub use corpus::{oracle_corpus, pair_corpus, pair_fingerprint};
+pub use corpus::{corpora_built, corpus_fingerprint, oracle_corpus, pair_fingerprint, Corpus};
 pub use driver::{
     resolve_threads, threads_from_override, StageTimings, SynthError, SynthesisConfig,
     SynthesisOutcome, SynthesisReport, Synthesizer, TestStats,

@@ -79,15 +79,24 @@
 //!
 //! ## Corpora
 //!
-//! A router keeps no corpus. A graph build reads each Siro edge's
-//! fingerprint from [`crate::corpus`], and an acquire hands its resolver
-//! the pair's shared corpus from there, so every router in a process
-//! reads the same copy.
+//! A router neither builds nor keeps a corpus. A graph build reads each
+//! Siro edge's fingerprint from [`crate::corpus`]'s table, and a hop
+//! resolver gets only the pair: the default one looks the pair up with
+//! [`TranslatorCache::lookup_pair`], which builds the corpus only if the
+//! pair must be synthesized.
+//!
+//! ## Locks
+//!
+//! The plan memo and the composed-chain memo each change by whole
+//! entries: a graph is built before it replaces the memo, and a chain's
+//! hops are resolved before it is inserted. A thread that panics while
+//! holding either lock therefore leaves it consistent, and later callers
+//! recover the guard instead of panicking in turn.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use siro_ir::{Dialect, DialectVersion, IrVersion, Module};
 use siro_wir::{AnyModule, WirVersion};
@@ -96,7 +105,7 @@ use crate::bridge::{
     bridge_cached, bridge_is_hot, bridge_store_name, is_anchor_pair, BridgeOutcome,
 };
 use crate::cache::{CacheLookup, TranslatorCache};
-use crate::corpus::{pair_corpus, pair_fingerprint};
+use crate::corpus::pair_fingerprint;
 use crate::driver::{SynthError, SynthesisConfig, SynthesisOutcome};
 use crate::persist::fnv1a64;
 use crate::pertest::OracleTest;
@@ -502,16 +511,17 @@ pub struct Acquired {
 }
 
 /// A hop resolver: returns the translator outcome for one Siro pair plus
-/// whether this call synthesized it. The tests it gets are the pair's
-/// shared corpus ([`pair_corpus`]). The serving layer passes a
+/// whether this call synthesized it. It gets the pair alone; a resolver
+/// that must synthesize builds the pair's corpus itself
+/// ([`TranslatorCache::lookup_pair`]). The serving layer passes a
 /// coalescer-backed resolver; the default resolver goes straight to
 /// [`TranslatorCache`]. WIR and bridge hops resolve through their own
 /// process caches and are not routed through this hook.
-pub type HopResolver<'a> = &'a dyn Fn(
-    IrVersion,
-    IrVersion,
-    &[OracleTest],
-) -> Result<(Arc<SynthesisOutcome>, bool), SynthError>;
+pub type HopResolver<'a> = &'a dyn Fn(IrVersion, IrVersion) -> HopResult;
+
+/// What a [`HopResolver`] returns: the outcome, and whether this call
+/// synthesized it.
+pub type HopResult = Result<(Arc<SynthesisOutcome>, bool), SynthError>;
 
 // ---- process-wide router counters (read by serve STATS/METRICS) ---------
 
@@ -631,8 +641,11 @@ impl RouteMemo {
 pub struct Router {
     nodes: Vec<DialectVersion>,
     memo: RwLock<RouteMemo>,
-    composed: Mutex<HashMap<(DialectVersion, DialectVersion), Arc<ComposedTranslator>>>,
+    composed: Mutex<ChainMemo>,
 }
+
+/// The composed chains a router has built, by endpoints.
+type ChainMemo = HashMap<(DialectVersion, DialectVersion), Arc<ComposedTranslator>>;
 
 impl Default for Router {
     fn default() -> Self {
@@ -662,6 +675,18 @@ impl Router {
             memo: RwLock::new(RouteMemo::default()),
             composed: Mutex::new(HashMap::new()),
         }
+    }
+
+    fn memo(&self) -> RwLockReadGuard<'_, RouteMemo> {
+        self.memo.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn memo_mut(&self) -> RwLockWriteGuard<'_, RouteMemo> {
+        self.memo.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn chains(&self) -> MutexGuard<'_, ChainMemo> {
+        self.composed.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Classifies one potential edge, or `None` when the pair has no edge
@@ -739,15 +764,10 @@ impl Router {
     /// the epoch.
     fn snapshot(&self) -> (u64, Arc<VersionGraph>) {
         let epoch = route_epoch();
-        if let Some(graph) = self
-            .memo
-            .read()
-            .expect("router memo poisoned")
-            .graph_at(epoch)
-        {
+        if let Some(graph) = self.memo().graph_at(epoch) {
             return (epoch, Arc::clone(graph));
         }
-        let mut memo = self.memo.write().expect("router memo poisoned");
+        let mut memo = self.memo_mut();
         // Another thread may have built the graph while this one waited.
         let epoch = route_epoch();
         if let Some(graph) = memo.graph_at(epoch) {
@@ -788,7 +808,7 @@ impl Router {
         let _sp = siro_trace::span!("route.plan", "{from}->{to}");
         let epoch = route_epoch();
         {
-            let memo = self.memo.read().expect("router memo poisoned");
+            let memo = self.memo();
             if memo.epoch == epoch {
                 if let Some(plan) = memo.plans.get(&(from, to)) {
                     return plan.clone();
@@ -797,7 +817,7 @@ impl Router {
         }
         let (epoch, graph) = self.snapshot();
         let plan = graph.cheapest_path(from, to);
-        let mut memo = self.memo.write().expect("router memo poisoned");
+        let mut memo = self.memo_mut();
         if memo.epoch == epoch {
             memo.plans.insert((from, to), plan.clone());
         }
@@ -831,14 +851,27 @@ impl Router {
         from: impl Into<DialectVersion>,
         to: impl Into<DialectVersion>,
     ) -> Result<Acquired, SynthError> {
-        self.acquire_with(from.into(), to.into(), &|a, b, tests| {
-            TranslatorCache::lookup_or_synthesize_fingerprint(
-                SynthesisConfig::new(a, b),
-                tests,
-                pair_fingerprint(a, b),
-            )
-            .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
+        self.acquire_via(from, to, &|a, b| {
+            TranslatorCache::lookup_pair(SynthesisConfig::new(a, b))
+                .map(|CacheLookup { outcome, fresh, .. }| (outcome, fresh))
         })
+    }
+
+    /// [`Router::acquire_via`] for a resolver of the older three-argument
+    /// shape, whose third argument was the pair's corpus. Hops no longer
+    /// carry a corpus, so that argument is always empty. The benchmark's
+    /// replay (`perfbench/src/traced.rs`) still passes such a resolver.
+    ///
+    /// # Errors
+    ///
+    /// See [`Router::acquire`].
+    pub fn acquire_with(
+        &self,
+        from: impl Into<DialectVersion>,
+        to: impl Into<DialectVersion>,
+        resolve: &dyn Fn(IrVersion, IrVersion, &[OracleTest]) -> HopResult,
+    ) -> Result<Acquired, SynthError> {
+        self.acquire_via(from, to, &|a, b| resolve(a, b, &[]))
     }
 
     /// [`Router::acquire`] with a caller-supplied Siro hop resolver (the
@@ -848,7 +881,7 @@ impl Router {
     /// # Errors
     ///
     /// See [`Router::acquire`].
-    pub fn acquire_with(
+    pub fn acquire_via(
         &self,
         from: impl Into<DialectVersion>,
         to: impl Into<DialectVersion>,
@@ -885,7 +918,7 @@ impl Router {
                 from.as_siro().expect("checked siro"),
                 to.as_siro().expect("checked siro"),
             );
-            let (outcome, fresh) = resolve(sf, st, &pair_corpus(sf, st))?;
+            let (outcome, fresh) = resolve(sf, st)?;
             DIRECT.fetch_add(1, Ordering::Relaxed);
             return Ok(Acquired {
                 outcome: RouteOutcome::Direct(outcome),
@@ -898,12 +931,7 @@ impl Router {
         // Composed route: serve from the composed cache when possible, and
         // report the plan the cached chain was built from — the route that
         // actually serves, even if the cheapest route has since changed.
-        if let Some(chain) = self
-            .composed
-            .lock()
-            .expect("router composed cache poisoned")
-            .get(&(from, to))
-        {
+        if let Some(chain) = self.chains().get(&(from, to)) {
             COMPOSED.fetch_add(1, Ordering::Relaxed);
             COMPOSED_CACHED.fetch_add(1, Ordering::Relaxed);
             return Ok(Acquired {
@@ -933,7 +961,7 @@ impl Router {
                     from.as_siro().expect("checked siro"),
                     to.as_siro().expect("checked siro"),
                 );
-                let (outcome, fresh) = resolve(sf, st, &pair_corpus(sf, st))?;
+                let (outcome, fresh) = resolve(sf, st)?;
                 DIRECT.fetch_add(1, Ordering::Relaxed);
                 Ok(Acquired {
                     outcome: RouteOutcome::Direct(outcome),
@@ -959,7 +987,7 @@ impl Router {
                     edge.from.as_siro().expect("siro edge"),
                     edge.to.as_siro().expect("siro edge"),
                 );
-                let (outcome, fresh) = resolve(a, b, &pair_corpus(a, b))?;
+                let (outcome, fresh) = resolve(a, b)?;
                 let key = StoreKey::new(&SynthesisConfig::new(a, b), pair_fingerprint(a, b));
                 (
                     ComposedHop {
@@ -1045,9 +1073,7 @@ impl Router {
             hops,
             plan: plan.clone(),
         });
-        self.composed
-            .lock()
-            .expect("router composed cache poisoned")
+        self.chains()
             .insert((plan.from, plan.to), Arc::clone(&chain));
         Ok((chain, fresh))
     }
@@ -1075,17 +1101,13 @@ impl Router {
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
             let config = SynthesisConfig::new(a, b);
-            let fp = pair_fingerprint(a, b);
-            let lookup = TranslatorCache::lookup_or_synthesize_fingerprint(
-                config.clone(),
-                &pair_corpus(a, b),
-                fp,
-            )?;
+            let entry_file = StoreKey::new(&config, pair_fingerprint(a, b)).file_name();
+            let lookup = TranslatorCache::lookup_pair(config)?;
             hops.push(ComposedHop {
                 from: a.into(),
                 to: b.into(),
                 kind: HopKind::Siro(lookup.outcome),
-                entry_file: StoreKey::new(&config, fp).file_name(),
+                entry_file,
             });
             edges.push(EdgeInfo {
                 from: a.into(),
@@ -1110,10 +1132,7 @@ impl Router {
 
     /// Number of chains currently memoized in the composed cache.
     pub fn composed_cached_count(&self) -> usize {
-        self.composed
-            .lock()
-            .expect("router composed cache poisoned")
-            .len()
+        self.chains().len()
     }
 }
 
@@ -1238,17 +1257,16 @@ mod tests {
         let (a, m, b) = (IrVersion::V14_0, IrVersion::V12_0, IrVersion::V3_0);
         let r = Router::over(vec![a, m, b]);
         for (s, t) in [(a, m), (m, b)] {
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &pair_corpus(s, t))
-                .expect("hop synthesis");
+            TranslatorCache::lookup_pair(SynthesisConfig::new(s, t)).expect("hop synthesis");
         }
         let plan = r.plan(a, b).expect("plan");
         assert_eq!(plan.hop_count(), 2, "{}", plan.describe());
         let acquired = r
-            .acquire_with(a, b, &|s, t, tests| {
+            .acquire_via(a, b, &|s, t| {
                 if (s, t) == (m, b) {
                     return Err(SynthError::Api("injected hop failure".into()));
                 }
-                TranslatorCache::lookup_or_synthesize(SynthesisConfig::new(s, t), tests)
+                TranslatorCache::lookup_pair(SynthesisConfig::new(s, t))
                     .map(|l| (l.outcome, l.fresh))
             })
             .expect("fallback must answer");
@@ -1261,8 +1279,7 @@ mod tests {
         let (a, m, b) = (IrVersion::V15_0, IrVersion::V13_0, IrVersion::V4_0);
         let r = Router::over(vec![a, m, b]);
         for (s, t) in [(a, m), (m, b)] {
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(s, t), &pair_corpus(s, t))
-                .expect("hop synthesis");
+            TranslatorCache::lookup_pair(SynthesisConfig::new(s, t)).expect("hop synthesis");
         }
         let first = r.acquire(a, b).expect("acquire");
         let RouteOutcome::Composed(chain) = &first.outcome else {
@@ -1278,9 +1295,9 @@ mod tests {
         assert!(!second.fresh);
 
         // Composed output equals the direct translator's output.
-        let direct =
-            TranslatorCache::get_or_synthesize(SynthesisConfig::new(a, b), &pair_corpus(a, b))
-                .expect("direct synthesis");
+        let direct = TranslatorCache::lookup_pair(SynthesisConfig::new(a, b))
+            .expect("direct synthesis")
+            .outcome;
         for case in siro_testcases::corpus_for_pair(a, b).iter().take(8) {
             let module = case.build(a);
             let via_chain = chain.translate_module(&module).expect("chain translate");
@@ -1294,6 +1311,34 @@ mod tests {
                 case.name
             );
         }
+    }
+
+    #[test]
+    fn poisoned_memo_and_chain_locks_still_plan_and_acquire() {
+        // No other test synthesizes 11.0 -> 9.0, so its edge stays cold.
+        let (a, m, b) = (IrVersion::V11_0, IrVersion::V10_0, IrVersion::V9_0);
+        let r = Router::over(vec![a, m, b]);
+        for (s, t) in [(a, m), (m, b)] {
+            TranslatorCache::lookup_pair(SynthesisConfig::new(s, t)).expect("hop synthesis");
+        }
+        std::thread::scope(|scope| {
+            let memo = scope.spawn(|| {
+                let _memo = r.memo_mut();
+                panic!("poisoning the plan memo");
+            });
+            let chains = scope.spawn(|| {
+                let _chains = r.chains();
+                panic!("poisoning the chain memo");
+            });
+            assert!(memo.join().is_err() && chains.join().is_err());
+        });
+        assert!(r.memo.is_poisoned() && r.composed.is_poisoned());
+        let plan = r.plan(a, b).expect("plan");
+        assert_eq!(plan.hop_count(), 2, "{}", plan.describe());
+        let acquired = r.acquire(a, b).expect("acquire");
+        assert!(matches!(acquired.outcome, RouteOutcome::Composed(_)));
+        assert_eq!(r.composed_cached_count(), 1);
+        assert!(r.acquire(a, b).is_ok(), "the memoized chain serves");
     }
 
     #[test]

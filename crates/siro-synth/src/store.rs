@@ -65,10 +65,9 @@ use siro_ir::interp::Machine;
 use siro_ir::{IrVersion, Opcode};
 
 use crate::candgen::GenLimits;
-use crate::corpus::{pair_corpus, pair_fingerprint};
+use crate::corpus::Corpus;
 use crate::driver::{StageTimings, SynthesisConfig, SynthesisOutcome, SynthesisReport, TestStats};
 use crate::persist::{fnv1a64, ByteReader, ByteWriter, DecodeError};
-use crate::pertest::OracleTest;
 
 /// Magic bytes opening every store entry.
 pub const STORE_MAGIC: [u8; 4] = *b"SIST";
@@ -132,7 +131,7 @@ pub struct StoreKey {
     /// Target IR version.
     pub target: IrVersion,
     /// Fingerprint of the oracle corpus the translator was synthesized
-    /// from (see [`crate::cache::corpus_fingerprint`]).
+    /// from (see [`crate::corpus::corpus_fingerprint`]).
     pub corpus_fingerprint: u64,
     /// Optimization I (equivalence merging).
     pub opt_equivalence: bool,
@@ -513,7 +512,8 @@ fn corrupt(why: impl Into<String>) -> EntryError {
 }
 
 /// Decodes and validates one entry against the expected key and (for
-/// [`ValidationMode::Full`]) the oracle corpus.
+/// [`ValidationMode::Full`]) the oracle corpus. Only a full validation
+/// reads the corpus's tests, so only it builds a [`Corpus::Pair`].
 ///
 /// # Errors
 ///
@@ -522,7 +522,7 @@ pub fn decode_entry(
     bytes: &[u8],
     expected: &StoreKey,
     mode: ValidationMode,
-    tests: &[OracleTest],
+    corpus: Corpus<'_>,
 ) -> Result<SynthesisOutcome, EntryError> {
     if bytes.len() < 8 {
         return Err(corrupt(format!("only {} bytes", bytes.len())));
@@ -596,7 +596,7 @@ pub fn decode_entry(
 
     if mode == ValidationMode::Full {
         let skeleton = Skeleton::new(key.target);
-        for test in tests {
+        for test in corpus.tests().iter() {
             let translated = skeleton
                 .translate_module(&test.module, &translator)
                 .map_err(|e| corrupt(format!("oracle re-validation `{}`: {e}", test.name)))?;
@@ -727,8 +727,8 @@ impl TranslatorStore {
     /// Loads and validates the entry for `key`, counting a hit, a miss
     /// (no entry), or a corrupt entry. Corrupt entries are left in place:
     /// the caller falls back to cold synthesis, whose write-back repairs
-    /// the file.
-    pub fn load(&self, key: &StoreKey, tests: &[OracleTest]) -> Option<Arc<SynthesisOutcome>> {
+    /// the file. The corpus is read only under [`ValidationMode::Full`].
+    pub fn load(&self, key: &StoreKey, corpus: Corpus<'_>) -> Option<Arc<SynthesisOutcome>> {
         let path = self.entry_path(key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -737,7 +737,7 @@ impl TranslatorStore {
                 return None;
             }
         };
-        match decode_entry(&bytes, key, self.config.validation, tests) {
+        match decode_entry(&bytes, key, self.config.validation, corpus) {
             Ok(outcome) => {
                 // LRU touch; best-effort (a read-only store still serves).
                 if let Ok(f) = fs::File::options().write(true).open(&path) {
@@ -920,7 +920,8 @@ impl TranslatorStore {
 
     /// Fully re-validates every entry against the *current* oracle corpus
     /// of its pair (format, checksum, key, registry, well-typedness, and
-    /// oracle behaviour), regardless of the configured load mode.
+    /// oracle behaviour), regardless of the configured load mode. Each
+    /// entry's corpus is built for its validation and dropped after it.
     ///
     /// # Errors
     ///
@@ -937,15 +938,15 @@ impl TranslatorStore {
                 });
                 continue;
             };
-            let tests = pair_corpus(key.source, key.target);
+            let corpus = Corpus::Pair(key.source, key.target);
             let expected = StoreKey {
-                corpus_fingerprint: pair_fingerprint(key.source, key.target),
+                corpus_fingerprint: corpus.fingerprint(),
                 ..key
             };
             let result = fs::read(&entry.path)
                 .map_err(|e| format!("read: {e}"))
                 .and_then(|bytes| {
-                    decode_entry(&bytes, &expected, ValidationMode::Full, &tests)
+                    decode_entry(&bytes, &expected, ValidationMode::Full, corpus)
                         .map(|_| ())
                         .map_err(|EntryError::Corrupt(why)| why)
                 });

@@ -113,11 +113,7 @@ fn store_adoption_lowers_once_and_tiers_agree_over_the_corpus() {
     // A warm-boot pre-load lowers at adoption too.
     TranslatorCache::reset();
     reset_compile_stats();
-    assert!(TranslatorCache::warm_from_store(
-        &config,
-        &tests,
-        corpus_fingerprint(&tests)
-    ));
+    assert!(TranslatorCache::warm_from_store(&config));
     assert_eq!(compile_stats().lowered, 1, "warm-boot pre-load must lower");
     assert_eq!(
         file_names(&dir),

@@ -1,16 +1,17 @@
-//! One corpus per pair, and the same store keys: a version-graph build
-//! keeps no corpus, every catalog pair's fingerprint is the one its
-//! full corpus hashes to, and two routers hand their resolvers the same
-//! corpus allocation.
+//! Corpora only where tests are read, and the same store keys: a
+//! version-graph build keeps no corpus, every catalog slot's fingerprint
+//! is the one its full corpus hashes to, and acquiring a warm pair through
+//! either router builds no corpus.
 //!
 //! One test in its own binary, so no other test shares the process whose
-//! resident memory it reads.
+//! resident memory and corpus count it reads.
 #![cfg(target_os = "linux")]
 
-use std::cell::Cell;
-
 use siro_ir::IrVersion;
-use siro_synth::{corpus_fingerprint, oracle_corpus, pair_fingerprint, Router, SynthError};
+use siro_synth::{
+    corpora_built, corpus_fingerprint, oracle_corpus, pair_fingerprint, Router, SynthesisConfig,
+    TranslatorCache,
+};
 
 /// This process's resident set, in KiB, from `/proc/self/status`.
 fn vm_rss_kib() -> u64 {
@@ -23,7 +24,7 @@ fn vm_rss_kib() -> u64 {
 }
 
 #[test]
-fn graphs_keep_no_corpus_and_routers_share_one() {
+fn graphs_keep_no_corpus_and_warm_acquires_build_none() {
     // 1. Two graph builds together keep less than 5 MiB; all 156
     //    corpora take some 25 MiB.
     let siro_only = || Router::over(IrVersion::CATALOG.to_vec());
@@ -36,9 +37,10 @@ fn graphs_keep_no_corpus_and_routers_share_one() {
         "two graph builds grew VmRSS by {grown} KiB"
     );
 
-    // 2. Every store key stays what the full corpus hashes to.
+    // 2. Every store key stays what the full corpus hashes to, in all 169
+    //    slots: the 156 pairs and the 13 identity pairs.
     for &a in &IrVersion::CATALOG {
-        for &b in IrVersion::CATALOG.iter().filter(|&&b| b != a) {
+        for &b in &IrVersion::CATALOG {
             let corpus = oracle_corpus(a, b);
             assert!(!corpus.is_empty(), "{a} -> {b} has no oracle test");
             assert_eq!(
@@ -49,17 +51,20 @@ fn graphs_keep_no_corpus_and_routers_share_one() {
         }
     }
 
-    // 3. Two routers hand their resolvers the same corpus allocation. The
-    //    resolver refuses, so nothing synthesizes.
-    let (a, b) = (IrVersion::V13_0, IrVersion::V3_6);
-    let seen = [Router::new(), siro_only()].map(|router| {
-        let tests_at = Cell::new(None);
-        let refused = router.acquire_with(a, b, &|_, _, tests| {
-            tests_at.set(Some(tests.as_ptr()));
-            Err(SynthError::Api("refused by the test".into()))
-        });
-        assert!(refused.is_err());
-        tests_at.get().expect("the direct route calls the resolver")
-    });
-    assert_eq!(seen[0], seen[1], "the routers hold separate corpora");
+    // 3. Acquiring a warm pair through either router builds no corpus:
+    //    only the synthesis that warmed it did.
+    let (a, b) = (IrVersion::V13_0, IrVersion::V12_0);
+    let before = corpora_built();
+    let warmed = TranslatorCache::lookup_pair(SynthesisConfig::new(a, b)).expect("synthesis");
+    assert!(warmed.fresh);
+    assert_eq!(corpora_built() - before, 1, "one synthesis, one corpus");
+    for router in [Router::new(), siro_only()] {
+        let acquired = router.acquire(a, b).expect("a warm pair acquires");
+        assert!(!acquired.fresh, "the pair was warm");
+    }
+    assert_eq!(
+        corpora_built() - before,
+        1,
+        "acquiring a warm pair built a corpus"
+    );
 }

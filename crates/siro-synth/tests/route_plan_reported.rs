@@ -7,12 +7,10 @@
 //! that makes edges hot and the router counters are process-global.
 
 use siro_ir::{DialectVersion, IrVersion};
-use siro_synth::{
-    pair_corpus, router_stats, RouteOutcome, Router, SynthesisConfig, TranslatorCache,
-};
+use siro_synth::{router_stats, RouteOutcome, Router, SynthesisConfig, TranslatorCache};
 
 fn heat(from: IrVersion, to: IrVersion) {
-    TranslatorCache::get_or_synthesize(SynthesisConfig::new(from, to), &pair_corpus(from, to))
+    TranslatorCache::lookup_pair(SynthesisConfig::new(from, to))
         .unwrap_or_else(|e| panic!("synthesizing {from}->{to}: {e}"));
 }
 

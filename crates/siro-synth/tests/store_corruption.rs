@@ -213,7 +213,7 @@ fn corruption_matrix_degrades_to_cold_synthesis() {
     let mut faulty = SynthesisConfig::new(src, tgt);
     faulty.fault = Some(SynthFault::ForgetRefinement(Opcode::Add));
     assert!(
-        !TranslatorCache::warm_from_store(&faulty, &tests, corpus_fingerprint(&tests)),
+        !TranslatorCache::warm_from_store(&faulty),
         "fault configs must not warm from the store"
     );
     let lookup = TranslatorCache::lookup_or_synthesize(faulty, &tests).expect("faulty synthesis");

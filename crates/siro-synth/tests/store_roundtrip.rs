@@ -12,7 +12,7 @@ use siro_core::Skeleton;
 use siro_ir::{write, IrVersion};
 use siro_synth::store::{decode_entry, encode_entry, peek_key};
 use siro_synth::{
-    corpus_fingerprint, oracle_corpus, OracleTest, StoreConfig, StoreKey, SynthesisConfig,
+    corpus_fingerprint, oracle_corpus, Corpus, OracleTest, StoreConfig, StoreKey, SynthesisConfig,
     SynthesisOutcome, Synthesizer, TranslatorStore, ValidationMode,
 };
 
@@ -99,7 +99,7 @@ fn roundtrip_pair(src: IrVersion, tgt: IrVersion, take: Option<usize>) {
         ValidationMode::Checksum,
         ValidationMode::Full,
     ] {
-        let reloaded = decode_entry(&bytes, &key, mode, &tests)
+        let reloaded = decode_entry(&bytes, &key, mode, Corpus::Built(&tests))
             .unwrap_or_else(|e| panic!("{src}->{tgt} mode {mode}: {e}"));
         assert_eq!(reloaded.rendered, outcome.rendered, "mode {mode}");
         assert!(
@@ -125,7 +125,9 @@ fn roundtrip_pair(src: IrVersion, tgt: IrVersion, take: Option<usize>) {
     }
 
     // The store's own load path agrees with direct decoding.
-    let via_store = store.load(&key, &tests).expect("store.load hits");
+    let via_store = store
+        .load(&key, Corpus::Built(&tests))
+        .expect("store.load hits");
     assert_eq!(via_store.rendered, outcome.rendered);
     assert!(via_store.translator.structurally_eq(&outcome.translator));
 }

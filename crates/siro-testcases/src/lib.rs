@@ -73,22 +73,13 @@ impl TestCase {
     /// The set of opcodes the case exercises (computed from the built
     /// module).
     pub fn kinds(&self, version: IrVersion) -> BTreeSet<Opcode> {
-        let m = self.build(version);
-        let mut s = BTreeSet::new();
-        for f in &m.funcs {
-            for i in &f.insts {
-                s.insert(i.opcode);
-            }
-        }
-        s
+        opcodes(&self.build(version))
     }
 
     /// Whether every instruction in this case is *common* to both versions
     /// of a pair — the prerequisite for using it in synthesis.
     pub fn usable_for_pair(&self, src: IrVersion, tgt: IrVersion) -> bool {
-        self.kinds(src.min(tgt))
-            .iter()
-            .all(|&k| src.supports(k) && tgt.supports(k))
+        usable_with_kinds(&self.kinds(src.min(tgt)), src, tgt)
     }
 
     /// Runs the case in the given version and checks the oracle.
@@ -105,6 +96,23 @@ impl TestCase {
             .map(|o| o.return_int() == Some(self.oracle))
             .unwrap_or(false)
     }
+}
+
+/// The opcodes of every instruction in `module`.
+pub fn opcodes(module: &Module) -> BTreeSet<Opcode> {
+    let mut s = BTreeSet::new();
+    for f in &module.funcs {
+        for i in &f.insts {
+            s.insert(i.opcode);
+        }
+    }
+    s
+}
+
+/// [`TestCase::usable_for_pair`] for a case whose module, built in
+/// `src.min(tgt)`, uses `kinds`: every kind exists in both versions.
+pub fn usable_with_kinds(kinds: &BTreeSet<Opcode>, src: IrVersion, tgt: IrVersion) -> bool {
+    kinds.iter().all(|&k| src.supports(k) && tgt.supports(k))
 }
 
 /// The full 68-case corpus (60 base + 8 extended).
